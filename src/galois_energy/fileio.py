@@ -55,17 +55,31 @@ def _fail(message: str) -> GameFileError:
     return GameFileError(message)
 
 
+def _int(raw: Any, what: str) -> int:
+    """``raw`` itself when it is a JSON integer; floats, booleans and
+    strings are rejected rather than converted."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise _fail(f"{what} must be an integer, got {raw!r}")
+    return raw
+
+
+def _ints(raw: Any, what: str) -> tuple[int, ...]:
+    if not isinstance(raw, list):
+        raise _fail(f"{what} must be a list of integers, got {raw!r}")
+    return tuple(_int(c, what) for c in raw)
+
+
 def _spec_from_json(raw: Any) -> ComponentSpec:
     if not isinstance(raw, dict) or "op" not in raw:
         raise _fail(f"bad component spec {raw!r}")
     op = raw["op"]
     try:
         if op == "add":
-            return Add(int(raw["z"]))
+            return Add(_int(raw["z"], "'z'"))
         if op == "min":
-            return MinOf(tuple(int(i) for i in raw["of"]))
+            return MinOf(_ints(raw["of"], "'of'"))
         if op == "mul":
-            return Mul(int(raw["m"]))
+            return Mul(_int(raw["m"], "'m'"))
     except (KeyError, TypeError, ValueError) as exc:
         raise _fail(f"bad component spec {raw!r}: {exc}") from None
     raise _fail(f"unknown op {op!r} in component spec")
@@ -113,10 +127,9 @@ def game_from_dict(doc: Any) -> LoadedGame:
         raise _fail("a game document must be a JSON object")
     if doc.get("schema") != GAME_SCHEMA:
         raise _fail(f"expected schema {GAME_SCHEMA!r}, got {doc.get('schema')!r}")
-    try:
-        dimension = int(doc["dimension"])
-    except (KeyError, TypeError, ValueError):
-        raise _fail("missing or bad 'dimension'") from None
+    if "dimension" not in doc:
+        raise _fail("missing 'dimension'")
+    dimension = _int(doc["dimension"], "'dimension'")
     if dimension < 1:
         raise _fail(f"dimension must be at least 1, got {dimension}")
     positions: list[tuple[str, Owner]] = []
@@ -182,10 +195,7 @@ def _energy_from_json(raw: Any) -> Energy:
     if isinstance(raw, str):
         return Energy.parse(raw)
     if isinstance(raw, list):
-        try:
-            return Energy(tuple(int(c) for c in raw))
-        except (TypeError, ValueError) as exc:
-            raise _fail(f"bad energy {raw!r}: {exc}") from None
+        return Energy(_ints(raw, "an energy component"))
     raise _fail(f"bad energy {raw!r}")
 
 
@@ -194,7 +204,7 @@ def load_weighted_graph(path: str | Path) -> WeightedGraph:
     try:
         return WeightedGraph(
             nodes=tuple(str(v) for v in doc["nodes"]),
-            edges=tuple((str(v), int(w), str(u)) for v, w, u in doc["edges"]),
+            edges=tuple((str(v), _int(w, "a weight"), str(u)) for v, w, u in doc["edges"]),
             source=str(doc["source"]),
             target=str(doc["target"]),
         )
@@ -208,7 +218,7 @@ def load_vass(path: str | Path) -> Vass:
         return Vass(
             states=tuple(str(q) for q in doc["states"]),
             transitions=tuple(
-                (str(q), tuple(int(c) for c in w), str(q2)) for q, w, q2 in doc["transitions"]
+                (str(q), _ints(w, "a transition"), str(q2)) for q, w, q2 in doc["transitions"]
             ),
             initial=(str(doc["initial"]["state"]), _energy_from_json(doc["initial"]["energy"])),
             target=(str(doc["target"]["state"]), _energy_from_json(doc["target"]["energy"])),
@@ -220,12 +230,12 @@ def load_vass(path: str | Path) -> Vass:
 def load_multi_reachability(path: str | Path) -> MultiReachabilityGame:
     doc = _require_schema(_load_document(path), "multi-reachability/1")
     try:
-        dimension = int(doc["dimension"])
+        dimension = _int(doc["dimension"], "'dimension'")
         positions = tuple(
             Position(str(p["id"]), Owner(p["owner"])) for p in doc["positions"]
         )
         edges = tuple(
-            (str(e["from"]), str(e["to"]), tuple(int(c) for c in e["weight"]))
+            (str(e["from"]), str(e["to"]), _ints(e["weight"], "a weight"))
             for e in doc["edges"]
         )
         targets = frozenset(str(t) for t in doc["targets"])
@@ -240,7 +250,7 @@ def load_weak_bound(path: str | Path) -> tuple[LoadedGame, set[tuple[int, int]]]
     doc = _require_schema(_load_document(path), "weak-bound/1")
     try:
         loaded = game_from_dict(doc["game"])
-        pairs = {(int(i), int(j)) for i, j in doc["pairs"]}
+        pairs = {(_int(i, "a pair index"), _int(j, "a pair index")) for i, j in doc["pairs"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise _fail(f"bad weak-bound instance: {exc}") from None
     return loaded, pairs

@@ -2,24 +2,42 @@
 
 Starting from the empty budget at every position, each pass pulls winning
 energies backwards over the edges via the update inverses and keeps the
-minima, until two consecutive passes agree:
+minima, until two consecutive passes agree.  Pass ``k+1`` computes
+``F(W_k)`` from the map ``W_k`` of pass ``k``:
 
 * attacker position: minimal elements of
-  ``{ u.invert(e') | g -u-> g', e' in old[g'] }``
-* defender position: fold over the successors, starting from the zero
-  vector, keeping minima of pairwise suprema (``compute_new_win`` below);
-  a defender deadlock therefore yields exactly the zero vector, and one
-  empty successor budget empties the whole result.
+  ``{ u.invert(e') | g -u-> g', e' in W_k[g'] }``
+* defender position: minimal suprema of one pulled-back energy per
+  successor (``compute_new_win`` below); a defender deadlock therefore
+  yields exactly the zero vector, and one empty successor budget empties
+  the whole result.
 
 Every pass reads the previous map only (Jacobi style), so the iteration
-sequence is deterministic and position evaluations are independent.  The
-resulting fixed point maps each position to the Pareto front of its
-winning budgets; membership of arbitrary energies follows by upward
-closure.
+sequence is deterministic and position evaluations are independent.
 
-Fronts of games with integer edge parameters stay finite throughout, so
-the passes run on int64 row matrices; the front maps exposed to callers
-are ordinary ``ParetoFront`` values.
+The passes are evaluated semi-naively.  Upward closures only grow along
+the iteration, so ``↑W_k = ↑W_{k-1} ∪ ↑Δ_k`` where ``Δ_k[g]`` are the rows
+of ``W_k[g]`` absent from ``W_{k-1}[g]``.  Pulling back is monotone and
+distributes over union, and intersection of upward closures distributes
+over union too, so with ``N_i``/``O_i`` the pulled-back fronts of ``W_k``
+and ``W_{k-1}`` at the ``i``-th successor and ``D_i`` the pulled-back
+``Δ_k``:
+
+* attacker: ``W_{k+1}[g] = min(W_k[g] ∪ ⋃_i D_i)``
+* defender: ``W_{k+1}[g] = min(W_k[g] ∪ ⋃_i N_1⊔…⊔N_{i-1}⊔D_i⊔O_{i+1}⊔…⊔O_m)``
+
+(the defender terms telescope ``⋂_i ↑N_i`` minus ``⋂_i ↑O_i``).  A
+position without new rows among its successors keeps its array, and the
+loop stops once no position gained a row.  Each pass yields exactly the
+front map of the plain pass; with ``W_{k-1}`` empty the formulas are the
+plain pass itself, which is how ``iterate_once`` and ``compute_new_win``
+evaluate arbitrary maps.
+
+The resulting fixed point maps each position to the Pareto front of its
+winning budgets; membership of arbitrary energies follows by upward
+closure.  Fronts of games with integer edge parameters stay finite
+throughout, so the passes run on int64 row matrices; the front maps
+exposed to callers are ordinary ``ParetoFront`` values.
 """
 
 from __future__ import annotations
@@ -159,8 +177,30 @@ def _invert_rows(plan: _InversePlan, rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _fresh_rows(rows: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``rows`` that do not occur in ``old``."""
+    if not old.shape[0] or not rows.shape[0]:
+        return np.ones(rows.shape[0], dtype=bool)
+    void = np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
+    keys = np.ascontiguousarray(rows).view(void).ravel()
+    return ~np.isin(keys, np.ascontiguousarray(old).view(void).ravel())
+
+
+# Per position, a mask of the rows that are new since the previous map; a
+# position without new rows has no entry.
+_Fresh = dict[str, np.ndarray]
+# Per defender position, one pulled-back successor front per move.
+_Pulled = dict[str, list[np.ndarray]]
+
+
 class _Engine:
-    """Array-based pass evaluator for one game."""
+    """Array-based semi-naive pass evaluator for one game.
+
+    A pass computes ``F(cur)`` from ``base = F(old)`` and the rows of
+    ``cur`` that are not in ``old``, for maps whose upward closures grow
+    from ``old`` to ``cur``.  With ``old`` the empty map it is the plain
+    pass over the full fronts.
+    """
 
     def __init__(self, game: GameGraph):
         self.game = game
@@ -171,44 +211,114 @@ class _Engine:
             g: [(target, _inverse_plan(update)) for target, update in game.successors(g)]
             for g in self.ids
         }
+        self._fronts: dict[str, tuple[np.ndarray, ParetoFront]] = {}
+
+    def _empty(self) -> np.ndarray:
+        return np.empty((0, self.n), dtype=np.int64)
 
     def empty_map(self) -> dict[str, np.ndarray]:
-        return {g: np.empty((0, self.n), dtype=np.int64) for g in self.ids}
+        return {g: self._empty() for g in self.ids}
 
     def from_fronts(self, fronts: Mapping[str, ParetoFront]) -> dict[str, np.ndarray]:
         return {g: _front_to_rows(fronts[g], self.n) for g in self.ids}
 
     def to_fronts(self, rows: Mapping[str, np.ndarray]) -> FrontMap:
-        return {g: _rows_to_front(rows[g]) for g in self.ids}
+        """Front map of ``rows``; a position whose array is the one of the
+        previous call keeps that call's ``ParetoFront``."""
+        out = {}
+        for g in self.ids:
+            known = self._fronts.get(g)
+            if known is None or known[0] is not rows[g]:
+                known = self._fronts[g] = (rows[g], _rows_to_front(rows[g]))
+            out[g] = known[1]
+        return out
 
-    def attacker_rows(self, old: Mapping[str, np.ndarray], g: str) -> np.ndarray:
+    def start(
+        self, cur: Mapping[str, np.ndarray]
+    ) -> tuple[_Fresh, dict[str, np.ndarray], _Pulled]:
+        """Arguments of ``delta_pass`` that compute ``F(cur)`` from the
+        empty map: every row is new, ``F`` of the empty map is the zero row
+        at defender deadlocks and empty elsewhere, nothing is pulled back."""
+        fresh = {g: np.ones(cur[g].shape[0], dtype=bool) for g in self.ids if cur[g].shape[0]}
+        base = {
+            g: np.zeros((1, self.n), dtype=np.int64)
+            if not self.is_attacker[g] and not self.moves[g]
+            else self._empty()
+            for g in self.ids
+        }
+        pulled = {
+            g: [self._empty()] * len(self.moves[g]) for g in self.ids if not self.is_attacker[g]
+        }
+        return fresh, base, pulled
+
+    def attacker_rows(
+        self, g: str, base: np.ndarray, cur: Mapping[str, np.ndarray], fresh: _Fresh
+    ) -> np.ndarray:
+        """``min(base ∪ ⋃_t inv_t(Δ_t))``."""
         pulled = [
-            _invert_rows(plan, old[target])
+            _invert_rows(plan, cur[target][fresh[target]])
             for target, plan in self.moves[g]
-            if old[target].shape[0]
+            if target in fresh
         ]
-        if not pulled:
-            return np.empty((0, self.n), dtype=np.int64)
-        return _minimize_rows(np.vstack(pulled))
+        return _minimize_rows(np.vstack([base, *pulled]))
 
-    def defender_rows(self, old: Mapping[str, np.ndarray], g: str) -> np.ndarray:
-        acc = np.zeros((1, self.n), dtype=np.int64)
-        for target, plan in self.moves[g]:
-            source = old[target]
-            if not source.shape[0]:
-                return np.empty((0, self.n), dtype=np.int64)
-            pulled = _invert_rows(plan, source)
-            sups = np.maximum(acc[:, None, :], pulled[None, :, :]).reshape(-1, self.n)
-            acc = _minimize_rows(sups)
-        return acc
+    def defender_rows(
+        self,
+        g: str,
+        base: np.ndarray,
+        cur: Mapping[str, np.ndarray],
+        fresh: _Fresh,
+        before: list[np.ndarray],
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``min(base ∪ ⋃_i N_1⊔…⊔N_{i-1}⊔inv_i(Δ_i)⊔O_{i+1}⊔…⊔O_k)``.
 
-    def position_rows(self, old: Mapping[str, np.ndarray], g: str) -> np.ndarray:
-        if self.is_attacker[g]:
-            return self.attacker_rows(old, g)
-        return self.defender_rows(old, g)
+        ``before`` holds the pulled-back old successor fronts O; returns
+        the new front and the pulled-back current ones N.  Each term is
+        folded starting from its small delta factor.
+        """
+        after = [
+            _invert_rows(plan, cur[target]) if target in fresh else old
+            for (target, plan), old in zip(self.moves[g], before)
+        ]
+        terms = []
+        for i, (target, _) in enumerate(self.moves[g]):
+            if target not in fresh:
+                continue
+            factors = [after[i][fresh[target]], *after[:i], *before[i + 1 :]]
+            if any(not f.shape[0] for f in factors):
+                continue
+            acc = factors[0]
+            for f in factors[1:]:
+                sups = np.maximum(acc[:, None, :], f[None, :, :]).reshape(-1, self.n)
+                acc = _minimize_rows(sups)
+            terms.append(acc)
+        if not terms:
+            return base, after
+        return _minimize_rows(np.vstack([base, *terms])), after
 
-    def pass_once(self, old: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        return {g: self.position_rows(old, g) for g in self.ids}
+    def delta_pass(
+        self,
+        cur: Mapping[str, np.ndarray],
+        fresh: _Fresh,
+        base: Mapping[str, np.ndarray],
+        pulled: _Pulled,
+    ) -> tuple[dict[str, np.ndarray], _Pulled]:
+        """``F(cur)`` and the pulled-back successor fronts of ``cur``.
+
+        ``base`` is ``F(old)``, ``fresh`` marks the rows of ``cur`` absent
+        from ``old`` and ``pulled`` holds the pulled-back fronts of ``old``.
+        A position with no new rows among its successors keeps its array.
+        """
+        new = dict(base)
+        pulled = dict(pulled)
+        for g in self.ids:
+            if not any(target in fresh for target, _ in self.moves[g]):
+                continue
+            if self.is_attacker[g]:
+                new[g] = self.attacker_rows(g, base[g], cur, fresh)
+            else:
+                new[g], pulled[g] = self.defender_rows(g, base[g], cur, fresh, pulled[g])
+        return new, pulled
 
 
 @dataclass(frozen=True)
@@ -219,7 +329,8 @@ class SolverResult:
     confirming pass; ``max_front_size`` is the largest front cardinality
     observed anywhere during the run; ``history`` keeps the front map
     after every pass (index 0 is the all-empty start), which is what the
-    invariant checks and strategy extraction consume.
+    invariant checks and strategy extraction consume; a front that a pass
+    left unchanged is the same object as in the pass before.
     """
 
     fronts: FrontMap
@@ -237,24 +348,27 @@ class SolverResult:
 def compute_new_win(game: GameGraph, old_win: Mapping[str, ParetoFront], g: str) -> ParetoFront:
     """Budget front of defender position ``g`` from the previous front map.
 
-    Accumulates, successor by successor, the minima of suprema of one
+    Folds, successor by successor, the minima of suprema of one
     pulled-back energy per successor; the attacker must afford every
     defender choice simultaneously.
     """
     if game.owner(g) is not Owner.DEFENDER:
         raise ValueError(f"{g!r} is not a defender position")
     engine = _Engine(game)
-    old = {
-        target: _front_to_rows(old_win[target], game.dimension)
-        for target, _ in game.successors(g)
-    }
-    return _rows_to_front(engine.defender_rows(old, g))
+    cur = engine.empty_map()
+    for target, _ in game.successors(g):
+        cur[target] = _front_to_rows(old_win[target], game.dimension)
+    fresh, base, pulled = engine.start(cur)
+    rows, _ = engine.defender_rows(g, base[g], cur, fresh, pulled[g])
+    return _rows_to_front(rows)
 
 
 def iterate_once(game: GameGraph, old_win: Mapping[str, ParetoFront]) -> FrontMap:
     """One full pass over all positions, reading only the old snapshot."""
     engine = _Engine(game)
-    return engine.to_fronts(engine.pass_once(engine.from_fronts(old_win)))
+    cur = engine.from_fronts(old_win)
+    new, _ = engine.delta_pass(cur, *engine.start(cur))
+    return engine.to_fronts(new)
 
 
 def estimate_worst_energy(game: GameGraph) -> Energy:
@@ -282,79 +396,44 @@ def default_iteration_cap(game: GameGraph) -> int:
     return 2 * (count * (int(max_comp) + 1) + count + 1)
 
 
-def _rows_equal(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]) -> bool:
-    return all(np.array_equal(a[g], b[g]) for g in a)
-
-
 def _solve_jacobi(engine: _Engine, cap: int) -> tuple[int, list[dict[str, np.ndarray]]]:
     win = engine.empty_map()
     history = [win]
+    fresh, base, pulled = engine.start(win)
     passes = 0
     while True:
         if passes > cap:
             raise IterationCapExceeded(cap, history[-2] if len(history) > 1 else {}, history[-1])
-        new = engine.pass_once(win)
+        new, pulled = engine.delta_pass(win, fresh, base, pulled)
         passes += 1
         history.append(new)
-        if _rows_equal(new, win):
+        fresh = {}
+        for g in engine.ids:
+            if new[g] is win[g]:
+                continue
+            mask = _fresh_rows(new[g], win[g])
+            if mask.any():
+                fresh[g] = mask
+            else:
+                # same rows: share the array, so unchanged stays identical
+                new[g] = win[g]
+        if not fresh:
             return passes, history
-        win = new
+        win = base = new
 
 
-def _solve_worklist(engine: _Engine, cap: int) -> tuple[int, list[dict[str, np.ndarray]]]:
-    # Recomputes only positions with a changed successor; each pass still
-    # reads the previous snapshot, so the iteration sequence matches the
-    # plain pass exactly.
-    preds: dict[str, set[str]] = {g: set() for g in engine.ids}
-    for g in engine.ids:
-        for target, _ in engine.moves[g]:
-            preds[target].add(g)
-    win = engine.empty_map()
-    history = [win]
-    dirty = set(engine.ids)
-    passes = 0
-    while dirty:
-        if passes > cap:
-            raise IterationCapExceeded(cap, history[-2] if len(history) > 1 else {}, history[-1])
-        new = dict(win)
-        changed = []
-        for g in sorted(dirty):
-            rows = engine.position_rows(win, g)
-            if not np.array_equal(rows, win[g]):
-                new[g] = rows
-                changed.append(g)
-        passes += 1
-        history.append(new)
-        dirty = set().union(*(preds[g] for g in changed)) if changed else set()
-        win = new
-    return passes, history
-
-
-def compute_winning_budgets(
-    game: GameGraph,
-    *,
-    mode: str = "jacobi",
-    iteration_cap: int | None = None,
-) -> SolverResult:
+def compute_winning_budgets(game: GameGraph, *, iteration_cap: int | None = None) -> SolverResult:
     """Iterate to the least fixed point and return all budget fronts.
 
-    ``mode`` selects the plain pass ("jacobi") or the worklist variant
-    ("worklist"); both produce identical fronts, though the worklist may
-    need fewer passes when the last changes have no predecessors left to
-    revisit.  The safety cap guards against broken inputs and is generous
-    enough never to fire on valid games.
+    The safety cap guards against broken inputs and is generous enough
+    never to fire on valid games.
     """
     game.require_valid()
     cap = default_iteration_cap(game) if iteration_cap is None else iteration_cap
     engine = _Engine(game)
-    if mode == "jacobi":
-        passes, raw_history = _solve_jacobi(engine, cap)
-    elif mode == "worklist":
-        passes, raw_history = _solve_worklist(engine, cap)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    passes, raw_history = _solve_jacobi(engine, cap)
     history = tuple(engine.to_fronts(m) for m in raw_history)
-    max_front = max((len(f) for fm in history for f in fm.values()), default=0)
+    max_front = max((rows.shape[0] for m in raw_history for rows in m.values()), default=0)
     return SolverResult(
         fronts=history[-1], iterations=passes, max_front_size=max_front, history=history
     )

@@ -1,5 +1,6 @@
-"""Shared fixtures: the espresso game, random game generators and the
-independent check helpers used across the suite."""
+"""Shared fixtures: the espresso game, random game generators, the plain
+pass as a reference for the solver, and the independent check helpers used
+across the suite."""
 
 from __future__ import annotations
 
@@ -10,15 +11,24 @@ import numpy as np
 import pytest
 
 from galois_energy import fileio, solver
+from galois_energy.errors import IterationCapExceeded
 from galois_energy.game import GameGraph, Owner
 from galois_energy.instances import Vass
 from galois_energy.lattice import Energy, ParetoFront, member_upward
-from galois_energy.updates import Add, MinOf, Update, UpdateAtom
+from galois_energy.updates import Add, MinOf, Mul, Update, UpdateAtom
 
 
 @pytest.fixture(scope="session")
 def espresso() -> GameGraph:
     return fileio.load_game(fileio.bundled_game_path()).game
+
+
+def espresso_with_target(target: int) -> GameGraph:
+    """The espresso game with ``Office -> Energized`` subtracting ``target``."""
+    doc = fileio.game_to_dict(fileio.load_game(fileio.bundled_game_path()).game)
+    edge = next(e for e in doc["edges"] if (e["from"], e["to"]) == ("Office", "Energized"))
+    edge["update"][0][3]["z"] = -target
+    return fileio.game_from_dict(doc).game
 
 
 EXPECTED_CUPS_TIME = {(1, 20), (2, 10), (3, 6), (4, 4), (5, 2), (10, 1)}
@@ -34,13 +44,20 @@ def cups_time_projection(front: ParetoFront) -> set[tuple[int, int]]:
 
 
 def random_update(
-    rng: random.Random, n: int, max_abs: int, max_steps: int, declining: bool = False
+    rng: random.Random,
+    n: int,
+    max_abs: int,
+    max_steps: int,
+    declining: bool = False,
+    mul: bool = False,
 ) -> Update:
     steps = []
     for _ in range(rng.randint(1, max_steps)):
         specs = []
         for i in range(n):
-            if rng.random() < 0.75:
+            if mul and rng.random() < 0.15:
+                specs.append(Mul(rng.randint(1, 3)))
+            elif rng.random() < 0.75:
                 low = -max_abs
                 high = 0 if declining else max_abs
                 specs.append(Add(rng.randint(low, high)))
@@ -64,6 +81,7 @@ def random_game(
     max_abs: int = 2,
     max_steps: int = 2,
     declining: bool = False,
+    mul: bool = False,
 ) -> GameGraph:
     n = rng.randint(1, max_dim)
     count = rng.randint(2, max_positions)
@@ -74,8 +92,59 @@ def random_game(
     edges = []
     for g in ids:
         for target in rng.sample(ids, rng.randint(0, min(3, count))):
-            edges.append((g, target, random_update(rng, n, max_abs, max_steps, declining)))
+            edges.append((g, target, random_update(rng, n, max_abs, max_steps, declining, mul)))
     return GameGraph.build(n, positions, edges)
+
+
+def plain_pass(engine: solver._Engine, old: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Reference pass: every position from the full fronts of ``old``.
+
+    Attackers minimise all pulled-back successor fronts; defenders fold
+    the full pairwise sup-product, starting from the zero row.
+    """
+    n = engine.n
+    new = {}
+    for g in engine.ids:
+        if engine.is_attacker[g]:
+            pulled = [solver._invert_rows(plan, old[t]) for t, plan in engine.moves[g]]
+            rows = solver._minimize_rows(np.vstack([np.empty((0, n), np.int64), *pulled]))
+        else:
+            rows = np.zeros((1, n), dtype=np.int64)
+            for t, plan in engine.moves[g]:
+                pulled = solver._invert_rows(plan, old[t])
+                rows = solver._minimize_rows(
+                    np.maximum(rows[:, None, :], pulled[None, :, :]).reshape(-1, n)
+                )
+        new[g] = rows
+    return new
+
+
+def plain_jacobi(game: GameGraph, cap: int | None = None) -> list[dict[str, np.ndarray]]:
+    """Row maps of the plain passes from the empty map up to the first
+    repeat, raising ``IterationCapExceeded`` exactly where the solver's
+    cap check does."""
+    engine = solver._Engine(game)
+    cap = solver.default_iteration_cap(game) if cap is None else cap
+    history = [engine.empty_map()]
+    while True:
+        if len(history) - 1 > cap:
+            raise IterationCapExceeded(cap, history[-2] if len(history) > 1 else {}, history[-1])
+        history.append(plain_pass(engine, history[-1]))
+        if all(np.array_equal(history[-1][g], history[-2][g]) for g in engine.ids):
+            return history
+
+
+def assert_history_matches_plain(
+    game: GameGraph, result: solver.SolverResult, cap: int | None = None
+) -> None:
+    """The solver's front map after every pass is the plain pass's."""
+    expected = plain_jacobi(game, cap)
+    assert result.iterations == len(expected) - 1
+    assert len(result.history) == len(expected)
+    for fronts, rows in zip(result.history, expected):
+        assert fronts.keys() == rows.keys()
+        for g, front in fronts.items():
+            assert [e.components for e in front] == list(map(tuple, rows[g].tolist()))
 
 
 def _rows(front: ParetoFront) -> np.ndarray:

@@ -172,3 +172,51 @@ def test_instance_loaders(tmp_path):
     )
     loaded, targets = fileio.load_generalized_reachability(gr)
     assert targets == [frozenset({"a"})]
+
+
+@pytest.mark.parametrize("bad", [-1.9, True, 2.0, "1"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        lambda v: _doc(edges=[{"from": "a", "to": "d", "update": [[{"op": "add", "z": v}]]}]),
+        lambda v: _doc(edges=[{"from": "a", "to": "d", "update": [[{"op": "mul", "m": v}]]}]),
+        lambda v: _doc(edges=[{"from": "a", "to": "d", "update": [[{"op": "min", "of": [v]}]]}]),
+        lambda v: _doc(dimension=v),
+    ],
+    ids=["z", "m", "of", "dimension"],
+)
+def test_game_file_rejects_non_integers(tmp_path, spec, bad):
+    with pytest.raises(GameFileError, match="must be an integer"):
+        fileio.load_game(_write(tmp_path, spec(bad)))
+
+
+def _multi_reachability(dimension=1, weight=(2,)):
+    return {
+        "schema": "multi-reachability/1",
+        "dimension": dimension,
+        "positions": [{"id": "a", "owner": "attacker"}, {"id": "b", "owner": "defender"}],
+        "edges": [{"from": "a", "to": "b", "weight": list(weight)}],
+        "targets": ["b"],
+    }
+
+
+@pytest.mark.parametrize("bad", [1.5, True])
+def test_multi_reachability_file_rejects_non_integers(tmp_path, bad):
+    for doc in (_multi_reachability(weight=(bad,)), _multi_reachability(dimension=bad)):
+        with pytest.raises(GameFileError, match="must be an integer"):
+            fileio.load_multi_reachability(_write(tmp_path, doc, "mr.json"))
+
+
+@pytest.mark.parametrize("bad", [0.5, False])
+def test_instance_files_reject_non_integers(tmp_path, bad):
+    wg = {"schema": "weighted-graph/1", "nodes": ["s", "t"], "edges": [["s", bad, "t"]],
+          "source": "s", "target": "t"}
+    with pytest.raises(GameFileError, match="must be an integer"):
+        fileio.load_weighted_graph(_write(tmp_path, wg, "wg.json"))
+    vass = {"schema": "vass/1", "states": ["q"], "transitions": [["q", [bad], "q"]],
+            "initial": {"state": "q", "energy": [1]}, "target": {"state": "q", "energy": [bad]}}
+    with pytest.raises(GameFileError, match="must be an integer"):
+        fileio.load_vass(_write(tmp_path, vass, "vass.json"))
+    vass["transitions"] = [["q", [1], "q"]]
+    with pytest.raises(GameFileError, match="must be an integer"):
+        fileio.load_vass(_write(tmp_path, vass, "vass.json"))

@@ -2,8 +2,10 @@ import pytest
 
 from conftest import (
     EXPECTED_CUPS_TIME,
+    assert_history_matches_plain,
     attacker_wins_all_plays,
     cups_time_projection,
+    espresso_with_target,
     random_game,
     solve_checked,
 )
@@ -240,18 +242,26 @@ def test_estimate_worst_energy_mul_scales():
     assert estimate_worst_energy(game) == E(2 * 2 * 3 ** 2)
 
 
-def test_worklist_mode_matches_jacobi(espresso):
+@pytest.mark.parametrize("target", [10, 16])
+def test_history_matches_plain_pass_on_espresso(target):
+    game = espresso_with_target(target)
+    assert_history_matches_plain(game, compute_winning_budgets(game))
+
+
+def test_history_matches_plain_pass_on_random_games():
     import random
 
-    jac = compute_winning_budgets(espresso)
-    wl = compute_winning_budgets(espresso, mode="worklist")
-    assert jac.fronts == wl.fronts
     rng = random.Random(31)
-    for _ in range(30):
-        game = random_game(rng)
-        a = compute_winning_budgets(game)
-        b = compute_winning_budgets(game, mode="worklist")
-        assert a.fronts == b.fronts
+    for i in range(40):
+        game = random_game(rng, declining=i % 2 == 1)
+        assert_history_matches_plain(game, compute_winning_budgets(game))
+
+
+def test_unchanged_fronts_are_shared_between_passes(espresso):
+    result = compute_winning_budgets(espresso)
+    for earlier, later in zip(result.history, result.history[1:]):
+        for g in earlier:
+            assert (earlier[g] is later[g]) == (earlier[g] == later[g])
 
 
 def test_iteration_cap_raises():
