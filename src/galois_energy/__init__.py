@@ -9,6 +9,7 @@ from .errors import (
     GameFileError,
     InvalidGameError,
     IterationCapExceeded,
+    MagnitudeOverflow,
     OracleCapacityError,
     StrategyError,
 )
@@ -20,6 +21,7 @@ from .game import (
     Position,
     Verdict,
     energy_level,
+    estimate_worst_energy,
     split_parallel_edges,
     winner_of_finite_play,
 )
@@ -41,7 +43,6 @@ from .solver import (
     SolverResult,
     compute_new_win,
     compute_winning_budgets,
-    estimate_worst_energy,
     extract_strategy,
     iterate_once,
     known_initial_credit,
@@ -61,6 +62,7 @@ __all__ = [
     "GameGraph",
     "InvalidGameError",
     "IterationCapExceeded",
+    "MagnitudeOverflow",
     "MinOf",
     "Mul",
     "MultiReachabilityGame",

@@ -6,7 +6,8 @@ file) and ``check`` (differentially test the solver against the
 brute-force oracle on a small game).
 
 Exit codes: 0 success / WIN / no mismatches, 1 LOSE or mismatches found,
-2 parse or validation failure, 3 iteration cap exceeded.
+2 parse or validation failure, 3 iteration cap exceeded, 4 a front value
+or edge parameter outside the solver's int64 range.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ import sys
 from typing import Sequence
 
 from . import fileio, instances, oracle, solver
-from .errors import GameFileError, InvalidGameError, IterationCapExceeded
+from .errors import GameFileError, InvalidGameError, IterationCapExceeded, MagnitudeOverflow
 from .lattice import INF, Energy, minimize
 
 EXIT_OK = 0
 EXIT_LOSE_OR_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
+EXIT_OVERFLOW = 4
 
 CHECK_MAX_POSITIONS = 12
 CHECK_MAX_DIMENSION = 4
@@ -59,6 +61,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     except IterationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except MagnitudeOverflow as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OVERFLOW
     _print_fronts(result, args.format, args.stats, loaded.game.dimension)
     return EXIT_OK
 
@@ -80,6 +85,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
     except IterationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except MagnitudeOverflow as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OVERFLOW
     if solver.known_initial_credit(result, args.position, energy):
         print("WIN")
         return EXIT_OK
@@ -142,6 +150,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except IterationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except MagnitudeOverflow as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OVERFLOW
     fronts = dict(result.fronts)
     if args.corrupt:
         fronts = {g: minimize([Energy.zero(game.dimension)]) for g in fronts}

@@ -23,7 +23,9 @@ class GameFileError(ValueError):
 class IterationCapExceeded(RuntimeError):
     """The solver hit its safety cap before reaching a fixed point.
 
-    Keeps the last two front maps so the divergence can be inspected.
+    Keeps the last two front maps (``ParetoFront`` per position) so the
+    divergence can be inspected; ``previous`` is empty when the cap fired
+    before the first pass.
     """
 
     def __init__(self, cap: int, previous, current):
@@ -31,6 +33,15 @@ class IterationCapExceeded(RuntimeError):
         self.cap = cap
         self.previous = previous
         self.current = current
+
+
+class MagnitudeOverflow(OverflowError):
+    """A value the solver would compute does not fit its int64 rows.
+
+    Raised before any arithmetic can wrap: for an edge parameter outside
+    int64, and for a front value that pulling back over an incoming edge
+    could carry past the int64 maximum.
+    """
 
 
 class OracleCapacityError(RuntimeError):

@@ -30,9 +30,8 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import DimensionMismatch, OracleCapacityError
-from .game import GameGraph, Owner, Verdict
+from .game import GameGraph, Owner, Verdict, estimate_worst_energy
 from .lattice import Energy
-from .solver import estimate_worst_energy
 from .updates import Add, MinOf, Update
 
 RawEnergy = tuple[int, ...]

@@ -36,33 +36,48 @@ evaluate arbitrary maps.
 The resulting fixed point maps each position to the Pareto front of its
 winning budgets; membership of arbitrary energies follows by upward
 closure.  Fronts of games with integer edge parameters stay finite
-throughout, so the passes run on int64 row matrices; the front maps
-exposed to callers are ordinary ``ParetoFront`` values.
+throughout, so the passes run on int64 row matrices.  A row is refused
+with ``MagnitudeOverflow`` when it enters a front above what pulling it
+back over an incoming edge keeps within int64, so no value ever wraps.
+
+Only the fixed point becomes ``ParetoFront`` values.  Every row that
+enters a front is logged once with the pass it entered at (a row that
+leaves a front is dominated from then on and never re-enters), so
+``↑W_k[g]`` is the upward closure of the rows stamped at most ``k``.  The
+front map after any pass and the pass at which an energy became winning
+are both read off these stamps on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
-from .errors import IterationCapExceeded, StrategyError
-from .game import GameGraph, Owner
+from .errors import IterationCapExceeded, MagnitudeOverflow, StrategyError
+from .game import GameGraph, Owner, estimate_worst_energy
 from .lattice import Energy, ParetoFront, member_upward
 from .updates import Add, MinOf, Update
 
 FrontMap = dict[str, ParetoFront]
+# Per position, every row that entered its front and the pass it entered at.
+EntryLog = dict[str, tuple[np.ndarray, np.ndarray]]
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 _CHUNK = 256
 _GRID_CELL_CAP = 1 << 22
 
 
-def _front_to_rows(front: ParetoFront, dimension: int) -> np.ndarray:
+def _front_to_rows(front: ParetoFront, dimension: int, limit: int) -> np.ndarray:
     rows = np.empty((len(front), dimension), dtype=np.int64)
     for r, e in enumerate(front):
         if not e.is_finite:
             raise ValueError("iteration handles finite fronts only")
+        if max(e.components, default=0) > limit:
+            raise MagnitudeOverflow(f"front element {e.render()} exceeds {limit}")
         rows[r] = e.components
     return rows
 
@@ -149,6 +164,9 @@ def _inverse_plan(update: Update) -> _InversePlan:
                 z, m = None, None
             else:
                 z, m = None, spec.factor
+            param = z if m is None else m
+            if param is not None and not _INT64_MIN <= param <= _INT64_MAX:
+                raise MagnitudeOverflow(f"edge parameter {param} is outside int64")
             drains = tuple(
                 j
                 for j, other in enumerate(atom.specs)
@@ -159,6 +177,13 @@ def _inverse_plan(update: Update) -> _InversePlan:
     return plan
 
 
+def _plan_growth(plan: _InversePlan) -> int:
+    """Most that pulling a row back through ``plan`` adds to its largest
+    component, intermediate values included: per step, the largest
+    subtracted Add magnitude (a Mul or MinOf never exceeds its inputs)."""
+    return sum(max([0, *(-z for z, _, _ in step if z is not None and z < 0)]) for step in plan)
+
+
 def _invert_rows(plan: _InversePlan, rows: np.ndarray) -> np.ndarray:
     for step in plan:
         cols = []
@@ -167,7 +192,7 @@ def _invert_rows(plan: _InversePlan, rows: np.ndarray) -> np.ndarray:
                 col = rows[:, i] - z
                 np.maximum(col, 0, out=col)
             elif m is not None:
-                col = (rows[:, i] + (m - 1)) // m
+                col = -(-rows[:, i] // m)
             else:
                 col = np.zeros(rows.shape[0], dtype=np.int64)
             for j in drains:
@@ -211,7 +236,13 @@ class _Engine:
             g: [(target, _inverse_plan(update)) for target, update in game.successors(g)]
             for g in self.ids
         }
-        self._fronts: dict[str, tuple[np.ndarray, ParetoFront]] = {}
+        # per position, the largest front value that every pull-back over
+        # an incoming edge keeps within int64
+        growth = dict.fromkeys(self.ids, 0)
+        for moves in self.moves.values():
+            for target, plan in moves:
+                growth[target] = max(growth[target], _plan_growth(plan))
+        self.limit = {g: _INT64_MAX - growth[g] for g in self.ids}
 
     def _empty(self) -> np.ndarray:
         return np.empty((0, self.n), dtype=np.int64)
@@ -220,18 +251,10 @@ class _Engine:
         return {g: self._empty() for g in self.ids}
 
     def from_fronts(self, fronts: Mapping[str, ParetoFront]) -> dict[str, np.ndarray]:
-        return {g: _front_to_rows(fronts[g], self.n) for g in self.ids}
+        return {g: _front_to_rows(fronts[g], self.n, self.limit[g]) for g in self.ids}
 
     def to_fronts(self, rows: Mapping[str, np.ndarray]) -> FrontMap:
-        """Front map of ``rows``; a position whose array is the one of the
-        previous call keeps that call's ``ParetoFront``."""
-        out = {}
-        for g in self.ids:
-            known = self._fronts.get(g)
-            if known is None or known[0] is not rows[g]:
-                known = self._fronts[g] = (rows[g], _rows_to_front(rows[g]))
-            out[g] = known[1]
-        return out
+        return {g: _rows_to_front(rows[g]) for g in self.ids}
 
     def start(
         self, cur: Mapping[str, np.ndarray]
@@ -327,22 +350,33 @@ class SolverResult:
 
     ``iterations`` counts passes of the do-while loop including the final
     confirming pass; ``max_front_size`` is the largest front cardinality
-    observed anywhere during the run; ``history`` keeps the front map
-    after every pass (index 0 is the all-empty start), which is what the
-    invariant checks and strategy extraction consume; a front that a pass
-    left unchanged is the same object as in the pass before.
+    observed anywhere during the run.  ``entries`` holds, per position,
+    every row that ever entered its front (an int64 matrix) and the pass
+    it entered at, in pass order.  ``history`` is the front map after
+    every pass (index 0 is the all-empty start), derived from the entries
+    on first access: pass ``k`` is the minimal rows stamped at most ``k``.
     """
 
     fronts: FrontMap
     iterations: int
     max_front_size: int
-    history: tuple[FrontMap, ...] = field(repr=False)
+    entries: EntryLog = field(repr=False, compare=False)
 
     def front(self, g: str) -> ParetoFront:
         try:
             return self.fronts[g]
         except KeyError:
             raise KeyError(f"unknown position {g!r}") from None
+
+    @cached_property
+    def history(self) -> tuple[FrontMap, ...]:
+        return tuple(
+            {
+                g: _rows_to_front(_minimize_rows(rows[stamps <= k]))
+                for g, (rows, stamps) in self.entries.items()
+            }
+            for k in range(self.iterations + 1)
+        )
 
 
 def compute_new_win(game: GameGraph, old_win: Mapping[str, ParetoFront], g: str) -> ParetoFront:
@@ -357,7 +391,7 @@ def compute_new_win(game: GameGraph, old_win: Mapping[str, ParetoFront], g: str)
     engine = _Engine(game)
     cur = engine.empty_map()
     for target, _ in game.successors(g):
-        cur[target] = _front_to_rows(old_win[target], game.dimension)
+        cur[target] = _front_to_rows(old_win[target], game.dimension, engine.limit[target])
     fresh, base, pulled = engine.start(cur)
     rows, _ = engine.defender_rows(g, base[g], cur, fresh, pulled[g])
     return _rows_to_front(rows)
@@ -371,24 +405,6 @@ def iterate_once(game: GameGraph, old_win: Mapping[str, ParetoFront]) -> FrontMa
     return engine.to_fronts(new)
 
 
-def estimate_worst_energy(game: GameGraph) -> Energy:
-    """Component-wise over-approximation of the largest energy the
-    backward iteration can produce.
-
-    Each inverse application can raise a component by at most the largest
-    Add magnitude, and relevant inverse chains are shorter than the
-    position count; Mul factors scale the bound once per potential
-    application.  Used to size oracle clip bounds and the iteration cap,
-    never for correctness of the fronts themselves.
-    """
-    count = len(game.positions)
-    if count <= 1:
-        return Energy.zero(game.dimension)
-    bound = game.max_add_magnitude() * (count - 1)
-    bound *= game.max_mul_factor() ** (count - 1)
-    return Energy((bound,) * game.dimension)
-
-
 def default_iteration_cap(game: GameGraph) -> int:
     count = len(game.positions)
     worst = estimate_worst_energy(game)
@@ -396,46 +412,70 @@ def default_iteration_cap(game: GameGraph) -> int:
     return 2 * (count * (int(max_comp) + 1) + count + 1)
 
 
-def _solve_jacobi(engine: _Engine, cap: int) -> tuple[int, list[dict[str, np.ndarray]]]:
+def _solve_jacobi(engine: _Engine, cap: int) -> tuple[int, dict[str, np.ndarray], int, EntryLog]:
+    """Passes, fixed point, largest front and entry log of one solve."""
+    prev: dict[str, np.ndarray] | None = None
     win = engine.empty_map()
-    history = [win]
+    entered: dict[str, list[tuple[int, np.ndarray]]] = {g: [] for g in engine.ids}
+    max_front = 0
     fresh, base, pulled = engine.start(win)
     passes = 0
     while True:
         if passes > cap:
-            raise IterationCapExceeded(cap, history[-2] if len(history) > 1 else {}, history[-1])
+            previous = {} if prev is None else engine.to_fronts(prev)
+            raise IterationCapExceeded(cap, previous, engine.to_fronts(win))
         new, pulled = engine.delta_pass(win, fresh, base, pulled)
         passes += 1
-        history.append(new)
         fresh = {}
         for g in engine.ids:
             if new[g] is win[g]:
                 continue
             mask = _fresh_rows(new[g], win[g])
-            if mask.any():
-                fresh[g] = mask
-            else:
-                # same rows: share the array, so unchanged stays identical
+            if not mask.any():
+                # same rows: keep the array, so the next pass skips it
                 new[g] = win[g]
+                continue
+            rows = new[g][mask]
+            top = int(rows.max())
+            if top > engine.limit[g]:
+                raise MagnitudeOverflow(
+                    f"front of {g!r} reaches {top}; pulling it back over an "
+                    "incoming edge could exceed int64"
+                )
+            fresh[g] = mask
+            entered[g].append((passes, rows))
+            max_front = max(max_front, new[g].shape[0])
         if not fresh:
-            return passes, history
-        win = base = new
+            entries = {
+                g: (
+                    np.vstack([engine._empty(), *(rows for _, rows in log)]),
+                    np.repeat(
+                        np.array([k for k, _ in log], dtype=np.int64),
+                        [rows.shape[0] for _, rows in log],
+                    ),
+                )
+                for g, log in entered.items()
+            }
+            return passes, win, max_front, entries
+        prev, win, base = win, new, new
 
 
 def compute_winning_budgets(game: GameGraph, *, iteration_cap: int | None = None) -> SolverResult:
     """Iterate to the least fixed point and return all budget fronts.
 
     The safety cap guards against broken inputs and is generous enough
-    never to fire on valid games.
+    never to fire on valid games.  Raises ``MagnitudeOverflow`` when a
+    front value outgrows the int64 range the passes compute in.
     """
     game.require_valid()
     cap = default_iteration_cap(game) if iteration_cap is None else iteration_cap
     engine = _Engine(game)
-    passes, raw_history = _solve_jacobi(engine, cap)
-    history = tuple(engine.to_fronts(m) for m in raw_history)
-    max_front = max((rows.shape[0] for m in raw_history for rows in m.values()), default=0)
+    passes, fixed, max_front, entries = _solve_jacobi(engine, cap)
     return SolverResult(
-        fronts=history[-1], iterations=passes, max_front_size=max_front, history=history
+        fronts=engine.to_fronts(fixed),
+        iterations=passes,
+        max_front_size=max_front,
+        entries=entries,
     )
 
 
@@ -455,20 +495,27 @@ class AttackerStrategy:
 
     ``choose`` picks, for an attacker position and an energy in the
     upward closure of its front, a successor whose updated energy is
-    winning and entered the iteration as early as possible; the entry
-    index drops strictly along every move inside the winning region, so
-    following the strategy reaches a defender deadlock without the energy
-    ever becoming undefined.  Ties break on successor id.
+    winning and entered the iteration as early as possible; that entry
+    pass (the least stamp of a logged front row below the energy) drops
+    strictly along every move inside the winning region, so following the
+    strategy reaches a defender deadlock without the energy ever becoming
+    undefined.  Ties break on successor id.
     """
 
     game: GameGraph
     result: SolverResult
 
     def _birth(self, g: str, e: Energy) -> int | None:
-        for k, front_map in enumerate(self.result.history):
-            if member_upward(front_map[g], e):
-                return k
-        return None
+        """First pass after which ``e`` is winning at ``g``, or ``None``.
+
+        Exact at every magnitude: a component of ``e`` at or above the
+        int64 maximum (``inf`` included) is at least every row component,
+        so clipping ``e`` there changes no comparison.
+        """
+        rows, stamps = self.result.entries[g]
+        top = np.array([min(c, _INT64_MAX) for c in e.components], dtype=np.int64)
+        below = (rows <= top).all(1)
+        return int(stamps[below].min()) if below.any() else None
 
     def choose(self, g: str, e: Energy) -> str:
         if self.game.owner(g) is not Owner.ATTACKER:

@@ -1,6 +1,6 @@
 """Shared fixtures: the espresso game, random game generators, the plain
-pass as a reference for the solver, and the independent check helpers used
-across the suite."""
+pass and the history-scanning strategy as references for the solver, and
+the independent check helpers used across the suite."""
 
 from __future__ import annotations
 
@@ -145,6 +145,31 @@ def assert_history_matches_plain(
         assert fronts.keys() == rows.keys()
         for g, front in fronts.items():
             assert [e.components for e in front] == list(map(tuple, rows[g].tolist()))
+
+
+def reference_birth(result: solver.SolverResult, g: str, e: Energy) -> int | None:
+    """Reference entry pass: index of the first history map whose front
+    at ``g`` has ``e`` in its upward closure."""
+    for k, front_map in enumerate(result.history):
+        for m in front_map[g]:
+            for a, b in zip(m.components, e.components):
+                if a > b:
+                    break
+            else:
+                return k
+    return None
+
+
+def reference_choose(game: GameGraph, result: solver.SolverResult, g: str, e: Energy) -> str:
+    """Reference strategy move: the winning successor whose updated energy
+    has the least reference entry pass, ties broken on successor id."""
+    births = []
+    for target, update in game.successors(g):
+        nxt = update.apply(e)
+        birth = None if nxt is None else reference_birth(result, target, nxt)
+        if birth is not None:
+            births.append((birth, target))
+    return min(births)[1]
 
 
 def _rows(front: ParetoFront) -> np.ndarray:

@@ -63,6 +63,30 @@ def test_solve_iteration_cap_exit_code(capsys, monkeypatch):
     assert "7" in err
 
 
+def test_int64_overflow_exit_code(tmp_path, capsys):
+    from galois_energy.game import GameGraph, Owner
+    from galois_energy.updates import Add, Update
+
+    # p0 needs 2**63, one more than int64 holds
+    step = Update.single(Add(-(2**62)))
+    game = GameGraph.build(
+        1,
+        [("p0", Owner.ATTACKER), ("p1", Owner.ATTACKER), ("d", Owner.DEFENDER)],
+        [("p0", "p1", step), ("p1", "d", step)],
+    )
+    path = tmp_path / "chain.json"
+    fileio.save_game(game, path)
+    for argv in (
+        ["solve", str(path)],
+        ["query", str(path), "--position", "p0", "--energy", "0"],
+        ["check", str(path)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert "int64" in err
+
+
 def test_solve_deterministic(capsys):
     _, first, _ = run(capsys, "solve", ESPRESSO, "--format", "csv", "--stats")
     _, second, _ = run(capsys, "solve", ESPRESSO, "--format", "csv", "--stats")

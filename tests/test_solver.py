@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import (
@@ -7,15 +9,16 @@ from conftest import (
     cups_time_projection,
     espresso_with_target,
     random_game,
+    reference_birth,
+    reference_choose,
     solve_checked,
 )
-from galois_energy.errors import IterationCapExceeded, StrategyError
-from galois_energy.game import GameGraph, Owner
+from galois_energy.errors import IterationCapExceeded, MagnitudeOverflow, StrategyError
+from galois_energy.game import GameGraph, Owner, estimate_worst_energy
 from galois_energy.lattice import INF, Energy, ParetoFront, minimize, sup2
 from galois_energy.solver import (
     compute_new_win,
     compute_winning_budgets,
-    estimate_worst_energy,
     extract_strategy,
     iterate_once,
     known_initial_credit,
@@ -257,13 +260,6 @@ def test_history_matches_plain_pass_on_random_games():
         assert_history_matches_plain(game, compute_winning_budgets(game))
 
 
-def test_unchanged_fronts_are_shared_between_passes(espresso):
-    result = compute_winning_budgets(espresso)
-    for earlier, later in zip(result.history, result.history[1:]):
-        for g in earlier:
-            assert (earlier[g] is later[g]) == (earlier[g] == later[g])
-
-
 def test_iteration_cap_raises():
     game = GameGraph.build(
         1,
@@ -273,7 +269,111 @@ def test_iteration_cap_raises():
     with pytest.raises(IterationCapExceeded) as err:
         compute_winning_budgets(game, iteration_cap=1)
     assert err.value.cap == 1
-    assert err.value.current is not None
+    assert err.value.previous == {"a": ParetoFront.empty(), "d": minimize([E(0)])}
+    assert err.value.current == {"a": minimize([E(3)]), "d": minimize([E(0)])}
+
+
+INT64_MAX = 2**63 - 1
+
+
+def chain(*updates):
+    """Attacker positions ``p0 -> p1 -> ...``, edge ``i`` labelled
+    ``updates[i]``, ending in the defender deadlock ``d``."""
+    ids = [f"p{i}" for i in range(len(updates))] + ["d"]
+    positions = [(g, Owner.ATTACKER) for g in ids[:-1]] + [("d", Owner.DEFENDER)]
+    return GameGraph.build(1, positions, list(zip(ids, ids[1:], updates)))
+
+
+@pytest.mark.parametrize("links", [2, 3])
+def test_chained_subtractions_past_int64_raise(links):
+    # the true minimum at p0 is links * 2**62 >= 2**63
+    game = chain(*[delta(-(2**62))] * links)
+    with pytest.raises(MagnitudeOverflow):
+        compute_winning_budgets(game)
+
+
+@pytest.mark.parametrize("z", [2**62, INT64_MAX])
+def test_largest_answers_within_int64_are_exact(z):
+    result = compute_winning_budgets(chain(delta(-z)))
+    assert result.fronts["p0"].elements == (E(z),)
+
+
+def test_mul_step_next_to_int64_limit_is_exact():
+    # pulling INT64_MAX - 1 back through Mul(3) must not compute
+    # INT64_MAX - 1 + 2 on the way to its ceiling quotient
+    top = INT64_MAX - 1
+    game = chain(Update.single(Mul(3)), delta(-top))
+    result = compute_winning_budgets(game)
+    assert result.fronts["p1"].elements == (E(top),)
+    assert result.fronts["p0"].elements == (E(-(-top // 3)),)
+
+
+@pytest.mark.parametrize("z", [-(2**70), 2**70])
+def test_edge_parameter_outside_int64_raises(z):
+    game = chain(delta(z))
+    with pytest.raises(MagnitudeOverflow):
+        compute_winning_budgets(game)
+    with pytest.raises(MagnitudeOverflow):
+        iterate_once(game, empty_map(game))
+
+
+def test_given_front_past_int64_headroom_raises():
+    game = chain(delta(-(2**62)), delta(-(2**62)))
+    fronts = empty_map(game)
+    fronts["p1"] = minimize([E(2**62)])
+    with pytest.raises(MagnitudeOverflow):
+        iterate_once(game, fronts)
+    fronts["p1"] = minimize([E(2**70)])
+    with pytest.raises(MagnitudeOverflow):
+        iterate_once(game, fronts)
+    fork = GameGraph.build(
+        1,
+        [("d", Owner.DEFENDER), ("x", Owner.ATTACKER)],
+        [("d", "x", delta(-(2**62))), ("x", "d", delta(-(2**62)))],
+    )
+    with pytest.raises(MagnitudeOverflow):
+        compute_new_win(fork, {"d": ParetoFront.empty(), "x": minimize([E(2**62)])}, "d")
+
+
+def _strategy_games(count=25):
+    """Seeded random games, in turn plain, declining and with ``Mul``,
+    where some attacker position with a move has a nonempty front."""
+    rng = random.Random(47)
+    games = []
+    while len(games) < count:
+        kind = len(games) % 3
+        game = random_game(rng, declining=kind == 1, mul=kind == 2)
+        result = compute_winning_budgets(game)
+        if any(
+            game.owner(g) is Owner.ATTACKER and not game.is_deadlock(g) and len(result.fronts[g])
+            for g in game.position_ids
+        ):
+            games.append((game, result))
+    return games
+
+
+@pytest.mark.parametrize("name", ["espresso", "random"])
+def test_entry_stamps_match_history_scan(name, espresso):
+    if name == "espresso":
+        games = [(espresso, compute_winning_budgets(espresso))]
+    else:
+        games = _strategy_games()
+    for game, result in games:
+        strategy = extract_strategy(game, result)
+        for g in game.position_ids:
+            probes = [Energy.zero(game.dimension), *result.fronts[g]]
+            # dominating energies with a component that is infinite, beyond
+            # float precision or beyond int64
+            for m in result.fronts[g].elements[:2]:
+                probes += [E(*m.components[:-1], big) for big in (INF, 2**53 + 1, 2**70)]
+            for e in probes:
+                assert strategy._birth(g, e) == reference_birth(result, g, e)
+                if (
+                    game.owner(g) is Owner.ATTACKER
+                    and not game.is_deadlock(g)
+                    and known_initial_credit(result, g, e)
+                ):
+                    assert strategy.choose(g, e) == reference_choose(game, result, g, e)
 
 
 def test_max_front_size_counts_largest_front(espresso):
