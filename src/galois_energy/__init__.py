@@ -36,7 +36,7 @@ from .instances import (
     from_vass_coverability,
     generalized_query_energy,
 )
-from .lattice import INF, Energy, ParetoFront, leq, member_upward, minimize, sup2
+from .lattice import INF, Energy, ParetoFront, leq, sup2
 from .oracle import OracleVerdict, attractor_decide, stable_decide
 from .solver import (
     AttackerStrategy,
@@ -93,8 +93,6 @@ __all__ = [
     "iterate_once",
     "known_initial_credit",
     "leq",
-    "member_upward",
-    "minimize",
     "split_parallel_edges",
     "stable_decide",
     "sup2",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import DimensionMismatch
 
@@ -104,9 +104,10 @@ class ParetoFront:
 
     Represents the upward-closed set of all energies dominating some
     element.  Elements are kept in ascending lexicographic order of their
-    components so equal fronts compare and render identically.
-    Construct through :func:`minimize`, which establishes the antichain
-    property; the constructor only checks cheap shape invariants.
+    components so equal fronts compare and render identically.  The
+    solver builds fronts from rows its minimiser returns, which are
+    antichains in that order; the constructor only checks cheap shape
+    invariants (one dimension, unique, sorted).
     """
 
     elements: tuple[Energy, ...]
@@ -135,28 +136,3 @@ class ParetoFront:
 
     def render(self) -> str:
         return "; ".join(e.render() for e in self.elements)
-
-
-def minimize(energies: Iterable[Energy]) -> ParetoFront:
-    """Keep exactly the minimal elements, preserving the upward closure.
-
-    Pairwise dominance filter, quadratic in the number of candidates.
-    """
-    unique = {e.components: e for e in energies}
-    items = list(unique.values())
-    if items:
-        dims = {e.dimension for e in items}
-        if len(dims) > 1:
-            raise DimensionMismatch(f"mixed dimensions: {sorted(dims)}")
-    minimal = [
-        e
-        for e in items
-        if not any(o.components != e.components and leq(o, e) for o in items)
-    ]
-    minimal.sort(key=lambda e: e.components)
-    return ParetoFront(tuple(minimal))
-
-
-def member_upward(front: ParetoFront, e: Energy) -> bool:
-    """Is ``e`` in the upward closure of the front?"""
-    return any(leq(m, e) for m in front)

@@ -6,7 +6,9 @@ minima, until two consecutive passes agree.  Pass ``k+1`` computes
 ``F(W_k)`` from the map ``W_k`` of pass ``k``:
 
 * attacker position: minimal elements of
-  ``{ u.invert(e') | g -u-> g', e' in W_k[g'] }``
+  ``{ inv_u(e') | g -u-> g', e' in W_k[g'] }``, where ``inv_u(e')`` is the
+  least energy whose image under ``u`` dominates ``e'`` (the Galois
+  inverse of ``updates``, evaluated on rows by ``_invert_rows``)
 * defender position: minimal suprema of one pulled-back energy per
   successor (``compute_new_win`` below); a defender deadlock therefore
   yields exactly the zero vector, and one empty successor budget empties
@@ -44,21 +46,23 @@ Only the fixed point becomes ``ParetoFront`` values.  Every row that
 enters a front is logged once with the pass it entered at (a row that
 leaves a front is dominated from then on and never re-enters), so
 ``↑W_k[g]`` is the upward closure of the rows stamped at most ``k``.  The
-front map after any pass and the pass at which an energy became winning
-are both read off these stamps on demand.
+pass at which an energy became winning is read off these stamps
+(``SolverResult.entry_pass``), and so is membership in the upward closure
+of the fixed point: an energy is winning exactly when some logged row is
+below it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
-from .errors import IterationCapExceeded, MagnitudeOverflow, StrategyError
+from .errors import DimensionMismatch, IterationCapExceeded, MagnitudeOverflow, StrategyError
 from .game import GameGraph, Owner, estimate_worst_energy
-from .lattice import Energy, ParetoFront, member_upward
+from .lattice import Energy, ParetoFront
 from .updates import Add, MinOf, Update
 
 FrontMap = dict[str, ParetoFront]
@@ -112,12 +116,12 @@ def _minimize_by_sweep(unique: np.ndarray) -> np.ndarray:
 def _minimize_rows(rows: np.ndarray) -> np.ndarray:
     """Minimal rows under the component-wise order, lexicographically sorted.
 
-    Rank-compresses every column and packs rows into scalar keys whose
-    numeric order is the lexicographic row order; deduplication then runs
-    on the keys.  When the rank grid is small enough, a cumulative sum
-    along every axis counts for each cell the rows below-or-equal to it,
-    and a row is minimal exactly when that count is 1 (itself); otherwise
-    a chunked dominance sweep takes over.
+    Rank-compresses every column.  When the grid of ranks has at most
+    ``_GRID_CELL_CAP`` cells, rows become scalar cell keys whose numeric
+    order is the lexicographic row order, deduplication runs on the keys,
+    a cumulative sum along every axis counts for each cell the rows
+    below-or-equal to it, and a row is minimal exactly when that count is
+    1 (itself).  Larger grids go to the chunked dominance sweep.
     """
     m = rows.shape[0]
     if m <= 1:
@@ -125,21 +129,18 @@ def _minimize_rows(rows: np.ndarray) -> np.ndarray:
     n = rows.shape[1]
     ranks = np.empty((m, n), dtype=np.int64)
     sizes = []
-    cells = 1
     for c in range(n):
         values, inverse = np.unique(rows[:, c], return_inverse=True)
         ranks[:, c] = inverse
         sizes.append(len(values))
-        cells *= len(values)
-    if cells >= 1 << 62:
+    cells = math.prod(sizes)
+    if cells > _GRID_CELL_CAP:
         return _minimize_by_sweep(np.unique(rows, axis=0))
     keys = np.ravel_multi_index(tuple(ranks.T), sizes)
     unique_keys, first = np.unique(keys, return_index=True)
     unique = rows[first]
     if unique.shape[0] <= 1:
         return unique
-    if cells > _GRID_CELL_CAP:
-        return _minimize_by_sweep(unique)
     grid = np.zeros(cells, dtype=np.int32)
     grid[unique_keys] = 1
     grid = grid.reshape(sizes)
@@ -352,9 +353,9 @@ class SolverResult:
     confirming pass; ``max_front_size`` is the largest front cardinality
     observed anywhere during the run.  ``entries`` holds, per position,
     every row that ever entered its front (an int64 matrix) and the pass
-    it entered at, in pass order.  ``history`` is the front map after
-    every pass (index 0 is the all-empty start), derived from the entries
-    on first access: pass ``k`` is the minimal rows stamped at most ``k``.
+    it entered at, in pass order; the front after pass ``k`` is the
+    minimal rows stamped at most ``k``.  ``entry_pass`` answers membership
+    and the entry pass of an energy from these rows.
     """
 
     fronts: FrontMap
@@ -368,15 +369,25 @@ class SolverResult:
         except KeyError:
             raise KeyError(f"unknown position {g!r}") from None
 
-    @cached_property
-    def history(self) -> tuple[FrontMap, ...]:
-        return tuple(
-            {
-                g: _rows_to_front(_minimize_rows(rows[stamps <= k]))
-                for g, (rows, stamps) in self.entries.items()
-            }
-            for k in range(self.iterations + 1)
-        )
+    def entry_pass(self, g: str, e: Energy) -> int | None:
+        """First pass after which ``e`` is winning at ``g``, or ``None``
+        when ``e`` is not winning there.
+
+        Raises ``KeyError`` for an unknown position and
+        ``DimensionMismatch`` for an energy of the wrong dimension.  Exact
+        at every magnitude: a component of ``e`` at or above the int64
+        maximum (``inf`` included) is at least every row component, so
+        clipping ``e`` there changes no comparison.
+        """
+        try:
+            rows, stamps = self.entries[g]
+        except KeyError:
+            raise KeyError(f"unknown position {g!r}") from None
+        if e.dimension != rows.shape[1]:
+            raise DimensionMismatch(f"energy dim {e.dimension} vs game dim {rows.shape[1]}")
+        top = np.array([min(c, _INT64_MAX) for c in e.components], dtype=np.int64)
+        below = (rows <= top).all(1)
+        return int(stamps[below].min()) if below.any() else None
 
 
 def compute_new_win(game: GameGraph, old_win: Mapping[str, ParetoFront], g: str) -> ParetoFront:
@@ -481,7 +492,7 @@ def compute_winning_budgets(game: GameGraph, *, iteration_cap: int | None = None
 
 def known_initial_credit(result: SolverResult, g: str, e: Energy) -> bool:
     """Does energy ``e`` suffice to win from ``g``?"""
-    return member_upward(result.front(g), e)
+    return result.entry_pass(g, e) is not None
 
 
 def unknown_initial_credit(result: SolverResult, g: str) -> bool:
@@ -496,43 +507,28 @@ class AttackerStrategy:
     ``choose`` picks, for an attacker position and an energy in the
     upward closure of its front, a successor whose updated energy is
     winning and entered the iteration as early as possible; that entry
-    pass (the least stamp of a logged front row below the energy) drops
-    strictly along every move inside the winning region, so following the
-    strategy reaches a defender deadlock without the energy ever becoming
-    undefined.  Ties break on successor id.
+    pass (``SolverResult.entry_pass``) drops strictly along every move
+    inside the winning region, so following the strategy reaches a
+    defender deadlock without the energy ever becoming undefined.  Ties
+    break on successor id.
     """
 
     game: GameGraph
     result: SolverResult
 
-    def _birth(self, g: str, e: Energy) -> int | None:
-        """First pass after which ``e`` is winning at ``g``, or ``None``.
-
-        Exact at every magnitude: a component of ``e`` at or above the
-        int64 maximum (``inf`` included) is at least every row component,
-        so clipping ``e`` there changes no comparison.
-        """
-        rows, stamps = self.result.entries[g]
-        top = np.array([min(c, _INT64_MAX) for c in e.components], dtype=np.int64)
-        below = (rows <= top).all(1)
-        return int(stamps[below].min()) if below.any() else None
-
     def choose(self, g: str, e: Energy) -> str:
         if self.game.owner(g) is not Owner.ATTACKER:
             raise LookupError(f"{g!r} is not an attacker position")
-        if not member_upward(self.result.front(g), e):
+        if self.result.entry_pass(g, e) is None:
             raise LookupError(f"energy {e.render()} is not winning at {g!r}")
         if self.game.is_deadlock(g):
             raise LookupError(f"{g!r} has no successors")
         best: tuple[int, str] | None = None
         for target, update in self.game.successors(g):
             nxt = update.apply(e)
-            if nxt is None or not member_upward(self.result.front(target), nxt):
-                continue
-            birth = self._birth(target, nxt)
-            assert birth is not None
-            if best is None or (birth, target) < best:
-                best = (birth, target)
+            entry = None if nxt is None else self.result.entry_pass(target, nxt)
+            if entry is not None and (best is None or (entry, target) < best):
+                best = (entry, target)
         if best is None:
             raise StrategyError(f"no winning move at {g!r} with {e.render()}")
         return best[1]

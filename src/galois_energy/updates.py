@@ -9,10 +9,15 @@ An atomic update specifies, per component, one of three effects:
 * ``Mul(m)``      – multiply by a natural ``m >= 1``.
 
 All three are monotonic with upward-closed domains, so each atom ``u`` has
-a total "undo" ``u.invert`` with ``invert(e') = min {e | e' <= u(e)}``;
-the pair satisfies ``e' <= u(e)  iff  invert(e') <= e`` on the domain of
-``u`` (a Galois connection).  Undo of a composite runs the atom inverses
-in reverse order.
+a total "undo" ``inv(e') = min {e | e' <= u(e)}``; the pair satisfies
+``e' <= u(e)  iff  inv(e') <= e`` on the domain of ``u`` (a Galois
+connection).  Component ``i`` of ``inv(e')`` is the maximum of every
+constraint pulling on it: ``e'_i - z`` for an Add (when nonnegative),
+``ceil(e'_i / m)`` for a Mul, ``e'_j`` for every MinOf component ``j``
+drawing on ``i``, and the floor ``0``.  Undo of a composite runs the atom
+inverses in reverse order.  The solver evaluates these inverses on int64
+rows (``solver._inverse_plan`` and ``solver._invert_rows``); this module
+only defines the updates and their forward application.
 """
 
 from __future__ import annotations
@@ -98,35 +103,6 @@ class UpdateAtom:
                 out.append(INF if c == INF else c * spec.factor)
         return Energy(tuple(out))
 
-    def invert(self, e: Energy) -> Energy:
-        """Least input whose image dominates ``e``; total, lands in the domain.
-
-        Component ``i`` is the maximum of every constraint pulling on it:
-        ``e_i - z`` for an Add (when nonnegative), ``ceil(e_i / m)`` for a
-        Mul, ``e_j`` for every MinOf component ``j`` drawing on ``i``, and
-        the floor ``0``.
-        """
-        if e.dimension != self.dimension:
-            raise DimensionMismatch(f"energy dim {e.dimension} vs update dim {self.dimension}")
-        src = e.components
-        out: list[Component] = []
-        for i, spec in enumerate(self.specs):
-            best: Component = 0
-            if isinstance(spec, Add):
-                c = src[i]
-                if c == INF:
-                    best = INF
-                elif spec.z <= c:
-                    best = c - spec.z
-            elif isinstance(spec, Mul):
-                c = src[i]
-                best = INF if c == INF else -(-c // spec.factor)
-            for j, other in enumerate(self.specs):
-                if isinstance(other, MinOf) and i in other.indices:
-                    best = max(best, src[j])
-            out.append(best)
-        return Energy(tuple(out))
-
 
 @dataclass(frozen=True)
 class Update:
@@ -159,12 +135,6 @@ class Update:
             current = step.apply(current)
             if current is None:
                 return None
-        return current
-
-    def invert(self, e: Energy) -> Energy:
-        current = e
-        for step in reversed(self.steps):
-            current = step.invert(current)
         return current
 
     def compose(self, later: Update) -> Update:

@@ -1,20 +1,23 @@
-"""Shared fixtures: the espresso game, random game generators, the plain
-pass and the history-scanning strategy as references for the solver, and
-the independent check helpers used across the suite."""
+"""Shared fixtures: the espresso game, random game generators, reference
+implementations for the solver (the pure-Python minimiser, membership test
+and Galois inverse, the plain pass, the per-pass front maps and the
+history-scanning strategy), and the independent check helpers used across
+the suite."""
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict, deque
+from typing import Iterable
 
 import numpy as np
 import pytest
 
 from galois_energy import fileio, solver
-from galois_energy.errors import IterationCapExceeded
+from galois_energy.errors import DimensionMismatch, IterationCapExceeded
 from galois_energy.game import GameGraph, Owner
 from galois_energy.instances import Vass
-from galois_energy.lattice import Energy, ParetoFront, member_upward
+from galois_energy.lattice import INF, Component, Energy, ParetoFront, leq
 from galois_energy.updates import Add, MinOf, Mul, Update, UpdateAtom
 
 
@@ -29,6 +32,83 @@ def espresso_with_target(target: int) -> GameGraph:
     edge = next(e for e in doc["edges"] if (e["from"], e["to"]) == ("Office", "Energized"))
     edge["update"][0][3]["z"] = -target
     return fileio.game_from_dict(doc).game
+
+
+def minimize(energies: Iterable[Energy]) -> ParetoFront:
+    """Reference minimiser: keep exactly the minimal elements.
+
+    Pairwise dominance filter, quadratic in the number of candidates.
+    """
+    unique = {e.components: e for e in energies}
+    items = list(unique.values())
+    if items:
+        dims = {e.dimension for e in items}
+        if len(dims) > 1:
+            raise DimensionMismatch(f"mixed dimensions: {sorted(dims)}")
+    minimal = [
+        e
+        for e in items
+        if not any(o.components != e.components and leq(o, e) for o in items)
+    ]
+    minimal.sort(key=lambda e: e.components)
+    return ParetoFront(tuple(minimal))
+
+
+def member_upward(front: ParetoFront, e: Energy) -> bool:
+    """Reference membership: is ``e`` in the upward closure of the front?"""
+    return any(leq(m, e) for m in front)
+
+
+def _invert_atom(atom: UpdateAtom, e: Energy) -> Energy:
+    if e.dimension != atom.dimension:
+        raise DimensionMismatch(f"energy dim {e.dimension} vs update dim {atom.dimension}")
+    src = e.components
+    out: list[Component] = []
+    for i, spec in enumerate(atom.specs):
+        best: Component = 0
+        if isinstance(spec, Add):
+            c = src[i]
+            if c == INF:
+                best = INF
+            elif spec.z <= c:
+                best = c - spec.z
+        elif isinstance(spec, Mul):
+            c = src[i]
+            best = INF if c == INF else -(-c // spec.factor)
+        for j, other in enumerate(atom.specs):
+            if isinstance(other, MinOf) and i in other.indices:
+                best = max(best, src[j])
+        out.append(best)
+    return Energy(tuple(out))
+
+
+def invert(u: Update | UpdateAtom, e: Energy) -> Energy:
+    """Reference Galois inverse: the least input whose image dominates ``e``.
+
+    Per atom, component ``i`` is the maximum of every constraint pulling
+    on it: ``e_i - z`` for an Add (when nonnegative), ``ceil(e_i / m)`` for
+    a Mul, ``e_j`` for every MinOf component ``j`` drawing on ``i``, and the
+    floor ``0``; a composite undoes its atoms in reverse order.
+    """
+    for atom in reversed(u.steps if isinstance(u, Update) else (u,)):
+        e = _invert_atom(atom, e)
+    return e
+
+
+def kernel_invert(u: Update | UpdateAtom, e: Energy) -> Energy:
+    """The solver's inverse evaluator applied to one finite energy."""
+    update = u if isinstance(u, Update) else Update((u,))
+    row = solver._invert_rows(
+        solver._inverse_plan(update), np.array([e.components], dtype=np.int64)
+    )
+    return Energy(tuple(int(c) for c in row[0]))
+
+
+def kernel_minimize(energies: Iterable[Energy]) -> ParetoFront:
+    """The solver's minimiser applied to finite energies of one dimension."""
+    rows = [e.components for e in energies]
+    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 1)
+    return solver._rows_to_front(solver._minimize_rows(matrix))
 
 
 EXPECTED_CUPS_TIME = {(1, 20), (2, 10), (3, 6), (4, 4), (5, 2), (10, 1)}
@@ -134,25 +214,49 @@ def plain_jacobi(game: GameGraph, cap: int | None = None) -> list[dict[str, np.n
             return history
 
 
+History = list[dict[str, np.ndarray]]
+
+
+def history(result: solver.SolverResult) -> History:
+    """Front rows of every position after every pass (index 0 is the
+    all-empty start), folded from the entry stamps: pass ``k`` is the
+    minimum of pass ``k - 1`` and the rows stamped ``k``, and a position
+    with no row stamped ``k`` keeps its array."""
+    maps = [{g: rows[:0] for g, (rows, _) in result.entries.items()}]
+    for k in range(1, result.iterations + 1):
+        step = {}
+        for g, (rows, stamps) in result.entries.items():
+            lo, hi = np.searchsorted(stamps, (k, k + 1))
+            prev = maps[-1][g]
+            step[g] = solver._minimize_rows(np.vstack([prev, rows[lo:hi]])) if hi > lo else prev
+        maps.append(step)
+    return maps
+
+
 def assert_history_matches_plain(
     game: GameGraph, result: solver.SolverResult, cap: int | None = None
 ) -> None:
     """The solver's front map after every pass is the plain pass's."""
     expected = plain_jacobi(game, cap)
+    maps = history(result)
     assert result.iterations == len(expected) - 1
-    assert len(result.history) == len(expected)
-    for fronts, rows in zip(result.history, expected):
-        assert fronts.keys() == rows.keys()
-        for g, front in fronts.items():
-            assert [e.components for e in front] == list(map(tuple, rows[g].tolist()))
+    assert len(maps) == len(expected)
+    for got, rows in zip(maps, expected):
+        assert got.keys() == rows.keys()
+        for g in got:
+            assert np.array_equal(got[g], rows[g])
 
 
-def reference_birth(result: solver.SolverResult, g: str, e: Energy) -> int | None:
-    """Reference entry pass: index of the first history map whose front
-    at ``g`` has ``e`` in its upward closure."""
-    for k, front_map in enumerate(result.history):
-        for m in front_map[g]:
-            for a, b in zip(m.components, e.components):
+ListHistory = list[dict[str, list[list[int]]]]
+
+
+def reference_birth(hist: ListHistory, g: str, e: Energy) -> int | None:
+    """Reference entry pass: index of the first map of ``hist`` (the
+    ``history`` rows as Python lists, so every comparison is exact) whose
+    front at ``g`` has ``e`` in its upward closure."""
+    for k, rows_map in enumerate(hist):
+        for row in rows_map[g]:
+            for a, b in zip(row, e.components):
                 if a > b:
                     break
             else:
@@ -160,48 +264,45 @@ def reference_birth(result: solver.SolverResult, g: str, e: Energy) -> int | Non
     return None
 
 
-def reference_choose(game: GameGraph, result: solver.SolverResult, g: str, e: Energy) -> str:
+def reference_choose(game: GameGraph, hist: ListHistory, g: str, e: Energy) -> str:
     """Reference strategy move: the winning successor whose updated energy
     has the least reference entry pass, ties broken on successor id."""
     births = []
     for target, update in game.successors(g):
         nxt = update.apply(e)
-        birth = None if nxt is None else reference_birth(result, target, nxt)
+        birth = None if nxt is None else reference_birth(hist, target, nxt)
         if birth is not None:
             births.append((birth, target))
     return min(births)[1]
 
 
-def _rows(front: ParetoFront) -> np.ndarray:
-    return np.array([e.components for e in front], dtype=float)
-
-
-def is_antichain(front: ParetoFront) -> bool:
-    if len(front) <= 1:
+def is_antichain(rows: np.ndarray) -> bool:
+    if rows.shape[0] <= 1:
         return True
-    rows = _rows(front)
     dominates = (rows[:, None, :] <= rows[None, :, :]).all(2)
     np.fill_diagonal(dominates, False)
     return not dominates.any()
 
 
-def closure_grew(prev: ParetoFront, nxt: ParetoFront) -> bool:
+def closure_grew(prev: np.ndarray, nxt: np.ndarray) -> bool:
     """Upward closure of ``prev`` contained in the one of ``nxt``?"""
-    if prev.is_empty:
+    if not prev.shape[0]:
         return True
-    if nxt.is_empty:
+    if not nxt.shape[0]:
         return False
-    p, n = _rows(prev), _rows(nxt)
-    return bool((n[None, :, :] <= p[:, None, :]).all(2).any(1).all())
+    return bool((nxt[None, :, :] <= prev[:, None, :]).all(2).any(1).all())
 
 
 def assert_solver_invariants(game: GameGraph, result: solver.SolverResult) -> None:
-    for front_map in result.history:
-        for front in front_map.values():
-            assert is_antichain(front)
-    for earlier, later in zip(result.history, result.history[1:]):
+    maps = history(result)
+    for rows_map in maps:
+        for rows in rows_map.values():
+            assert is_antichain(rows)
+    for earlier, later in zip(maps, maps[1:]):
         for g in earlier:
             assert closure_grew(earlier[g], later[g])
+    for g, front in result.fronts.items():
+        assert [e.components for e in front] == list(map(tuple, maps[-1][g].tolist()))
     assert solver.iterate_once(game, result.fronts) == result.fronts
     for front in result.fronts.values():
         for e in front:

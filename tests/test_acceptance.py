@@ -16,6 +16,8 @@ from conftest import (
     bellman_ford_to_target,
     closure_grew,
     cups_time_projection,
+    history,
+    invert,
     is_antichain,
     random_game,
     solve_checked,
@@ -150,7 +152,7 @@ def test_criterion_5_galois_law_suite():
         image_rows = np.array(
             [img.components if img is not None else (0.0,) * n for img in images], dtype=float
         )
-        inverse_rows = np.array([update.invert(Energy(t)).components for t in grid], dtype=float)
+        inverse_rows = np.array([invert(update, Energy(t)).components for t in grid], dtype=float)
         # forward side: e' <= u(e); backward side: invert(e') <= e
         forward = (points[None, :, :] <= image_rows[:, None, :]).all(2)
         backward = (inverse_rows[None, :, :] <= points[:, None, :]).all(2)
@@ -199,10 +201,11 @@ def test_criterion_7_monotone_and_antichain_invariants(espresso):
         random_game(rng, declining=True) for _ in range(10)
     ]:
         result = compute_winning_budgets(game)
-        for front_map in result.history:
-            for front in front_map.values():
-                assert is_antichain(front)
-        for earlier, later in zip(result.history, result.history[1:]):
+        maps = history(result)
+        for rows_map in maps:
+            for rows in rows_map.values():
+                assert is_antichain(rows)
+        for earlier, later in zip(maps, maps[1:]):
             for g in earlier:
                 assert closure_grew(earlier[g], later[g])
         assert iterate_once(game, result.fronts) == result.fronts

@@ -50,7 +50,16 @@ def test_solve_stats(capsys):
     assert any(line.startswith("# max_front_size=") for line in out.splitlines())
 
 
-def test_solve_iteration_cap_exit_code(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", ESPRESSO],
+        ["query", ESPRESSO, "--position", "Office", "--energy", "0,0,0,10"],
+        ["check", ESPRESSO],
+    ],
+    ids=["solve", "query", "check"],
+)
+def test_iteration_cap_exit_code(capsys, monkeypatch, argv):
     from galois_energy import cli
     from galois_energy.errors import IterationCapExceeded
 
@@ -58,8 +67,9 @@ def test_solve_iteration_cap_exit_code(capsys, monkeypatch):
         raise IterationCapExceeded(7, {}, {})
 
     monkeypatch.setattr(cli.solver, "compute_winning_budgets", blow_up)
-    code, _, err = run(capsys, "solve", ESPRESSO)
+    code, out, err = run(capsys, *argv)
     assert code == 3
+    assert out == ""
     assert "7" in err
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     bellman_ford_to_target,
+    invert,
     random_game,
     solve_checked,
     vass_coverable_bruteforce,
@@ -456,5 +457,5 @@ def test_reductions_produce_valid_monotone_galois_games():
                     if leq(e, ep):
                         assert images[ep] is not None
                         assert leq(images[e], images[ep])
-                    assert leq(ep, images[e]) == leq(update.invert(ep), e)
-                assert update.apply(update.invert(e)) is not None
+                    assert leq(ep, images[e]) == leq(invert(update, ep), e)
+                assert update.apply(invert(update, e)) is not None

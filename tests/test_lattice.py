@@ -2,20 +2,31 @@ import itertools
 
 import pytest
 
+from conftest import kernel_minimize, member_upward, minimize
 from galois_energy.errors import DimensionMismatch
-from galois_energy.lattice import (
-    INF,
-    Energy,
-    ParetoFront,
-    leq,
-    member_upward,
-    minimize,
-    sup2,
-)
+from galois_energy.game import GameGraph, Owner
+from galois_energy.lattice import INF, Energy, ParetoFront, leq, sup2
+from galois_energy.solver import compute_winning_budgets, known_initial_credit
+from galois_energy.updates import Add, Update
 
 
 def E(*cs):
     return Energy(tuple(cs))
+
+
+def solved(*minima):
+    """Solve a game whose attacker position ``a`` has exactly ``minima`` as
+    its front: one edge per element, subtracting it on the way to a
+    defender deadlock."""
+    n = minima[0].dimension
+    positions = [("a", Owner.ATTACKER)] + [(f"d{i}", Owner.DEFENDER) for i in range(len(minima))]
+    edges = [
+        ("a", f"d{i}", Update.single(*(Add(-c) for c in m.components)))
+        for i, m in enumerate(minima)
+    ]
+    result = compute_winning_budgets(GameGraph.build(n, positions, edges))
+    assert result.fronts["a"] == minimize(minima)
+    return result
 
 
 def test_leq_zero_is_bottom():
@@ -50,22 +61,26 @@ def test_sup2_infinity_absorbs():
 
 
 def test_minimize_drops_dominated():
-    front = minimize([E(0, 0, 0, 10), E(0, 0, 1, 9), E(0, 0, 1, 10)])
-    assert front.elements == (E(0, 0, 0, 10), E(0, 0, 1, 9))
+    for minimise in (minimize, kernel_minimize):
+        front = minimise([E(0, 0, 0, 10), E(0, 0, 1, 9), E(0, 0, 1, 10)])
+        assert front.elements == (E(0, 0, 0, 10), E(0, 0, 1, 9))
 
 
 def test_minimize_empty():
-    assert minimize([]).is_empty
+    for minimise in (minimize, kernel_minimize):
+        assert minimise([]).is_empty
 
 
 def test_minimize_antichain_unchanged():
     elements = (E(0, 0, 0, 10), E(0, 0, 1, 9))
-    assert minimize(elements).elements == elements
+    for minimise in (minimize, kernel_minimize):
+        assert minimise(elements).elements == elements
 
 
 def test_member_upward_dominating_element():
     f = minimize([E(1, 20), E(2, 10)])
     assert member_upward(f, E(2, 25))
+    assert known_initial_credit(solved(*f), "a", E(2, 25))
 
 
 def test_member_upward_below_every_element():
@@ -73,6 +88,7 @@ def test_member_upward_below_every_element():
     # exhaustive comparison: neither (1,20) nor (2,10) is below (1,10)
     assert not any(all(m <= c for m, c in zip(x.components, (1, 10))) for x in f)
     assert not member_upward(f, E(1, 10))
+    assert not known_initial_credit(solved(*f), "a", E(1, 10))
 
 
 def test_member_upward_empty_front():
@@ -130,8 +146,9 @@ def test_minimize_idempotent_and_closure_preserving():
 
 
 def test_canonical_order_is_lexicographic():
-    front = minimize([E(2, 10), E(1, 20), E(10, 1)])
-    assert [e.components for e in front] == [(1, 20), (2, 10), (10, 1)]
+    for minimise in (minimize, kernel_minimize):
+        front = minimise([E(2, 10), E(1, 20), E(10, 1)])
+        assert [e.components for e in front] == [(1, 20), (2, 10), (10, 1)]
 
 
 def test_render_and_parse_round_trip():

@@ -1,14 +1,28 @@
-"""Property tests: the semi-naive solver against the plain reference pass."""
+"""Property tests: the solver's kernels against the reference
+implementations in ``conftest``, and the semi-naive solver against the
+plain reference pass."""
 
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_history_matches_plain, plain_jacobi
+from conftest import assert_history_matches_plain, invert, kernel_invert, minimize, plain_jacobi
+from galois_energy import solver
 from galois_energy.errors import IterationCapExceeded
 from galois_energy.game import GameGraph, Owner
+from galois_energy.lattice import Energy, leq
 from galois_energy.solver import compute_winning_budgets
 from galois_energy.updates import Add, MinOf, Mul, Update, UpdateAtom
+
+SEEDED = settings(
+    max_examples=50,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 def _specs(n: int) -> st.SearchStrategy:
@@ -21,6 +35,11 @@ def _specs(n: int) -> st.SearchStrategy:
     )
 
 
+def _updates(n: int, max_steps: int) -> st.SearchStrategy:
+    atom = st.lists(_specs(n), min_size=n, max_size=n).map(lambda s: UpdateAtom(tuple(s)))
+    return st.lists(atom, min_size=1, max_size=max_steps).map(lambda a: Update(tuple(a)))
+
+
 @st.composite
 def games(draw) -> GameGraph:
     """Small games whose position ``p0`` is a defender deadlock, so that
@@ -29,8 +48,7 @@ def games(draw) -> GameGraph:
     count = draw(st.integers(2, 5))
     ids = [f"p{i}" for i in range(count)]
     positions = [("p0", Owner.DEFENDER)] + [(g, draw(st.sampled_from(Owner))) for g in ids[1:]]
-    atom = st.lists(_specs(n), min_size=n, max_size=n).map(lambda s: UpdateAtom(tuple(s)))
-    update = st.lists(atom, min_size=1, max_size=2).map(lambda a: Update(tuple(a)))
+    update = _updates(n, 2)
     edges = []
     for g in ids[1:]:
         for target in sorted(draw(st.sets(st.sampled_from(ids), max_size=3))):
@@ -38,12 +56,7 @@ def games(draw) -> GameGraph:
     return GameGraph.build(n, positions, edges)
 
 
-@settings(
-    max_examples=50,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@SEEDED
 @given(game=games(), cap=st.one_of(st.none(), st.integers(0, 6)))
 def test_semi_naive_history_matches_plain_pass(game, cap):
     try:
@@ -57,3 +70,61 @@ def test_semi_naive_history_matches_plain_pass(game, cap):
             assert [e.components for e in err.current[g]] == list(map(tuple, rows.tolist()))
         return
     assert_history_matches_plain(game, result, cap)
+
+
+@st.composite
+def row_sets(draw) -> list[list[int]]:
+    """Finite rows of one dimension: small values (many ties and
+    dominations) mixed with values anywhere in int64, some rows repeated."""
+    n = draw(st.integers(1, 4))
+    value = st.one_of(st.integers(0, 4), st.integers(0, 2**63 - 1))
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), max_size=25))
+    repeats = draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=5)) if rows else []
+    return n, rows + [rows[i] for i in repeats]
+
+
+@SEEDED
+@given(data=row_sets())
+def test_minimize_rows_matches_reference(data):
+    n, rows = data
+    got = solver._minimize_rows(np.array(rows, dtype=np.int64).reshape(len(rows), n))
+    expected = minimize(Energy(tuple(r)) for r in rows)
+    assert got.tolist() == [list(e.components) for e in expected]
+
+
+@st.composite
+def updates_and_rows(draw) -> tuple[Update, list[list[int]]]:
+    n = draw(st.integers(1, 3))
+    value = st.one_of(st.integers(0, 12), st.integers(0, 2**60))
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=8))
+    return draw(_updates(n, 3)), rows
+
+
+@SEEDED
+@given(case=updates_and_rows())
+def test_invert_rows_matches_reference(case):
+    update, rows = case
+    got = solver._invert_rows(solver._inverse_plan(update), np.array(rows, dtype=np.int64))
+    assert got.tolist() == [list(invert(update, Energy(tuple(r))).components) for r in rows]
+
+
+@st.composite
+def galois_cases(draw) -> tuple[Update, Energy]:
+    n = draw(st.integers(1, 3))
+    ep = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    return draw(_updates(n, 3)), Energy(tuple(ep))
+
+
+@SEEDED
+@given(case=galois_cases())
+def test_kernel_inverse_is_galois_adjoint(case):
+    """``e' <= u(e)`` iff ``inv(e') <= e`` for every ``e`` of a finite grid
+    in the domain of ``u``, and ``inv(e')`` lies in that domain."""
+    update, ep = case
+    inv = kernel_invert(update, ep)
+    assert update.apply(inv) is not None
+    for t in itertools.product(range(5), repeat=update.dimension):
+        e = Energy(t)
+        image = update.apply(e)
+        if image is not None:
+            assert leq(ep, image) == leq(inv, e)

@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -8,14 +10,23 @@ from conftest import (
     attacker_wins_all_plays,
     cups_time_projection,
     espresso_with_target,
+    history,
+    invert,
+    minimize,
     random_game,
     reference_birth,
     reference_choose,
     solve_checked,
 )
-from galois_energy.errors import IterationCapExceeded, MagnitudeOverflow, StrategyError
+from galois_energy import solver
+from galois_energy.errors import (
+    DimensionMismatch,
+    IterationCapExceeded,
+    MagnitudeOverflow,
+    StrategyError,
+)
 from galois_energy.game import GameGraph, Owner, estimate_worst_energy
-from galois_energy.lattice import INF, Energy, ParetoFront, minimize, sup2
+from galois_energy.lattice import INF, Energy, ParetoFront, sup2
 from galois_energy.solver import (
     compute_new_win,
     compute_winning_budgets,
@@ -67,13 +78,13 @@ def test_compute_new_win_folds_both_branches(espresso):
     office = minimize([E(0, 0, 0, 10)])
     fronts["Office"] = office
     fronts["Chat"] = minimize(
-        [espresso.update_between("Chat", "Office").invert(e) for e in office]
+        [invert(espresso.update_between("Chat", "Office"), e) for e in office]
     )
-    chat_pull = espresso.update_between("DepartmentHead", "Chat").invert(
-        fronts["Chat"].elements[0]
+    chat_pull = invert(
+        espresso.update_between("DepartmentHead", "Chat"), fronts["Chat"].elements[0]
     )
-    direct_pull = espresso.update_between("DepartmentHead", "Office").invert(
-        office.elements[0]
+    direct_pull = invert(
+        espresso.update_between("DepartmentHead", "Office"), office.elements[0]
     )
     expected = minimize([sup2(chat_pull, direct_pull)])
     assert compute_new_win(espresso, fronts, "DepartmentHead") == expected
@@ -117,6 +128,32 @@ def test_known_initial_credit_espresso(espresso):
         known_initial_credit(result, "Lounge", E(0, 0, 0, 0))
 
 
+def test_membership_rejects_wrong_dimension_and_unknown_position():
+    # "a" has an empty front ("b" is an attacker deadlock), "c" a nonempty one
+    step = Update.single(Add(-1), Add(0))
+    game = GameGraph.build(
+        2,
+        [(g, Owner.ATTACKER) for g in "abc"] + [("d", Owner.DEFENDER)],
+        [("a", "b", step), ("c", "d", step)],
+    )
+    result = compute_winning_budgets(game)
+    assert result.fronts["a"].is_empty and result.fronts["c"].elements == (E(1, 0),)
+    strategy = extract_strategy(game, result)
+    for g in ("a", "c"):
+        with pytest.raises(DimensionMismatch):
+            known_initial_credit(result, g, E(5))
+        with pytest.raises(DimensionMismatch):
+            result.entry_pass(g, E(5))
+        with pytest.raises(DimensionMismatch):
+            strategy.choose(g, E(5))
+    with pytest.raises(KeyError):
+        result.entry_pass("ghost", E(5, 5))
+    with pytest.raises(KeyError):
+        known_initial_credit(result, "ghost", E(5))
+    assert result.entry_pass("c", E(5, 5)) == 2
+    assert result.entry_pass("a", E(5, 5)) is None
+
+
 def test_unknown_initial_credit_espresso(espresso):
     result = solve_checked(espresso)
     assert unknown_initial_credit(result, "Office")
@@ -154,7 +191,7 @@ def test_strategy_single_winning_successor():
 def test_strategy_self_play_wins_against_all_defender_choices(espresso):
     result = solve_checked(espresso)
     strategy = extract_strategy(espresso, result)
-    depth = 4 * len(result.history) + 4
+    depth = 4 * (result.iterations + 1) + 4
     for e in (E(2, 10, 0, 0), E(10, 1, 0, 0), E(0, 0, 0, 10), E(3, 6, 0, 0)):
         assert attacker_wins_all_plays(espresso, result, strategy, "Office", e, depth)
 
@@ -168,7 +205,7 @@ def test_strategy_self_play_on_random_games():
         game = random_game(rng, max_positions=6)
         result = solve_checked(game)
         strategy = extract_strategy(game, result)
-        depth = 4 * len(result.history) + 4
+        depth = 4 * (result.iterations + 1) + 4
         for g in game.position_ids:
             for m in result.fronts[g]:
                 if game.owner(g) is Owner.ATTACKER and not game.is_deadlock(g):
@@ -360,6 +397,7 @@ def test_entry_stamps_match_history_scan(name, espresso):
         games = _strategy_games()
     for game, result in games:
         strategy = extract_strategy(game, result)
+        hist = [{g: rows.tolist() for g, rows in m.items()} for m in history(result)]
         for g in game.position_ids:
             probes = [Energy.zero(game.dimension), *result.fronts[g]]
             # dominating energies with a component that is infinite, beyond
@@ -367,21 +405,53 @@ def test_entry_stamps_match_history_scan(name, espresso):
             for m in result.fronts[g].elements[:2]:
                 probes += [E(*m.components[:-1], big) for big in (INF, 2**53 + 1, 2**70)]
             for e in probes:
-                assert strategy._birth(g, e) == reference_birth(result, g, e)
+                assert result.entry_pass(g, e) == reference_birth(hist, g, e)
                 if (
                     game.owner(g) is Owner.ATTACKER
                     and not game.is_deadlock(g)
                     and known_initial_credit(result, g, e)
                 ):
-                    assert strategy.choose(g, e) == reference_choose(game, result, g, e)
+                    assert strategy.choose(g, e) == reference_choose(game, hist, g, e)
 
 
 def test_max_front_size_counts_largest_front(espresso):
     result = solve_checked(espresso)
     assert result.max_front_size == max(
-        len(front) for fm in result.history for front in fm.values()
+        rows.shape[0] for rows_map in history(result) for rows in rows_map.values()
     )
     assert result.max_front_size >= len(result.fronts["Office"])
+
+
+def _sweep_inputs():
+    """Row sets whose rank grid the cap refuses: over 2^22 cells (5
+    columns of about 30 distinct values) and over 2^62 cells (8 columns
+    of a few hundred distinct values), each with some rows repeated."""
+    rng = np.random.default_rng(5)
+    capped = rng.integers(0, 30, size=(300, 5))
+    wide = rng.integers(0, 2**40, size=(300, 8))
+    return {
+        "cap": (np.vstack([capped, capped[:20]]), 1 << 22),
+        "int64": (np.vstack([wide, wide[:20]]), 1 << 62),
+    }
+
+
+@pytest.mark.parametrize("name", ["cap", "int64"])
+def test_minimize_rows_sweeps_grids_over_the_cap(name, monkeypatch):
+    rows, cells = _sweep_inputs()[name]
+    sizes = [len(np.unique(rows[:, c])) for c in range(rows.shape[1])]
+    assert math.prod(sizes) > cells
+    calls = []
+    sweep = solver._minimize_by_sweep
+
+    def counted(unique):
+        calls.append(unique.shape[0])
+        return sweep(unique)
+
+    monkeypatch.setattr(solver, "_minimize_by_sweep", counted)
+    got = solver._minimize_rows(rows)
+    assert calls == [len({tuple(r) for r in rows.tolist()})]
+    expected = minimize(Energy(tuple(r)) for r in rows.tolist())
+    assert got.tolist() == [list(e.components) for e in expected]
 
 
 def test_invalid_game_rejected():
