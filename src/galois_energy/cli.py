@@ -6,8 +6,10 @@ file) and ``check`` (differentially test the solver against the
 brute-force oracle on a small game).
 
 Exit codes: 0 success / WIN / no mismatches, 1 LOSE or mismatches found,
-2 parse or validation failure, 3 iteration cap exceeded, 4 a front value
-or edge parameter outside the solver's int64 range.
+2 parse or validation failure, or a game ``check`` cannot test (over its
+size guard, or one where the oracle runs out of configurations), 3
+iteration cap exceeded, 4 a front value or edge parameter outside the
+solver's int64 range.
 """
 
 from __future__ import annotations
@@ -18,8 +20,14 @@ import sys
 from typing import Sequence
 
 from . import fileio, instances, oracle, solver
-from .errors import GameFileError, InvalidGameError, IterationCapExceeded, MagnitudeOverflow
-from .lattice import INF, Energy
+from .errors import (
+    GameFileError,
+    InvalidGameError,
+    IterationCapExceeded,
+    MagnitudeOverflow,
+    OracleCapacityError,
+)
+from .lattice import Energy
 
 EXIT_OK = 0
 EXIT_LOSE_OR_MISMATCH = 1
@@ -38,7 +46,7 @@ def _print_fronts(result: solver.SolverResult, fmt: str, stats: bool, dimension:
         print(header)
         for g in ids:
             for e in result.fronts[g]:
-                print(f"{g}," + ",".join("inf" if c == INF else str(c) for c in e.components))
+                print(f"{g},{e.render()}")
         if stats:
             print(f"# iterations={result.iterations}")
             print(f"# max_front_size={result.max_front_size}")
@@ -209,6 +217,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MagnitudeOverflow as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
+    except OracleCapacityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

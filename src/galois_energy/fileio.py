@@ -51,27 +51,23 @@ def bundled_game_path(name: str = "espresso") -> Path:
     return Path(str(resources.files("galois_energy").joinpath(f"data/{name}.json")))
 
 
-def _fail(message: str) -> GameFileError:
-    return GameFileError(message)
-
-
 def _int(raw: Any, what: str) -> int:
     """``raw`` itself when it is a JSON integer; floats, booleans and
     strings are rejected rather than converted."""
     if isinstance(raw, bool) or not isinstance(raw, int):
-        raise _fail(f"{what} must be an integer, got {raw!r}")
+        raise GameFileError(f"{what} must be an integer, got {raw!r}")
     return raw
 
 
 def _ints(raw: Any, what: str) -> tuple[int, ...]:
     if not isinstance(raw, list):
-        raise _fail(f"{what} must be a list of integers, got {raw!r}")
+        raise GameFileError(f"{what} must be a list of integers, got {raw!r}")
     return tuple(_int(c, what) for c in raw)
 
 
 def _spec_from_json(raw: Any) -> ComponentSpec:
     if not isinstance(raw, dict) or "op" not in raw:
-        raise _fail(f"bad component spec {raw!r}")
+        raise GameFileError(f"bad component spec {raw!r}")
     op = raw["op"]
     try:
         if op == "add":
@@ -81,8 +77,8 @@ def _spec_from_json(raw: Any) -> ComponentSpec:
         if op == "mul":
             return Mul(_int(raw["m"], "'m'"))
     except (KeyError, TypeError, ValueError) as exc:
-        raise _fail(f"bad component spec {raw!r}: {exc}") from None
-    raise _fail(f"unknown op {op!r} in component spec")
+        raise GameFileError(f"bad component spec {raw!r}: {exc}") from None
+    raise GameFileError(f"unknown op {op!r} in component spec")
 
 
 def _spec_to_json(spec: ComponentSpec) -> dict[str, Any]:
@@ -95,15 +91,15 @@ def _spec_to_json(spec: ComponentSpec) -> dict[str, Any]:
 
 def _update_from_json(raw: Any, dimension: int) -> Update:
     if not isinstance(raw, list) or not raw:
-        raise _fail(f"an update must be a nonempty list of steps, got {raw!r}")
+        raise GameFileError(f"an update must be a nonempty list of steps, got {raw!r}")
     steps = []
     for step in raw:
         if not isinstance(step, list) or len(step) != dimension:
-            raise _fail(f"a step must list {dimension} component specs, got {step!r}")
+            raise GameFileError(f"a step must list {dimension} component specs, got {step!r}")
         try:
             steps.append(UpdateAtom(tuple(_spec_from_json(s) for s in step)))
         except ValueError as exc:
-            raise _fail(str(exc)) from None
+            raise GameFileError(str(exc)) from None
     return Update(tuple(steps))
 
 
@@ -115,46 +111,48 @@ def _load_document(path: str | Path) -> Any:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise _fail(f"cannot read {path}: {exc}") from None
+        raise GameFileError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _fail(f"{path} is not valid JSON: {exc}") from None
+        raise GameFileError(f"{path} is not valid JSON: {exc}") from None
 
 
 def game_from_dict(doc: Any) -> LoadedGame:
     if not isinstance(doc, dict):
-        raise _fail("a game document must be a JSON object")
+        raise GameFileError("a game document must be a JSON object")
     if doc.get("schema") != GAME_SCHEMA:
-        raise _fail(f"expected schema {GAME_SCHEMA!r}, got {doc.get('schema')!r}")
+        raise GameFileError(f"expected schema {GAME_SCHEMA!r}, got {doc.get('schema')!r}")
     if "dimension" not in doc:
-        raise _fail("missing 'dimension'")
+        raise GameFileError("missing 'dimension'")
     dimension = _int(doc["dimension"], "'dimension'")
     if dimension < 1:
-        raise _fail(f"dimension must be at least 1, got {dimension}")
+        raise GameFileError(f"dimension must be at least 1, got {dimension}")
     positions: list[tuple[str, Owner]] = []
     for p in doc.get("positions", []):
         if not isinstance(p, dict) or "id" not in p or "owner" not in p:
-            raise _fail(f"bad position entry {p!r}")
+            raise GameFileError(f"bad position entry {p!r}")
         try:
             owner = Owner(p["owner"])
         except ValueError:
-            raise _fail(f"bad owner {p['owner']!r} (use 'attacker' or 'defender')") from None
+            raise GameFileError(
+                f"bad owner {p['owner']!r} (use 'attacker' or 'defender')"
+            ) from None
         positions.append((str(p["id"]), owner))
     edges: list[tuple[str, str, Update]] = []
     for e in doc.get("edges", []):
         if not isinstance(e, dict) or "from" not in e or "to" not in e or "update" not in e:
-            raise _fail(f"bad edge entry {e!r}")
+            raise GameFileError(f"bad edge entry {e!r}")
         edges.append((str(e["from"]), str(e["to"]), _update_from_json(e["update"], dimension)))
     positions, edges, insertions = split_parallel_edges(positions, edges)
     game = GameGraph.build(dimension, positions, edges)
     try:
         game.require_valid()
     except InvalidGameError as exc:
-        raise _fail(f"invalid game: {exc}") from None
+        raise GameFileError(f"invalid game: {exc}") from None
     annotations = doc.get("annotations", {})
     if not isinstance(annotations, dict):
-        raise _fail("'annotations' must be an object")
+        raise GameFileError("'annotations' must be an object")
     return LoadedGame(game=game, insertions=tuple(insertions), annotations=annotations)
 
 
@@ -187,7 +185,7 @@ def save_game(game: GameGraph, path: str | Path, annotations: dict[str, Any] | N
 def _require_schema(doc: Any, schema: str) -> dict[str, Any]:
     if not isinstance(doc, dict) or doc.get("schema") != schema:
         got = doc.get("schema") if isinstance(doc, dict) else None
-        raise _fail(f"expected schema {schema!r}, got {got!r}")
+        raise GameFileError(f"expected schema {schema!r}, got {got!r}")
     return doc
 
 
@@ -196,7 +194,7 @@ def _energy_from_json(raw: Any) -> Energy:
         return Energy.parse(raw)
     if isinstance(raw, list):
         return Energy(_ints(raw, "an energy component"))
-    raise _fail(f"bad energy {raw!r}")
+    raise GameFileError(f"bad energy {raw!r}")
 
 
 def load_weighted_graph(path: str | Path) -> WeightedGraph:
@@ -209,7 +207,7 @@ def load_weighted_graph(path: str | Path) -> WeightedGraph:
             target=str(doc["target"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise _fail(f"bad weighted graph: {exc}") from None
+        raise GameFileError(f"bad weighted graph: {exc}") from None
 
 
 def load_vass(path: str | Path) -> Vass:
@@ -224,7 +222,7 @@ def load_vass(path: str | Path) -> Vass:
             target=(str(doc["target"]["state"]), _energy_from_json(doc["target"]["energy"])),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise _fail(f"bad vass: {exc}") from None
+        raise GameFileError(f"bad vass: {exc}") from None
 
 
 def load_multi_reachability(path: str | Path) -> MultiReachabilityGame:
@@ -243,7 +241,7 @@ def load_multi_reachability(path: str | Path) -> MultiReachabilityGame:
             dimension=dimension, positions=positions, edges=edges, targets=targets
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise _fail(f"bad multi-reachability game: {exc}") from None
+        raise GameFileError(f"bad multi-reachability game: {exc}") from None
 
 
 def load_weak_bound(path: str | Path) -> tuple[LoadedGame, set[tuple[int, int]]]:
@@ -252,7 +250,7 @@ def load_weak_bound(path: str | Path) -> tuple[LoadedGame, set[tuple[int, int]]]
         loaded = game_from_dict(doc["game"])
         pairs = {(_int(i, "a pair index"), _int(j, "a pair index")) for i, j in doc["pairs"]}
     except (KeyError, TypeError, ValueError) as exc:
-        raise _fail(f"bad weak-bound instance: {exc}") from None
+        raise GameFileError(f"bad weak-bound instance: {exc}") from None
     return loaded, pairs
 
 
@@ -262,5 +260,5 @@ def load_generalized_reachability(path: str | Path) -> tuple[LoadedGame, list[fr
         loaded = game_from_dict(doc["game"])
         targets = [frozenset(str(p) for p in f) for f in doc["targets"]]
     except (KeyError, TypeError, ValueError) as exc:
-        raise _fail(f"bad generalized-reachability instance: {exc}") from None
+        raise GameFileError(f"bad generalized-reachability instance: {exc}") from None
     return loaded, targets

@@ -10,7 +10,7 @@ minima, until two consecutive passes agree.  Pass ``k+1`` computes
   least energy whose image under ``u`` dominates ``e'`` (the Galois
   inverse of ``updates``, evaluated on rows by ``_invert_rows``)
 * defender position: minimal suprema of one pulled-back energy per
-  successor (``compute_new_win`` below); a defender deadlock therefore
+  successor (``compute_new_win``); a defender deadlock therefore
   yields exactly the zero vector, and one empty successor budget empties
   the whole result.
 
@@ -28,12 +28,15 @@ and ``W_{k-1}`` at the ``i``-th successor and ``D_i`` the pulled-back
 * attacker: ``W_{k+1}[g] = min(W_k[g] ∪ ⋃_i D_i)``
 * defender: ``W_{k+1}[g] = min(W_k[g] ∪ ⋃_i N_1⊔…⊔N_{i-1}⊔D_i⊔O_{i+1}⊔…⊔O_m)``
 
-(the defender terms telescope ``⋂_i ↑N_i`` minus ``⋂_i ↑O_i``).  A
-position without new rows among its successors keeps its array, and the
-loop stops once no position gained a row.  Each pass yields exactly the
-front map of the plain pass; with ``W_{k-1}`` empty the formulas are the
-plain pass itself, which is how ``iterate_once`` and ``compute_new_win``
-evaluate arbitrary maps.
+(the defender terms telescope ``⋂_i ↑N_i`` minus ``⋂_i ↑O_i``).  The
+minimiser returns the indices of the minimal rows, and ``W_k[g]`` is
+stacked first, so the new rows ``Δ_{k+1}[g]`` are exactly the survivors
+past it.  A position without new rows among its successors keeps its
+array, and the loop stops once no position gained a row.  Pass 1 is
+``F(∅)``: the zero row at defender deadlocks, all of it new.  Each pass
+yields exactly the front map of the plain pass; with ``W_{k-1}`` empty
+the formulas are the plain pass itself, which is how ``iterate_once``
+(and ``compute_new_win`` through it) evaluates arbitrary maps.
 
 The resulting fixed point maps each position to the Pareto front of its
 winning budgets; membership of arbitrary energies follows by upward
@@ -91,30 +94,29 @@ def _rows_to_front(rows: np.ndarray) -> ParetoFront:
 
 
 def _minimize_by_sweep(unique: np.ndarray) -> np.ndarray:
-    """Forward sweep over lexicographically sorted rows.
+    """Indices of the minimal rows of distinct, lexicographically sorted
+    rows, in order.
 
     A dominating row always precedes every row it dominates in that
-    order, so one pass against the kept minima suffices; rows are
-    processed in chunks to keep the comparisons vectorised.
+    order, so a row is minimal exactly when no kept row before its chunk
+    and no other row of its chunk is below it; rows are processed in
+    chunks to keep the comparisons vectorised.
     """
-    kept = np.empty_like(unique)
-    count = 0
+    keep = np.zeros(unique.shape[0], dtype=bool)
     for start in range(0, unique.shape[0], _CHUNK):
         chunk = unique[start : start + _CHUNK]
-        if count:
-            dominated = (kept[None, :count, :] <= chunk[:, None, :]).all(2).any(1)
-            chunk = chunk[~dominated]
-        if chunk.shape[0] > 1:
-            mutual = (chunk[:, None, :] <= chunk[None, :, :]).all(2)
-            np.fill_diagonal(mutual, False)
-            chunk = chunk[~mutual.any(0)]
-        kept[count : count + chunk.shape[0]] = chunk
-        count += chunk.shape[0]
-    return kept[:count].copy()
+        kept = unique[:start][keep[:start]]
+        alive = np.flatnonzero(~(kept[None, :, :] <= chunk[:, None, :]).all(2).any(1))
+        chunk = chunk[alive]
+        mutual = (chunk[:, None, :] <= chunk[None, :, :]).all(2)
+        np.fill_diagonal(mutual, False)
+        keep[start + alive[~mutual.any(0)]] = True
+    return np.flatnonzero(keep)
 
 
 def _minimize_rows(rows: np.ndarray) -> np.ndarray:
-    """Minimal rows under the component-wise order, lexicographically sorted.
+    """Indices of the minimal rows under the component-wise order: the
+    first occurrence of each, in lexicographic row order.
 
     Rank-compresses every column.  When the grid of ranks has at most
     ``_GRID_CELL_CAP`` cells, rows become scalar cell keys whose numeric
@@ -125,7 +127,7 @@ def _minimize_rows(rows: np.ndarray) -> np.ndarray:
     """
     m = rows.shape[0]
     if m <= 1:
-        return rows
+        return np.arange(m)
     n = rows.shape[1]
     ranks = np.empty((m, n), dtype=np.int64)
     sizes = []
@@ -135,18 +137,18 @@ def _minimize_rows(rows: np.ndarray) -> np.ndarray:
         sizes.append(len(values))
     cells = math.prod(sizes)
     if cells > _GRID_CELL_CAP:
-        return _minimize_by_sweep(np.unique(rows, axis=0))
+        unique, first = np.unique(rows, axis=0, return_index=True)
+        return first[_minimize_by_sweep(unique)]
     keys = np.ravel_multi_index(tuple(ranks.T), sizes)
     unique_keys, first = np.unique(keys, return_index=True)
-    unique = rows[first]
-    if unique.shape[0] <= 1:
-        return unique
+    if first.shape[0] <= 1:
+        return first
     grid = np.zeros(cells, dtype=np.int32)
     grid[unique_keys] = 1
     grid = grid.reshape(sizes)
     for axis in range(n):
         np.cumsum(grid, axis=axis, out=grid)
-    return unique[grid.reshape(-1)[unique_keys] == 1]
+    return first[grid.reshape(-1)[unique_keys] == 1]
 
 
 _InversePlan = list[list[tuple[int | None, int | None, tuple[int, ...]]]]
@@ -203,20 +205,24 @@ def _invert_rows(plan: _InversePlan, rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _fresh_rows(rows: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """Mask of the rows of ``rows`` that do not occur in ``old``."""
-    if not old.shape[0] or not rows.shape[0]:
-        return np.ones(rows.shape[0], dtype=bool)
-    void = np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
-    keys = np.ascontiguousarray(rows).view(void).ravel()
-    return ~np.isin(keys, np.ascontiguousarray(old).view(void).ravel())
-
-
 # Per position, a mask of the rows that are new since the previous map; a
 # position without new rows has no entry.
 _Fresh = dict[str, np.ndarray]
 # Per defender position, one pulled-back successor front per move.
 _Pulled = dict[str, list[np.ndarray]]
+
+
+def _every_row(rows: Mapping[str, np.ndarray]) -> _Fresh:
+    return {g: np.ones(r.shape[0], dtype=bool) for g, r in rows.items() if r.shape[0]}
+
+
+def _min_union(base: np.ndarray, terms: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``min(base ∪ terms)`` for an antichain ``base``, and the mask of its
+    rows that are not rows of ``base``: ``base`` is stacked first, so those
+    are exactly the kept indices past it."""
+    rows = np.vstack([base, *terms])
+    keep = _minimize_rows(rows)
+    return rows[keep], keep >= base.shape[0]
 
 
 class _Engine:
@@ -257,13 +263,9 @@ class _Engine:
     def to_fronts(self, rows: Mapping[str, np.ndarray]) -> FrontMap:
         return {g: _rows_to_front(rows[g]) for g in self.ids}
 
-    def start(
-        self, cur: Mapping[str, np.ndarray]
-    ) -> tuple[_Fresh, dict[str, np.ndarray], _Pulled]:
-        """Arguments of ``delta_pass`` that compute ``F(cur)`` from the
-        empty map: every row is new, ``F`` of the empty map is the zero row
-        at defender deadlocks and empty elsewhere, nothing is pulled back."""
-        fresh = {g: np.ones(cur[g].shape[0], dtype=bool) for g in self.ids if cur[g].shape[0]}
+    def start(self) -> tuple[dict[str, np.ndarray], _Pulled]:
+        """``F`` of the empty map (the zero row at defender deadlocks, empty
+        elsewhere) and its pulled-back successor fronts (all empty)."""
         base = {
             g: np.zeros((1, self.n), dtype=np.int64)
             if not self.is_attacker[g] and not self.moves[g]
@@ -273,18 +275,18 @@ class _Engine:
         pulled = {
             g: [self._empty()] * len(self.moves[g]) for g in self.ids if not self.is_attacker[g]
         }
-        return fresh, base, pulled
+        return base, pulled
 
     def attacker_rows(
         self, g: str, base: np.ndarray, cur: Mapping[str, np.ndarray], fresh: _Fresh
-    ) -> np.ndarray:
-        """``min(base ∪ ⋃_t inv_t(Δ_t))``."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``min(base ∪ ⋃_t inv_t(Δ_t))`` and the mask of its new rows."""
         pulled = [
             _invert_rows(plan, cur[target][fresh[target]])
             for target, plan in self.moves[g]
             if target in fresh
         ]
-        return _minimize_rows(np.vstack([base, *pulled]))
+        return _min_union(base, pulled)
 
     def defender_rows(
         self,
@@ -293,12 +295,13 @@ class _Engine:
         cur: Mapping[str, np.ndarray],
         fresh: _Fresh,
         before: list[np.ndarray],
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """``min(base ∪ ⋃_i N_1⊔…⊔N_{i-1}⊔inv_i(Δ_i)⊔O_{i+1}⊔…⊔O_k)``.
 
         ``before`` holds the pulled-back old successor fronts O; returns
-        the new front and the pulled-back current ones N.  Each term is
-        folded starting from its small delta factor.
+        the new front, the mask of its new rows and the pulled-back
+        current fronts N.  Each term is folded starting from its small
+        delta factor.
         """
         after = [
             _invert_rows(plan, cur[target]) if target in fresh else old
@@ -314,11 +317,11 @@ class _Engine:
             acc = factors[0]
             for f in factors[1:]:
                 sups = np.maximum(acc[:, None, :], f[None, :, :]).reshape(-1, self.n)
-                acc = _minimize_rows(sups)
+                acc = sups[_minimize_rows(sups)]
             terms.append(acc)
         if not terms:
-            return base, after
-        return _minimize_rows(np.vstack([base, *terms])), after
+            return base, np.zeros(base.shape[0], dtype=bool), after
+        return *_min_union(base, terms), after
 
     def delta_pass(
         self,
@@ -326,23 +329,28 @@ class _Engine:
         fresh: _Fresh,
         base: Mapping[str, np.ndarray],
         pulled: _Pulled,
-    ) -> tuple[dict[str, np.ndarray], _Pulled]:
-        """``F(cur)`` and the pulled-back successor fronts of ``cur``.
+    ) -> tuple[dict[str, np.ndarray], _Fresh, _Pulled]:
+        """``F(cur)``, the masks of its rows absent from ``base`` (for the
+        positions that gained a row) and the pulled-back successor fronts
+        of ``cur``.
 
         ``base`` is ``F(old)``, ``fresh`` marks the rows of ``cur`` absent
         from ``old`` and ``pulled`` holds the pulled-back fronts of ``old``.
         A position with no new rows among its successors keeps its array.
         """
         new = dict(base)
+        grown: _Fresh = {}
         pulled = dict(pulled)
         for g in self.ids:
             if not any(target in fresh for target, _ in self.moves[g]):
                 continue
             if self.is_attacker[g]:
-                new[g] = self.attacker_rows(g, base[g], cur, fresh)
+                new[g], mask = self.attacker_rows(g, base[g], cur, fresh)
             else:
-                new[g], pulled[g] = self.defender_rows(g, base[g], cur, fresh, pulled[g])
-        return new, pulled
+                new[g], mask, pulled[g] = self.defender_rows(g, base[g], cur, fresh, pulled[g])
+            if mask.any():
+                grown[g] = mask
+        return new, grown, pulled
 
 
 @dataclass(frozen=True)
@@ -391,28 +399,19 @@ class SolverResult:
 
 
 def compute_new_win(game: GameGraph, old_win: Mapping[str, ParetoFront], g: str) -> ParetoFront:
-    """Budget front of defender position ``g`` from the previous front map.
-
-    Folds, successor by successor, the minima of suprema of one
-    pulled-back energy per successor; the attacker must afford every
-    defender choice simultaneously.
-    """
+    """Budget front of defender position ``g`` from the previous front map:
+    the minima of suprema of one pulled-back energy per successor, since
+    the attacker must afford every defender choice simultaneously."""
     if game.owner(g) is not Owner.DEFENDER:
         raise ValueError(f"{g!r} is not a defender position")
-    engine = _Engine(game)
-    cur = engine.empty_map()
-    for target, _ in game.successors(g):
-        cur[target] = _front_to_rows(old_win[target], game.dimension, engine.limit[target])
-    fresh, base, pulled = engine.start(cur)
-    rows, _ = engine.defender_rows(g, base[g], cur, fresh, pulled[g])
-    return _rows_to_front(rows)
+    return iterate_once(game, old_win)[g]
 
 
 def iterate_once(game: GameGraph, old_win: Mapping[str, ParetoFront]) -> FrontMap:
     """One full pass over all positions, reading only the old snapshot."""
     engine = _Engine(game)
     cur = engine.from_fronts(old_win)
-    new, _ = engine.delta_pass(cur, *engine.start(cur))
+    new, _, _ = engine.delta_pass(cur, _every_row(cur), *engine.start())
     return engine.to_fronts(new)
 
 
@@ -425,50 +424,39 @@ def default_iteration_cap(game: GameGraph) -> int:
 
 def _solve_jacobi(engine: _Engine, cap: int) -> tuple[int, dict[str, np.ndarray], int, EntryLog]:
     """Passes, fixed point, largest front and entry log of one solve."""
-    prev: dict[str, np.ndarray] | None = None
-    win = engine.empty_map()
+    prev = engine.empty_map()
+    win, pulled = engine.start()
+    fresh = _every_row(win)
     entered: dict[str, list[tuple[int, np.ndarray]]] = {g: [] for g in engine.ids}
     max_front = 0
-    fresh, base, pulled = engine.start(win)
-    passes = 0
-    while True:
-        if passes > cap:
-            previous = {} if prev is None else engine.to_fronts(prev)
-            raise IterationCapExceeded(cap, previous, engine.to_fronts(win))
-        new, pulled = engine.delta_pass(win, fresh, base, pulled)
-        passes += 1
-        fresh = {}
-        for g in engine.ids:
-            if new[g] is win[g]:
-                continue
-            mask = _fresh_rows(new[g], win[g])
-            if not mask.any():
-                # same rows: keep the array, so the next pass skips it
-                new[g] = win[g]
-                continue
-            rows = new[g][mask]
+    passes = 1
+    while fresh:
+        for g, mask in fresh.items():
+            rows = win[g][mask]
             top = int(rows.max())
             if top > engine.limit[g]:
                 raise MagnitudeOverflow(
                     f"front of {g!r} reaches {top}; pulling it back over an "
                     "incoming edge could exceed int64"
                 )
-            fresh[g] = mask
             entered[g].append((passes, rows))
-            max_front = max(max_front, new[g].shape[0])
-        if not fresh:
-            entries = {
-                g: (
-                    np.vstack([engine._empty(), *(rows for _, rows in log)]),
-                    np.repeat(
-                        np.array([k for k, _ in log], dtype=np.int64),
-                        [rows.shape[0] for _, rows in log],
-                    ),
-                )
-                for g, log in entered.items()
-            }
-            return passes, win, max_front, entries
-        prev, win, base = win, new, new
+            max_front = max(max_front, win[g].shape[0])
+        if passes > cap:
+            raise IterationCapExceeded(cap, engine.to_fronts(prev), engine.to_fronts(win))
+        new, fresh, pulled = engine.delta_pass(win, fresh, win, pulled)
+        passes += 1
+        prev, win = win, new
+    entries = {
+        g: (
+            np.vstack([engine._empty(), *(rows for _, rows in log)]),
+            np.repeat(
+                np.array([k for k, _ in log], dtype=np.int64),
+                [rows.shape[0] for _, rows in log],
+            ),
+        )
+        for g, log in entered.items()
+    }
+    return passes, win, max_front, entries
 
 
 def compute_winning_budgets(game: GameGraph, *, iteration_cap: int | None = None) -> SolverResult:

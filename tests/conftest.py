@@ -108,7 +108,7 @@ def kernel_minimize(energies: Iterable[Energy]) -> ParetoFront:
     """The solver's minimiser applied to finite energies of one dimension."""
     rows = [e.components for e in energies]
     matrix = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 1)
-    return solver._rows_to_front(solver._minimize_rows(matrix))
+    return solver._rows_to_front(matrix[solver._minimize_rows(matrix)])
 
 
 EXPECTED_CUPS_TIME = {(1, 20), (2, 10), (3, 6), (4, 4), (5, 2), (10, 1)}
@@ -187,14 +187,14 @@ def plain_pass(engine: solver._Engine, old: dict[str, np.ndarray]) -> dict[str, 
     for g in engine.ids:
         if engine.is_attacker[g]:
             pulled = [solver._invert_rows(plan, old[t]) for t, plan in engine.moves[g]]
-            rows = solver._minimize_rows(np.vstack([np.empty((0, n), np.int64), *pulled]))
+            rows = np.vstack([np.empty((0, n), np.int64), *pulled])
+            rows = rows[solver._minimize_rows(rows)]
         else:
             rows = np.zeros((1, n), dtype=np.int64)
             for t, plan in engine.moves[g]:
                 pulled = solver._invert_rows(plan, old[t])
-                rows = solver._minimize_rows(
-                    np.maximum(rows[:, None, :], pulled[None, :, :]).reshape(-1, n)
-                )
+                sups = np.maximum(rows[:, None, :], pulled[None, :, :]).reshape(-1, n)
+                rows = sups[solver._minimize_rows(sups)]
         new[g] = rows
     return new
 
@@ -228,7 +228,10 @@ def history(result: solver.SolverResult) -> History:
         for g, (rows, stamps) in result.entries.items():
             lo, hi = np.searchsorted(stamps, (k, k + 1))
             prev = maps[-1][g]
-            step[g] = solver._minimize_rows(np.vstack([prev, rows[lo:hi]])) if hi > lo else prev
+            if hi > lo:
+                prev = np.vstack([prev, rows[lo:hi]])
+                prev = prev[solver._minimize_rows(prev)]
+            step[g] = prev
         maps.append(step)
     return maps
 
@@ -236,15 +239,23 @@ def history(result: solver.SolverResult) -> History:
 def assert_history_matches_plain(
     game: GameGraph, result: solver.SolverResult, cap: int | None = None
 ) -> None:
-    """The solver's front map after every pass is the plain pass's."""
+    """The solver's front map after every pass is the plain pass's, and
+    the rows stamped ``k`` are exactly ``W_k \\ W_{k-1}`` of the plain
+    pass, each stamped once."""
     expected = plain_jacobi(game, cap)
     maps = history(result)
     assert result.iterations == len(expected) - 1
     assert len(maps) == len(expected)
-    for got, rows in zip(maps, expected):
+    for k, (got, rows) in enumerate(zip(maps, expected)):
         assert got.keys() == rows.keys()
         for g in got:
             assert np.array_equal(got[g], rows[g])
+            if k:
+                logged, stamps = result.entries[g]
+                entered = set(map(tuple, rows[g].tolist())) - set(
+                    map(tuple, expected[k - 1][g].tolist())
+                )
+                assert sorted(map(tuple, logged[stamps == k].tolist())) == sorted(entered)
 
 
 ListHistory = list[dict[str, list[list[int]]]]

@@ -73,6 +73,21 @@ def test_iteration_cap_exit_code(capsys, monkeypatch, argv):
     assert "7" in err
 
 
+def test_oracle_capacity_exit_code(capsys, monkeypatch):
+    from galois_energy import cli
+
+    decide = cli.oracle.stable_decide
+
+    def small_budget(game, g, e):
+        return decide(game, g, e, config_budget=30)
+
+    monkeypatch.setattr(cli.oracle, "stable_decide", small_budget)
+    code, out, err = run(capsys, "check", ESPRESSO, "--samples", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "30 configurations" in err
+
+
 def test_int64_overflow_exit_code(tmp_path, capsys):
     from galois_energy.game import GameGraph, Owner
     from galois_energy.updates import Add, Update

@@ -86,10 +86,13 @@ def row_sets(draw) -> list[list[int]]:
 @SEEDED
 @given(data=row_sets())
 def test_minimize_rows_matches_reference(data):
+    """Minimal rows in lexicographic order, each by the index of its first
+    occurrence in the input."""
     n, rows = data
-    got = solver._minimize_rows(np.array(rows, dtype=np.int64).reshape(len(rows), n))
+    index = solver._minimize_rows(np.array(rows, dtype=np.int64).reshape(len(rows), n))
     expected = minimize(Energy(tuple(r)) for r in rows)
-    assert got.tolist() == [list(e.components) for e in expected]
+    assert [rows[i] for i in index] == [list(e.components) for e in expected]
+    assert [rows.index(rows[i]) for i in index] == index.tolist()
 
 
 @st.composite

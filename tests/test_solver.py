@@ -448,7 +448,7 @@ def test_minimize_rows_sweeps_grids_over_the_cap(name, monkeypatch):
         return sweep(unique)
 
     monkeypatch.setattr(solver, "_minimize_by_sweep", counted)
-    got = solver._minimize_rows(rows)
+    got = rows[solver._minimize_rows(rows)]
     assert calls == [len({tuple(r) for r in rows.tolist()})]
     expected = minimize(Energy(tuple(r)) for r in rows.tolist())
     assert got.tolist() == [list(e.components) for e in expected]
