@@ -113,6 +113,8 @@ class GameGraph:
     def validate(self) -> list[str]:
         """All structural violations; an empty list means the graph is well formed."""
         violations: list[str] = []
+        if self.dimension < 1:
+            violations.append(f"dimension must be at least 1, got {self.dimension}")
         seen_ids: set[str] = set()
         for p in self.positions:
             if p.id in seen_ids:

@@ -20,18 +20,31 @@ sequence is deterministic and position evaluations are independent.
 The passes are evaluated semi-naively.  Upward closures only grow along
 the iteration, so ``↑W_k = ↑W_{k-1} ∪ ↑Δ_k`` where ``Δ_k[g]`` are the rows
 of ``W_k[g]`` absent from ``W_{k-1}[g]``.  Pulling back is monotone and
-distributes over union, and intersection of upward closures distributes
-over union too, so with ``N_i``/``O_i`` the pulled-back fronts of ``W_k``
-and ``W_{k-1}`` at the ``i``-th successor and ``D_i`` the pulled-back
-``Δ_k``:
+distributes over union, so with ``D_i`` the pulled-back ``Δ_k`` at the
+``i``-th successor an attacker position needs the new rows only:
 
 * attacker: ``W_{k+1}[g] = min(W_k[g] ∪ ⋃_i D_i)``
+
+A defender position whose successors gained rows is computed as the meet
+``W_{k+1}[g] = min(⋂_i ↑N_i)`` of the pulled-back fronts ``N_i`` of
+``W_k``, the antichain intersection of upward-closed sets.  All ``N_i``
+share one rank grid; each upward closure is a boolean grid, the closures
+are AND-ed, and a cell of the intersection is minimal exactly when none of
+its lower neighbours is in it.  This costs a few passes over the grid
+per successor, so it runs only when the grid has at most ``∏_i |N_i|``
+cells, the size of the full sup product.  Otherwise, with ``O_i`` the
+pulled-back fronts of ``W_{k-1}``, the front is the telescoped fold
+
 * defender: ``W_{k+1}[g] = min(W_k[g] ∪ ⋃_i N_1⊔…⊔N_{i-1}⊔D_i⊔O_{i+1}⊔…⊔O_m)``
 
-(the defender terms telescope ``⋂_i ↑N_i`` minus ``⋂_i ↑O_i``).  The
-minimiser returns the indices of the minimal rows, and ``W_k[g]`` is
+(the terms telescope ``⋂_i ↑N_i`` minus ``⋂_i ↑O_i``, since intersection
+of upward closures distributes over union), whose products start from
+the few new rows ``D_i`` rather than from whole fronts.
+
+The minimiser returns the indices of the minimal rows, and ``W_k[g]`` is
 stacked first, so the new rows ``Δ_{k+1}[g]`` are exactly the survivors
-past it.  A position without new rows among its successors keeps its
+past it; the meet marks the rows it finds that are not rows of
+``W_k[g]``.  A position without new rows among its successors keeps its
 array, and the loop stops once no position gained a row.  Pass 1 is
 ``F(∅)``: the zero row at defender deadlocks, all of it new.  Each pass
 yields exactly the front map of the plain pass; with ``W_{k-1}`` empty
@@ -114,41 +127,110 @@ def _minimize_by_sweep(unique: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+def _rank_grid(rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The rank grid of ``rows``: every row's rank in each column, and per
+    column its distinct values in order.  A row's cell key
+    (``np.ravel_multi_index`` of its ranks) orders rows lexicographically."""
+    ranks = np.empty(rows.shape, dtype=np.int64)
+    values = []
+    for c in range(rows.shape[1]):
+        column, ranks[:, c] = np.unique(rows[:, c], return_inverse=True)
+        values.append(column)
+    return ranks, values
+
+
+def _upward_closure(keys: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Boolean grid of the cells at or above some cell of ``keys``.
+
+    Along the last axis only the lines holding a key are closed, by a
+    running OR; every other axis is closed by doubling: OR-ing in the grid
+    shifted by 1, 2, 4, ... cells along it.
+    """
+    last = sizes[-1]
+    line, rank = np.divmod(keys, last)
+    touched, where = np.unique(line, return_inverse=True)
+    runs = np.zeros((touched.shape[0], last), dtype=bool)
+    runs[where, rank] = True
+    np.logical_or.accumulate(runs, axis=1, out=runs)
+    grid = np.zeros((math.prod(sizes) // last, last), dtype=bool)
+    grid[touched] = runs
+    grid = grid.reshape(sizes)
+    for axis in range(len(sizes) - 1):
+        inner = (slice(None),) * axis
+        shift = 1
+        while shift < sizes[axis]:
+            grid[(*inner, slice(shift, None))] |= grid[(*inner, slice(None, -shift))]
+            shift *= 2
+    return grid
+
+
 def _minimize_rows(rows: np.ndarray) -> np.ndarray:
     """Indices of the minimal rows under the component-wise order: the
     first occurrence of each, in lexicographic row order.
 
-    Rank-compresses every column.  When the grid of ranks has at most
-    ``_GRID_CELL_CAP`` cells, rows become scalar cell keys whose numeric
-    order is the lexicographic row order, deduplication runs on the keys,
-    a cumulative sum along every axis counts for each cell the rows
-    below-or-equal to it, and a row is minimal exactly when that count is
-    1 (itself).  Larger grids go to the chunked dominance sweep.
+    When the rank grid has at most ``_GRID_CELL_CAP`` cells, deduplication
+    runs on the cell keys, and a row is minimal exactly when none of its
+    lower neighbours (one rank less along one axis) is in the upward
+    closure of the rows.  Larger grids go to the chunked dominance sweep.
     """
     m = rows.shape[0]
     if m <= 1:
         return np.arange(m)
-    n = rows.shape[1]
-    ranks = np.empty((m, n), dtype=np.int64)
-    sizes = []
-    for c in range(n):
-        values, inverse = np.unique(rows[:, c], return_inverse=True)
-        ranks[:, c] = inverse
-        sizes.append(len(values))
-    cells = math.prod(sizes)
-    if cells > _GRID_CELL_CAP:
+    ranks, values = _rank_grid(rows)
+    sizes = [len(v) for v in values]
+    if math.prod(sizes) > _GRID_CELL_CAP:
         unique, first = np.unique(rows, axis=0, return_index=True)
         return first[_minimize_by_sweep(unique)]
     keys = np.ravel_multi_index(tuple(ranks.T), sizes)
     unique_keys, first = np.unique(keys, return_index=True)
     if first.shape[0] <= 1:
         return first
-    grid = np.zeros(cells, dtype=np.int32)
-    grid[unique_keys] = 1
-    grid = grid.reshape(sizes)
-    for axis in range(n):
-        np.cumsum(grid, axis=axis, out=grid)
-    return first[grid.reshape(-1)[unique_keys] == 1]
+    closure = _upward_closure(unique_keys, sizes).reshape(-1)
+    dominated = np.zeros(first.shape[0], dtype=bool)
+    stride = 1
+    for c in reversed(range(len(sizes))):
+        # at rank 0 the index wraps to an unrelated cell, masked out
+        dominated |= closure[unique_keys - stride] & (ranks[first, c] > 0)
+        stride *= sizes[c]
+    return first[~dominated]
+
+
+def _meet(
+    base: np.ndarray, factors: list[np.ndarray], max_cells: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``min(⋂_i ↑N_i)`` over ``factors`` in lexicographic order, and the
+    mask of its rows that are not rows of ``base``, an antichain whose
+    upward closure lies in the meet.  ``None`` when the rank grid of the
+    factors has more than ``max_cells`` cells.
+
+    Every minimal row of the meet is a sup of one row per factor, so it
+    lies on the grid, and a cell of the meet is minimal exactly when none
+    of its lower neighbours is in the meet.  A row of ``base`` off the
+    grid is not in the result.  One empty factor empties the meet, and so
+    ``base``.
+    """
+    if any(not f.shape[0] for f in factors):
+        return base, np.zeros(base.shape[0], dtype=bool)
+    ranks, values = _rank_grid(np.vstack(factors))
+    sizes = [len(v) for v in values]
+    if math.prod(sizes) > max_cells:
+        return None
+    keys = np.ravel_multi_index(tuple(ranks.T), sizes)
+    meet = None
+    for part in np.split(keys, np.cumsum([f.shape[0] for f in factors[:-1]])):
+        closure = _upward_closure(part, sizes)
+        meet = closure if meet is None else np.logical_and(meet, closure, out=meet)
+    minimal = meet.copy()
+    for axis in range(len(sizes)):
+        inner = (slice(None),) * axis
+        minimal[(*inner, slice(1, None))] &= ~meet[(*inner, slice(None, -1))]
+    cells = np.flatnonzero(minimal)
+    rows = np.stack([v[r] for v, r in zip(values, np.unravel_index(cells, sizes))], axis=1)
+    on = np.all([np.isin(base[:, c], v) for c, v in enumerate(values)], axis=0)
+    old = np.ravel_multi_index(
+        tuple(np.searchsorted(v, base[on, c]) for c, v in enumerate(values)), sizes
+    )
+    return rows, ~np.isin(cells, old)
 
 
 _InversePlan = list[list[tuple[int | None, int | None, tuple[int, ...]]]]
@@ -225,6 +307,35 @@ def _min_union(base: np.ndarray, terms: list[np.ndarray]) -> tuple[np.ndarray, n
     return rows[keep], keep >= base.shape[0]
 
 
+def _telescoped_fold(
+    base: np.ndarray,
+    deltas: list[np.ndarray | None],
+    after: list[np.ndarray],
+    before: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``min(base ∪ ⋃_i N_1⊔…⊔N_{i-1}⊔D_i⊔O_{i+1}⊔…⊔O_k)`` and the mask of
+    its new rows, over the successors ``i`` with pulled-back new rows
+    ``D_i = deltas[i]`` (``None`` for the others), where ``after`` holds
+    the N and ``before`` the O.  Each term is a fold of pairwise sup
+    products through the minimiser, starting from its small delta factor.
+    """
+    terms = []
+    for i, delta in enumerate(deltas):
+        if delta is None:
+            continue
+        factors = [delta, *after[:i], *before[i + 1 :]]
+        if any(not f.shape[0] for f in factors):
+            continue
+        acc = factors[0]
+        for f in factors[1:]:
+            sups = np.maximum(acc[:, None, :], f[None, :, :]).reshape(-1, acc.shape[1])
+            acc = sups[_minimize_rows(sups)]
+        terms.append(acc)
+    if not terms:
+        return base, np.zeros(base.shape[0], dtype=bool)
+    return _min_union(base, terms)
+
+
 class _Engine:
     """Array-based semi-naive pass evaluator for one game.
 
@@ -296,32 +407,29 @@ class _Engine:
         fresh: _Fresh,
         before: list[np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """``min(base ∪ ⋃_i N_1⊔…⊔N_{i-1}⊔inv_i(Δ_i)⊔O_{i+1}⊔…⊔O_k)``.
+        """``min(⋂_i ↑N_i)`` over the pulled-back current successor fronts N.
 
         ``before`` holds the pulled-back old successor fronts O; returns
-        the new front, the mask of its new rows and the pulled-back
-        current fronts N.  Each term is folded starting from its small
-        delta factor.
+        the new front, the mask of its rows absent from ``base`` and N.
+        The front is the meet of the N on their rank grid (``_meet``) when
+        that grid has at most ``∏_i |N_i|`` cells (the size of the full sup
+        product) and at most ``_GRID_CELL_CAP``; otherwise it is the
+        telescoped fold (``_telescoped_fold``), whose products start from
+        the few new rows.
         """
         after = [
             _invert_rows(plan, cur[target]) if target in fresh else old
             for (target, plan), old in zip(self.moves[g], before)
         ]
-        terms = []
-        for i, (target, _) in enumerate(self.moves[g]):
-            if target not in fresh:
-                continue
-            factors = [after[i][fresh[target]], *after[:i], *before[i + 1 :]]
-            if any(not f.shape[0] for f in factors):
-                continue
-            acc = factors[0]
-            for f in factors[1:]:
-                sups = np.maximum(acc[:, None, :], f[None, :, :]).reshape(-1, self.n)
-                acc = sups[_minimize_rows(sups)]
-            terms.append(acc)
-        if not terms:
-            return base, np.zeros(base.shape[0], dtype=bool), after
-        return *_min_union(base, terms), after
+        product = math.prod(f.shape[0] for f in after)
+        met = _meet(base, after, min(_GRID_CELL_CAP, product))
+        if met is None:
+            deltas = [
+                rows[fresh[target]] if target in fresh else None
+                for (target, _), rows in zip(self.moves[g], after)
+            ]
+            met = _telescoped_fold(base, deltas, after, before)
+        return *met, after
 
     def delta_pass(
         self,

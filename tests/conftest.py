@@ -6,6 +6,7 @@ the suite."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import defaultdict, deque
 from typing import Iterable
@@ -109,6 +110,13 @@ def kernel_minimize(energies: Iterable[Energy]) -> ParetoFront:
     rows = [e.components for e in energies]
     matrix = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 1)
     return solver._rows_to_front(matrix[solver._minimize_rows(matrix)])
+
+
+def reference_meet(factors: list[list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    """Reference defender front: the minimal sups of one row per factor,
+    in lexicographic order; empty when some factor is."""
+    sups = (tuple(map(max, zip(*choice))) for choice in itertools.product(*factors))
+    return [e.components for e in minimize(Energy(s) for s in sups)]
 
 
 EXPECTED_CUPS_TIME = {(1, 20), (2, 10), (3, 6), (4, 4), (5, 2), (10, 1)}

@@ -228,6 +228,26 @@ def test_transform_parse_failure(tmp_path, capsys):
     assert code == 2
 
 
+def test_transform_dimension_zero_exits_2(tmp_path, capsys):
+    src = tmp_path / "flat.json"
+    src.write_text(
+        json.dumps(
+            {
+                "schema": "multi-reachability/1",
+                "dimension": 0,
+                "positions": [{"id": "a", "owner": "attacker"}, {"id": "t", "owner": "attacker"}],
+                "edges": [{"from": "a", "to": "t", "weight": []}],
+                "targets": ["t"],
+            }
+        )
+    )
+    out_file = tmp_path / "game.json"
+    code, _, err = run(capsys, "transform", "multi-reachability", str(src), "-o", str(out_file))
+    assert code == 2
+    assert "dimension must be at least 1" in err
+    assert not out_file.exists()
+
+
 def test_check_espresso_agrees(capsys):
     code, out, _ = run(capsys, "check", ESPRESSO, "--samples", "8", "--seed", "1", "--bound", "6")
     assert code == 0

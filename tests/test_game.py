@@ -10,6 +10,7 @@ from galois_energy.game import (
     winner_of_finite_play,
 )
 from galois_energy.lattice import Energy
+from galois_energy.solver import compute_winning_budgets
 from galois_energy.updates import Add, Update
 
 
@@ -47,6 +48,15 @@ def test_validate_reports_wrong_dimension():
         2, [("a", Owner.ATTACKER), ("b", Owner.DEFENDER)], [("a", "b", delta(0))]
     )
     assert any("dimension" in v for v in game.validate())
+
+
+def test_validate_rejects_dimension_zero():
+    game = GameGraph.build(
+        0, [("a", Owner.ATTACKER), ("d", Owner.DEFENDER)], [("a", "d", Update.identity(0))]
+    )
+    assert game.validate() == ["dimension must be at least 1, got 0"]
+    with pytest.raises(InvalidGameError):
+        compute_winning_budgets(game)
 
 
 def test_validate_reports_duplicates():

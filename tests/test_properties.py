@@ -9,7 +9,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_history_matches_plain, invert, kernel_invert, minimize, plain_jacobi
+from conftest import (
+    assert_history_matches_plain,
+    invert,
+    kernel_invert,
+    minimize,
+    plain_jacobi,
+    reference_meet,
+)
 from galois_energy import solver
 from galois_energy.errors import IterationCapExceeded
 from galois_energy.game import GameGraph, Owner
@@ -93,6 +100,47 @@ def test_minimize_rows_matches_reference(data):
     expected = minimize(Energy(tuple(r)) for r in rows)
     assert [rows[i] for i in index] == [list(e.components) for e in expected]
     assert [rows.index(rows[i]) for i in index] == index.tolist()
+
+
+@st.composite
+def meet_cases(draw) -> tuple[int, list[list[tuple[int, ...]]], list[tuple[int, ...]]]:
+    """1-4 factors of 0-6 rows of one dimension, small values mixed with
+    values anywhere in int64, rows repeated within and across factors; and
+    the rows of an earlier front: some minimal rows of the meet, and rows
+    one unit above others of them (often off the factors' rank grid)."""
+    n = draw(st.integers(1, 4))
+    value = st.one_of(st.integers(0, 4), st.integers(0, 2**63 - 1))
+    row = st.lists(value, min_size=n, max_size=n).map(tuple)
+    factors = draw(st.lists(st.lists(row, max_size=4), min_size=1, max_size=4))
+    pool = [r for f in factors for r in f]
+    if pool:
+        factors = [f + draw(st.lists(st.sampled_from(pool), max_size=2)) for f in factors]
+    minimal = reference_meet(factors)
+    base = []
+    for r in minimal:
+        kind = draw(st.sampled_from(["skip", "keep", "above"]))
+        if kind == "keep":
+            base.append(r)
+        elif kind == "above":
+            c = draw(st.integers(0, n - 1))
+            base.append(r[:c] + (min(r[c] + 1, 2**63 - 1),) + r[c + 1 :])
+    return n, factors, base
+
+
+@SEEDED
+@given(case=meet_cases())
+def test_meet_matches_reference(case):
+    """The meet's rows are the minimal sups of one row per factor, in
+    lexicographic order, and its mask marks those not in ``base``."""
+    n, factors, base = case
+    arrays = [np.array(f, dtype=np.int64).reshape(len(f), n) for f in factors]
+    base_rows = np.array(sorted(set(base)), dtype=np.int64).reshape(-1, n)
+    rows, mask = solver._meet(base_rows, arrays, solver._GRID_CELL_CAP)
+    expected = reference_meet(factors)
+    assert list(map(tuple, rows.tolist())) == expected
+    assert mask.tolist() == [r not in set(base) for r in expected]
+    if not all(factors):
+        assert rows.shape[0] == 0
 
 
 @st.composite

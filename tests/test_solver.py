@@ -13,6 +13,7 @@ from conftest import (
     history,
     invert,
     minimize,
+    plain_pass,
     random_game,
     reference_birth,
     reference_choose,
@@ -452,6 +453,62 @@ def test_minimize_rows_sweeps_grids_over_the_cap(name, monkeypatch):
     assert calls == [len({tuple(r) for r in rows.tolist()})]
     expected = minimize(Energy(tuple(r)) for r in rows.tolist())
     assert got.tolist() == [list(e.components) for e in expected]
+
+
+def _count_defender_paths(monkeypatch) -> dict[str, int]:
+    """Counts of defender fronts answered by the meet (with every factor
+    nonempty) and by the telescoped fold, from now on."""
+    paths = {"meet": 0, "fold": 0}
+    meet, fold = solver._meet, solver._telescoped_fold
+
+    def counted_meet(base, factors, max_cells):
+        result = meet(base, factors, max_cells)
+        paths["meet"] += result is not None and all(f.shape[0] for f in factors)
+        return result
+
+    def counted_fold(*args):
+        paths["fold"] += 1
+        return fold(*args)
+
+    monkeypatch.setattr(solver, "_meet", counted_meet)
+    monkeypatch.setattr(solver, "_telescoped_fold", counted_fold)
+    return paths
+
+
+def test_meet_and_fold_both_match_plain_pass(monkeypatch):
+    paths = _count_defender_paths(monkeypatch)
+    rng = random.Random(31)
+    games = [espresso_with_target(10)]
+    games += [random_game(rng, declining=i % 2 == 1) for i in range(40)]
+    for game in games:
+        assert_history_matches_plain(game, compute_winning_budgets(game))
+    assert paths["meet"] > 0
+    assert paths["fold"] > 0
+
+
+def test_defender_over_the_grid_cap_folds(monkeypatch):
+    """Two successor fronts of 40 rows whose values barely repeat: their
+    rank grid has about 80^5 cells, over the cap, so the fold runs."""
+    rng = np.random.default_rng(11)
+    fronts = {}
+    for g in ("a", "b"):
+        rows = rng.integers(0, 2**40, size=(40, 5))
+        fronts[g] = minimize(Energy(tuple(r)) for r in rows.tolist())
+    fronts["d"] = ParetoFront.empty()
+    game = GameGraph.build(
+        5,
+        [("d", Owner.DEFENDER), ("a", Owner.ATTACKER), ("b", Owner.ATTACKER)],
+        [("d", "a", Update.identity(5)), ("d", "b", Update.identity(5))],
+    )
+    union = np.array([e.components for g in "ab" for e in fronts[g]], dtype=np.int64)
+    assert math.prod(len(np.unique(c)) for c in union.T) > solver._GRID_CELL_CAP
+    paths = _count_defender_paths(monkeypatch)
+    got = iterate_once(game, fronts)["d"]
+    engine = solver._Engine(game)
+    expected = plain_pass(engine, engine.from_fronts(fronts))["d"]
+    assert paths == {"meet": 0, "fold": 1}
+    assert [e.components for e in got] == list(map(tuple, expected.tolist()))
+    assert len(got) > 0
 
 
 def test_invalid_game_rejected():
