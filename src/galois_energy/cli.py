@@ -5,9 +5,13 @@ initial credit), ``transform`` (reduce a classical problem to a game
 file) and ``check`` (differentially test the solver against the
 brute-force oracle on a small game).
 
+``check --samples`` and ``--bound`` must be at least 1: a check of no
+samples would pass vacuously.
+
 Exit codes: 0 success / WIN / no mismatches, 1 LOSE or mismatches found,
-2 parse or validation failure, or a game ``check`` cannot test (over its
-size guard, or one where the oracle runs out of configurations), 3
+2 parse or validation failure, a ``check`` argument below 1, or a game
+``check`` cannot test (over its size guard, or one where the oracle runs
+out of configurations), 3
 iteration cap exceeded, 4 a front value or edge parameter outside the
 solver's int64 range.
 """
@@ -138,9 +142,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_PARSE
-    if args.bound < 1:
-        print("error: --bound must be at least 1", file=sys.stderr)
-        return EXIT_PARSE
+    for flag, value in (("--samples", args.samples), ("--bound", args.bound)):
+        if value < 1:
+            print(f"error: {flag} must be at least 1", file=sys.stderr)
+            return EXIT_PARSE
     result = solver.compute_winning_budgets(game)
     rng = random.Random(args.seed)
     mismatches = 0

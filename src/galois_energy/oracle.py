@@ -1,9 +1,10 @@
 """Brute-force decision of single game instances, independent of the solver.
 
 Works on the configuration graph whose nodes pair a position with a
-concrete finite energy, clipped component-wise to a bound ``B`` after
-every move.  A least-fixed-point attacker attractor is computed backwards
-from the defender deadlocks:
+concrete finite energy, clipped component-wise to a bound ``B`` once per
+move, after its last step (a step may pass ``B`` and a later one come
+back below it).  A least-fixed-point attacker attractor is computed
+backwards from the defender deadlocks:
 
 * an attacker configuration joins when some move lands in the set,
 * a defender configuration joins when it has at least one move and every
@@ -17,6 +18,12 @@ monotonicity of the updates; a defender answer may flip once ``B`` grows,
 which ``stable_decide`` pursues by doubling the bound until two
 consecutive answers agree.
 
+An arena keeps the explored graph as two flat lists of edge ends and a
+set of escaping configurations.  Each query that explores a new region
+builds predecessor lists and missing-successor counts for that region
+only: every successor of an old configuration is old, and old verdicts
+are settled, so a new win can only reach new configurations.
+
 No Pareto fronts and no update inverses appear here: the module shares
 nothing with the solver's computation path and serves as its
 verification baseline at small scale.
@@ -24,15 +31,16 @@ verification baseline at small scale.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
+from operator import add, itemgetter, mul
 from typing import Callable
 
 from .errors import DimensionMismatch, OracleCapacityError
 from .game import GameGraph, Owner, Verdict, estimate_worst_energy
 from .lattice import Energy
-from .updates import Add, MinOf, Update
+from .updates import Add, MinOf, Mul, Update
 
 RawEnergy = tuple[int, ...]
 
@@ -41,24 +49,38 @@ DEFAULT_CONFIG_BUDGET = 5_000_000
 _NEVER = -1  # defender configuration that can never be satisfied
 
 
-def _compile(update: Update) -> Callable[[RawEnergy], RawEnergy | None]:
-    """Forward application over plain int tuples (finite energies only)."""
-    steps = update.steps
+def _compile(update: Update, bound: int) -> Callable[[RawEnergy], RawEnergy | None]:
+    """Forward application over plain int tuples at most ``bound`` (finite
+    energies only), clipped to ``bound`` once, after the last step."""
+    plan = []
+    for atom in update.steps:
+        zs = tuple(s.z if isinstance(s, Add) else 0 for s in atom.specs)
+        ms = tuple(s.factor if isinstance(s, Mul) else 1 for s in atom.specs)
+        # repeating an index makes every getter return a tuple
+        mins = [(i, itemgetter(*s.indices, s.indices[0]))
+                for i, s in enumerate(atom.specs) if isinstance(s, MinOf)]
+        plan.append((zs if any(zs) else None, ms if max(ms) > 1 else None, min(zs) < 0, mins))
+    # without an increment or a factor, no component exceeds the input's maximum
+    grows = any(ms or zs and max(zs) > 0 for zs, ms, _, _ in plan)
+    caps = (bound,) * update.dimension
 
     def run(e: RawEnergy) -> RawEnergy | None:
-        for atom in steps:
-            out = []
-            for i, spec in enumerate(atom.specs):
-                if isinstance(spec, Add):
-                    v = e[i] + spec.z
-                    if v < 0:
-                        return None
-                    out.append(v)
-                elif isinstance(spec, MinOf):
-                    out.append(min(e[k] for k in spec.indices))
-                else:
-                    out.append(e[i] * spec.factor)
-            e = tuple(out)
+        for zs, ms, drops, mins in plan:
+            out = e
+            if ms:
+                out = tuple(map(mul, out, ms))
+            if zs:
+                out = tuple(map(add, out, zs))
+                if drops and min(out) < 0:
+                    return None
+            if mins:
+                out = list(out)
+                for i, get in mins:
+                    out[i] = min(get(e))
+                out = tuple(out)
+            e = out
+        if grows and max(e) > bound:
+            return tuple(map(min, e, caps))
         return e
 
     return run
@@ -83,7 +105,7 @@ class _Arena:
         self.is_defender = [game.owner(g) is Owner.DEFENDER for g in ids]
         self.is_deadlock = [game.is_deadlock(g) for g in ids]
         self.moves: list[list[tuple[int, Callable[[RawEnergy], RawEnergy | None]]]] = [
-            [(self.pos_index[t], _compile(u)) for t, u in game.successors(g)] for g in ids
+            [(self.pos_index[t], _compile(u, bound)) for t, u in game.successors(g)] for g in ids
         ]
         # positions with no path to any defender deadlock can never be won,
         # whatever the energy; their configurations need no expansion
@@ -91,11 +113,10 @@ class _Arena:
         self.poisoned = False
         self.config_index: dict[tuple[int, RawEnergy], int] = {}
         self.keys: list[tuple[int, RawEnergy]] = []
-        self.succs: list[list[int]] = []
-        self.escape: list[bool] = []
-        self.preds: list[list[int]] = []
-        self.won: list[bool] = []
-        self.missing: list[int] = []
+        self.src: list[int] = []
+        self.dst: list[int] = []
+        self.escapes: set[int] = set()
+        self.won = bytearray()
 
     def _positions_reaching_defender_deadlocks(self, count: int) -> list[bool]:
         rev: list[set[int]] = [set() for _ in range(count)]
@@ -112,25 +133,6 @@ class _Arena:
                     frontier.append(p)
         return [i in reach for i in range(count)]
 
-    def _clip(self, e: RawEnergy) -> RawEnergy:
-        b = self.bound
-        return tuple(c if c <= b else b for c in e)
-
-    def _new_config(self, key: tuple[int, RawEnergy]) -> int:
-        idx = len(self.keys)
-        self.config_index[key] = idx
-        self.keys.append(key)
-        self.succs.append([])
-        self.escape.append(False)
-        self.preds.append([])
-        self.won.append(False)
-        self.missing.append(0)
-        if idx + 1 > self.budget:
-            raise OracleCapacityError(
-                f"more than {self.budget} configurations at clip bound {self.bound}"
-            )
-        return idx
-
     def decide(self, pos: int, e: RawEnergy) -> bool:
         # a partially explored graph has unusable verdicts, so a capacity
         # overflow permanently disables this arena
@@ -141,85 +143,86 @@ class _Arena:
         key = (pos, e)
         hit = self.config_index.get(key)
         if hit is not None:
-            return self.won[hit]
-        first_new = len(self.keys)
+            return bool(self.won[hit])
+        first_new, first_edge = len(self.keys), len(self.src)
         try:
-            start = self._new_config(key)
-            self._explore(start)
+            self._explore(key)
         except OracleCapacityError:
             self.poisoned = True
             raise
-        self._propagate(first_new)
-        return self.won[start]
+        self._propagate(first_new, first_edge)
+        return bool(self.won[first_new])
 
-    def _explore(self, start: int) -> None:
-        stack = [start]
+    def _explore(self, seed: tuple[int, RawEnergy]) -> None:
+        keys, index, src, dst = self.keys, self.config_index, self.src, self.dst
+        moves, hopeful, budget = self.moves, self.hopeful, self.budget
+        index[seed] = len(keys)
+        keys.append(seed)
+        stack = [len(keys) - 1]
         while stack:
+            # every stored configuration is pushed, so no growth escapes this check
+            if len(keys) > budget:
+                raise OracleCapacityError(
+                    f"more than {budget} configurations at clip bound {self.bound}"
+                )
             idx = stack.pop()
-            p, energy = self.keys[idx]
-            if not self.hopeful[p]:
+            p, energy = keys[idx]
+            if not hopeful[p]:
                 continue
-            for tpos, fn in self.moves[p]:
+            for tpos, fn in moves[p]:
                 value = fn(energy)
                 if value is None:
                     if self.is_defender[p]:
-                        self.escape[idx] = True
+                        self.escapes.add(idx)
                     continue
-                tkey = (tpos, self._clip(value))
-                tidx = self.config_index.get(tkey)
+                tkey = (tpos, value)
+                tidx = index.get(tkey)
                 if tidx is None:
-                    tidx = self._new_config(tkey)
+                    tidx = index[tkey] = len(keys)
+                    keys.append(tkey)
                     stack.append(tidx)
-                self.succs[idx].append(tidx)
-                self.preds[tidx].append(idx)
+                src.append(idx)
+                dst.append(tidx)
 
-    def _propagate(self, first_new: int) -> None:
-        # phase 1: requirements of the new region, counting only verdicts
-        # settled before this call (old-region wins are final)
-        queue: deque[int] = deque()
-        total = len(self.keys)
-        for idx in range(first_new, total):
-            p, _ = self.keys[idx]
-            if not self.is_defender[p]:
+    def _propagate(self, first_new: int, first_edge: int) -> None:
+        # configurations from ``first_new`` on and edges from ``first_edge``
+        # on are new; new configurations are numbered from 0 here
+        old_won = self.won
+        owners = [self.is_defender[p] for p, _ in self.keys[first_new:]]
+        won = bytearray(len(owners))
+        preds: list[list[int]] = [[] for _ in owners]
+        missing = [0] * len(owners)
+        stack = []
+        for s, t in zip(islice(self.src, first_edge, None), islice(self.dst, first_edge, None)):
+            s -= first_new
+            if t >= first_new:
+                preds[t - first_new].append(s)
+                missing[s] += 1
+            elif not old_won[t]:
+                missing[s] += 1  # an old loss is final
+            elif not owners[s] and not won[s]:
+                won[s] = 1
+                stack.append(s)
+        for s, defender in enumerate(owners):
+            if not defender:
                 continue
-            if self.is_deadlock[p]:
-                continue
-            if self.escape[idx] or not self.succs[idx]:
-                self.missing[idx] = _NEVER
-            else:
-                self.missing[idx] = sum(
-                    1 for s in self.succs[idx] if s >= first_new or not self.won[s]
-                )
-        # phase 2: seed wins that hold immediately
-        for idx in range(first_new, total):
-            p, _ = self.keys[idx]
-            if self.is_defender[p]:
-                if self.is_deadlock[p]:
-                    self.won[idx] = True
-                    queue.append(idx)
-                elif self.missing[idx] == 0:
-                    self.won[idx] = True
-                    queue.append(idx)
-            else:
-                if any(s < first_new and self.won[s] for s in self.succs[idx]):
-                    self.won[idx] = True
-                    queue.append(idx)
-        # reverse breadth-first propagation
-        while queue:
-            w = queue.popleft()
-            for pr in self.preds[w]:
-                if self.won[pr]:
+            p, _ = self.keys[first_new + s]
+            if first_new + s in self.escapes or not self.hopeful[p]:
+                missing[s] = _NEVER
+            elif missing[s] == 0:  # every move lands in an old win, or a deadlock
+                won[s] = 1
+                stack.append(s)
+        while stack:
+            for pr in preds[stack.pop()]:
+                if won[pr]:
                     continue
-                p, _ = self.keys[pr]
-                if self.is_defender[p]:
-                    if self.missing[pr] > 0:
-                        self.missing[pr] -= 1
-                        if self.missing[pr] == 0:
-                            self.won[pr] = True
-                            queue.append(pr)
-                else:
-                    self.won[pr] = True
-                    queue.append(pr)
+                if owners[pr]:
+                    missing[pr] -= 1
+                    if missing[pr]:
+                        continue
+                won[pr] = 1
+                stack.append(pr)
+        old_won += won
 
 
 @lru_cache(maxsize=8)

@@ -279,6 +279,14 @@ def test_check_seed_determinism(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_check_rejects_samples_below_one(capsys, samples):
+    code, out, err = run(capsys, "check", ESPRESSO, "--samples", samples)
+    assert code == 2
+    assert "--samples must be at least 1" in err
+    assert "checked" not in out
+
+
 def test_check_guard_rejects_large_dimension(tmp_path, capsys):
     doc = {
         "schema": "galois-energy/1",

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import random_game
+from galois_energy import oracle
 from galois_energy.errors import OracleCapacityError
 from galois_energy.game import GameGraph, Owner, Verdict
 from galois_energy.lattice import INF, Energy
@@ -133,3 +135,60 @@ def test_config_budget_enforced():
         attractor_decide(game, "a", E(0, 0), 40, config_budget=30)
     with pytest.raises(OracleCapacityError):
         attractor_decide(game, "a", E(0, 0), 40, config_budget=30)
+
+
+def _shared_then_fresh(game, queries, bound):
+    """Verdicts of ``queries`` on one shared arena and each on a fresh one,
+    with how many shared queries hit a stored configuration, explored an
+    isolated region, or explored a region with an edge into older ones."""
+    oracle._arena_for.cache_clear()
+    arena = oracle._arena_for(game, bound, oracle.DEFAULT_CONFIG_BUDGET)
+    shared, kinds = [], Counter()
+    for g, e in queries:
+        first_new, first_edge = len(arena.keys), len(arena.dst)
+        shared.append(attractor_decide(game, g, e, bound))
+        if len(arena.keys) == first_new:
+            kinds["hit"] += 1
+        elif any(t < first_new for t in arena.dst[first_edge:]):
+            kinds["reaches old"] += 1
+        else:
+            kinds["new"] += 1
+    fresh = []
+    for g, e in queries:
+        oracle._arena_for.cache_clear()
+        fresh.append(attractor_decide(game, g, e, bound))
+    return shared, fresh, kinds
+
+
+def test_incremental_arena_matches_fresh_arenas(espresso):
+    rng = random.Random(53)
+    games = [(espresso, 8)] + [(random_game(rng, max_positions=6), 6) for _ in range(20)]
+    total = Counter()
+    for game, bound in games:
+        queries = [
+            (rng.choice(game.position_ids),
+             Energy(tuple(rng.randint(0, bound) for _ in range(game.dimension))))
+            for _ in range(12)
+        ]
+        shared, fresh, kinds = _shared_then_fresh(game, queries, bound)
+        assert shared == fresh
+        total += kinds
+        if game is espresso:
+            assert set(kinds) == {"hit", "new", "reaches old"}, kinds
+    assert min(total[k] for k in ("hit", "new", "reaches old")) > 0, total
+
+
+def test_config_budget_boundary_is_exact():
+    # 41 attacker configurations a(k, k), k <= 40, and 11 deadlocks d(k, k), k <= 10
+    game = GameGraph.build(
+        2,
+        [("a", Owner.ATTACKER), ("d", Owner.DEFENDER)],
+        [("a", "a", delta(1, 1)), ("a", "d", delta(-30, -30))],
+    )
+    needed = 52
+    oracle._arena_for.cache_clear()
+    assert attractor_decide(game, "a", E(0, 0), 40, config_budget=needed) is Verdict.ATTACKER
+    assert len(oracle._arena_for(game, 40, needed).keys) == needed
+    for _ in range(2):
+        with pytest.raises(OracleCapacityError):
+            attractor_decide(game, "a", E(0, 0), 40, config_budget=needed - 1)

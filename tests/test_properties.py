@@ -17,7 +17,7 @@ from conftest import (
     plain_jacobi,
     reference_meet,
 )
-from galois_energy import solver
+from galois_energy import oracle, solver
 from galois_energy.errors import IterationCapExceeded
 from galois_energy.game import GameGraph, Owner
 from galois_energy.lattice import Energy, leq
@@ -179,3 +179,32 @@ def test_kernel_inverse_is_galois_adjoint(case):
         image = update.apply(e)
         if image is not None:
             assert leq(ep, image) == leq(inv, e)
+
+
+@st.composite
+def moves(draw) -> tuple[Update, int, tuple[int, ...]]:
+    """An update of 1-3 steps, a clip bound and an energy within it.  Half
+    of the updates raise one component past the bound in their first step
+    and bring it back down with an ``Add`` in their last."""
+    n = draw(st.integers(1, 4))
+    bound = draw(st.integers(1, 20))
+    energy = tuple(draw(st.lists(st.integers(0, bound), min_size=n, max_size=n)))
+    if not draw(st.booleans()):
+        return draw(_updates(n, 3)), bound, energy
+    j = draw(st.integers(0, n - 1))
+    k = draw(st.integers(bound - energy[j] + 1, bound + 3))
+    up, down = (UpdateAtom(tuple(Add(z if i == j else 0) for i in range(n))) for z in (k, -k))
+    middle = draw(_updates(n, 1)).steps
+    return Update((up, *middle, down)), bound, energy
+
+
+@SEEDED
+@given(case=moves())
+def test_compiled_move_is_apply_then_one_clip(case):
+    update, bound, energy = case
+    expected = update.apply(Energy(energy))
+    got = oracle._compile(update, bound)(energy)
+    if expected is None:
+        assert got is None
+    else:
+        assert got == tuple(min(c, bound) for c in expected.components)
