@@ -9,7 +9,8 @@ brute-force oracle on a small game).
 samples would pass vacuously.
 
 Exit codes: 0 success / WIN / no mismatches, 1 LOSE or mismatches found,
-2 parse or validation failure, a ``check`` argument below 1, or a game
+2 parse or validation failure, an output file ``transform`` cannot write,
+a ``check`` argument below 1, or a game
 ``check`` cannot test (over its size guard, or one where the oracle runs
 out of configurations), 3
 iteration cap exceeded, 4 a front value or edge parameter outside the
@@ -121,10 +122,10 @@ def _cmd_transform(args: argparse.Namespace) -> int:
                 "tracking_sets": [sorted(f) for f in targets],
                 "query_energy_suffix": suffix.render(),
             }
+        fileio.save_game(game, args.output, annotations)
     except (GameFileError, InvalidGameError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    fileio.save_game(game, args.output, annotations)
     return EXIT_OK
 
 

@@ -179,7 +179,11 @@ def game_to_dict(game: GameGraph, annotations: dict[str, Any] | None = None) -> 
 
 
 def save_game(game: GameGraph, path: str | Path, annotations: dict[str, Any] | None = None) -> None:
-    Path(path).write_text(json.dumps(game_to_dict(game, annotations), indent=2) + "\n")
+    text = json.dumps(game_to_dict(game, annotations), indent=2) + "\n"
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise GameFileError(f"cannot write {path}: {exc}") from None
 
 
 def _require_schema(doc: Any, schema: str) -> dict[str, Any]:

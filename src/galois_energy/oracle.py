@@ -271,15 +271,20 @@ class OracleVerdict:
         return self.winner is Verdict.ATTACKER
 
 
+@lru_cache(maxsize=8)
+def _game_bound(game: GameGraph) -> tuple[int, int]:
+    """The largest component of the worst backward estimate, and the
+    headroom of one maximal step per position."""
+    worst = estimate_worst_energy(game)
+    headroom = game.max_add_magnitude() * len(game.positions)
+    return max((int(c) for c in worst.components), default=0), headroom
+
+
 def starting_bound(game: GameGraph, e: Energy) -> int:
     """Initial clip bound: worst backward estimate or the queried energy,
     plus headroom of one maximal step per position."""
-    worst = estimate_worst_energy(game)
-    base = max(
-        max((int(c) for c in worst.components), default=0),
-        max((int(c) for c in e.components), default=0),
-    )
-    return base + game.max_add_magnitude() * len(game.positions)
+    worst, headroom = _game_bound(game)
+    return max(worst, max((int(c) for c in e.components), default=0)) + headroom
 
 
 def stable_decide(

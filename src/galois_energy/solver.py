@@ -41,15 +41,18 @@ pulled-back fronts of ``W_{k-1}``, the front is the telescoped fold
 of upward closures distributes over union), whose products start from
 the few new rows ``D_i`` rather than from whole fronts.
 
-The minimiser returns the indices of the minimal rows, and ``W_k[g]`` is
-stacked first, so the new rows ``Δ_{k+1}[g]`` are exactly the survivors
-past it; the meet marks the rows it finds that are not rows of
-``W_k[g]``.  A position without new rows among its successors keeps its
-array, and the loop stops once no position gained a row.  Pass 1 is
-``F(∅)``: the zero row at defender deadlocks, all of it new.  Each pass
-yields exactly the front map of the plain pass; with ``W_{k-1}`` empty
-the formulas are the plain pass itself, which is how ``iterate_once``
-(and ``compute_new_win`` through it) evaluates arbitrary maps.
+The minimiser returns the indices of the minimal rows: up to ``_CHUNK``
+rows (the common ``min(W_k[g] ∪ a few new rows)``) by a pairwise
+dominance sweep, ``O(m²·d)``, and above that on a rank grid, whose cost
+follows its cells.  ``W_k[g]`` is stacked first, so the new rows
+``Δ_{k+1}[g]`` are exactly the survivors past it; the meet marks the
+rows it finds that are not rows of ``W_k[g]``.  A position without new
+rows among its successors keeps its array, and the loop stops once no
+position gained a row.  Pass 1 is ``F(∅)``: the zero row at defender
+deadlocks, all of it new.  Each pass yields exactly the front map of the
+plain pass; with ``W_{k-1}`` empty the formulas are the plain pass
+itself, which is how ``iterate_once`` (and ``compute_new_win`` through
+it) evaluates arbitrary maps.
 
 The resulting fixed point maps each position to the Pareto front of its
 winning budgets; membership of arbitrary energies follows by upward
@@ -87,7 +90,7 @@ EntryLog = dict[str, tuple[np.ndarray, np.ndarray]]
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
-_CHUNK = 256
+_CHUNK = 128
 _GRID_CELL_CAP = 1 << 22
 
 
@@ -110,20 +113,21 @@ def _minimize_by_sweep(unique: np.ndarray) -> np.ndarray:
     """Indices of the minimal rows of distinct, lexicographically sorted
     rows, in order.
 
-    A dominating row always precedes every row it dominates in that
-    order, so a row is minimal exactly when no kept row before its chunk
-    and no other row of its chunk is below it; rows are processed in
-    chunks to keep the comparisons vectorised.
+    A row that dominates another is at most it in every column and below
+    it in the first column where they differ, so it comes first in that
+    order; a row is minimal exactly when no kept row before its chunk and
+    no other row of its chunk is below it.  Each chunk is compared with
+    those rows column by column, one 2-D ``<=`` per column AND-ed together.
     """
     keep = np.zeros(unique.shape[0], dtype=bool)
     for start in range(0, unique.shape[0], _CHUNK):
         chunk = unique[start : start + _CHUNK]
-        kept = unique[:start][keep[:start]]
-        alive = np.flatnonzero(~(kept[None, :, :] <= chunk[:, None, :]).all(2).any(1))
-        chunk = chunk[alive]
-        mutual = (chunk[:, None, :] <= chunk[None, :, :]).all(2)
-        np.fill_diagonal(mutual, False)
-        keep[start + alive[~mutual.any(0)]] = True
+        lower = np.vstack([unique[:start][keep[:start]], chunk])
+        below = lower[:, :1] <= chunk[:, 0]
+        for c in range(1, chunk.shape[1]):
+            below &= lower[:, c : c + 1] <= chunk[:, c]
+        np.fill_diagonal(below[-chunk.shape[0] :], False)
+        keep[start : start + chunk.shape[0]] = ~below.any(0)
     return np.flatnonzero(keep)
 
 
@@ -168,31 +172,35 @@ def _minimize_rows(rows: np.ndarray) -> np.ndarray:
     """Indices of the minimal rows under the component-wise order: the
     first occurrence of each, in lexicographic row order.
 
-    When the rank grid has at most ``_GRID_CELL_CAP`` cells, deduplication
+    Up to ``_CHUNK`` rows, a stable ``np.lexsort`` drops each row equal to
+    its predecessor and the pairwise sweep takes the rest.  Above that,
+    when the rank grid has at most ``_GRID_CELL_CAP`` cells, deduplication
     runs on the cell keys, and a row is minimal exactly when none of its
     lower neighbours (one rank less along one axis) is in the upward
-    closure of the rows.  Larger grids go to the chunked dominance sweep.
+    closure of the rows.  Larger grids go to the sweep as well.
     """
     m = rows.shape[0]
     if m <= 1:
         return np.arange(m)
-    ranks, values = _rank_grid(rows)
-    sizes = [len(v) for v in values]
-    if math.prod(sizes) > _GRID_CELL_CAP:
-        unique, first = np.unique(rows, axis=0, return_index=True)
-        return first[_minimize_by_sweep(unique)]
-    keys = np.ravel_multi_index(tuple(ranks.T), sizes)
-    unique_keys, first = np.unique(keys, return_index=True)
-    if first.shape[0] <= 1:
-        return first
-    closure = _upward_closure(unique_keys, sizes).reshape(-1)
-    dominated = np.zeros(first.shape[0], dtype=bool)
-    stride = 1
-    for c in reversed(range(len(sizes))):
-        # at rank 0 the index wraps to an unrelated cell, masked out
-        dominated |= closure[unique_keys - stride] & (ranks[first, c] > 0)
-        stride *= sizes[c]
-    return first[~dominated]
+    if m > _CHUNK:
+        ranks, values = _rank_grid(rows)
+        sizes = [len(v) for v in values]
+        if math.prod(sizes) <= _GRID_CELL_CAP:
+            keys = np.ravel_multi_index(tuple(ranks.T), sizes)
+            unique_keys, first = np.unique(keys, return_index=True)
+            closure = _upward_closure(unique_keys, sizes).reshape(-1)
+            dominated = np.zeros(first.shape[0], dtype=bool)
+            stride = 1
+            for c in reversed(range(len(sizes))):
+                # at rank 0 the index wraps to an unrelated cell, masked out
+                dominated |= closure[unique_keys - stride] & (ranks[first, c] > 0)
+                stride *= sizes[c]
+            return first[~dominated]
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(m, dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(1)
+    return order[first][_minimize_by_sweep(ordered[first])]
 
 
 def _meet(

@@ -1,8 +1,8 @@
 """Shared fixtures: the espresso game, random game generators, reference
 implementations for the solver (the pure-Python minimiser, membership test
 and Galois inverse, the plain pass, the per-pass front maps and the
-history-scanning strategy), and the independent check helpers used across
-the suite."""
+history-scanning strategy), a recorder of the minimiser's inputs, and the
+independent check helpers used across the suite."""
 
 from __future__ import annotations
 
@@ -10,14 +10,15 @@ import itertools
 import random
 from collections import defaultdict, deque
 from typing import Iterable
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from galois_energy import fileio, solver
 from galois_energy.errors import DimensionMismatch, IterationCapExceeded
-from galois_energy.game import GameGraph, Owner
-from galois_energy.instances import Vass
+from galois_energy.game import GameGraph, Owner, Position
+from galois_energy.instances import MultiReachabilityGame, Vass, from_multi_reachability
 from galois_energy.lattice import INF, Component, Energy, ParetoFront, leq
 from galois_energy.updates import Add, MinOf, Mul, Update, UpdateAtom
 
@@ -182,6 +183,40 @@ def random_game(
         for target in rng.sample(ids, rng.randint(0, min(3, count))):
             edges.append((g, target, random_update(rng, n, max_abs, max_steps, declining, mul)))
     return GameGraph.build(n, positions, edges)
+
+
+def grid_game(
+    side: int, dimension: int, seed: int = 1, max_weight: int = 4, defender_share: float = 0.1
+) -> GameGraph:
+    """A multi-reachability grid reduced to an energy game: every node has
+    an edge to each of its four neighbours with a random weight vector, a
+    random share of nodes belongs to the defender, and the target is the
+    corner ``r{side-1}c{side-1}``."""
+    rng = random.Random(seed)
+    name = "r{}c{}".format
+    positions = tuple(
+        Position(name(r, c), Owner.DEFENDER if rng.random() < defender_share else Owner.ATTACKER)
+        for r in range(side)
+        for c in range(side)
+    )
+    edges = tuple(
+        (name(r, c), name(rr, cc), tuple(rng.randint(0, max_weight) for _ in range(dimension)))
+        for r in range(side)
+        for c in range(side)
+        for rr, cc in ((r + 1, c), (r, c + 1), (r - 1, c), (r, c - 1))
+        if 0 <= rr < side and 0 <= cc < side
+    )
+    targets = frozenset({name(side - 1, side - 1)})
+    return from_multi_reachability(MultiReachabilityGame(dimension, positions, edges, targets))
+
+
+def minimiser_inputs(game: GameGraph) -> list[np.ndarray]:
+    """Every row matrix ``solver._minimize_rows`` receives in one solve of
+    ``game``, in call order: real traffic to replay through either route
+    of the minimiser."""
+    with mock.patch.object(solver, "_minimize_rows", wraps=solver._minimize_rows) as spy:
+        solver.compute_winning_budgets(game)
+    return [call.args[0] for call in spy.call_args_list]
 
 
 def plain_pass(engine: solver._Engine, old: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -228,6 +228,26 @@ def test_transform_parse_failure(tmp_path, capsys):
     assert code == 2
 
 
+def test_transform_unwritable_output_exits_2(tmp_path, capsys):
+    src = tmp_path / "graph.json"
+    src.write_text(
+        json.dumps(
+            {
+                "schema": "weighted-graph/1",
+                "nodes": ["s", "t"],
+                "edges": [["s", 1, "t"]],
+                "source": "s",
+                "target": "t",
+            }
+        )
+    )
+    out_file = tmp_path / "missing" / "out.json"
+    code, _, err = run(capsys, "transform", "shortest-path", str(src), "-o", str(out_file))
+    assert code == 2
+    assert err.startswith("error: cannot write")
+    assert not out_file.exists()
+
+
 def test_transform_dimension_zero_exits_2(tmp_path, capsys):
     src = tmp_path / "flat.json"
     src.write_text(

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from galois_energy.errors import InvalidGameError
@@ -33,6 +35,17 @@ def tiny():
 
 def test_validate_espresso_ok(espresso):
     assert espresso.validate() == []
+
+
+def test_hash_is_cached_per_game_and_not_pickled(espresso):
+    """The hash is the field hash, computed once; a pickle leaves it out,
+    because string hashes differ between processes."""
+    assert hash(espresso) == hash((espresso.dimension, espresso.positions, espresso.edges))
+    assert "_hash" in vars(espresso)
+    copy = pickle.loads(pickle.dumps(espresso))
+    assert "_hash" not in vars(copy)
+    assert copy == espresso
+    assert hash(copy) == hash(espresso)
 
 
 def test_validate_reports_missing_endpoint():

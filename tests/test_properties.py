@@ -80,26 +80,53 @@ def test_semi_naive_history_matches_plain_pass(game, cap):
 
 
 @st.composite
-def row_sets(draw) -> list[list[int]]:
-    """Finite rows of one dimension: small values (many ties and
-    dominations) mixed with values anywhere in int64, some rows repeated."""
+def row_sets(draw) -> tuple[int, list[list[int]]]:
+    """Finite rows of one dimension, on either side of ``solver._CHUNK``:
+    up to 25 rows of small values (many ties and dominations) mixed with
+    values anywhere in int64, or just over ``_CHUNK`` rows of values up to
+    4, whose rank grid stays under the cell cap; some rows repeated."""
     n = draw(st.integers(1, 4))
-    value = st.one_of(st.integers(0, 4), st.integers(0, 2**63 - 1))
-    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), max_size=25))
+    if draw(st.booleans()):
+        value = st.one_of(st.integers(0, 4), st.integers(0, 2**63 - 1))
+        rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), max_size=25))
+    else:
+        row = st.lists(st.integers(0, 4), min_size=n, max_size=n)
+        rows = draw(st.lists(row, min_size=solver._CHUNK + 1, max_size=solver._CHUNK + 8))
     repeats = draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=5)) if rows else []
     return n, rows + [rows[i] for i in repeats]
 
 
-@SEEDED
-@given(data=row_sets())
-def test_minimize_rows_matches_reference(data):
+def test_minimize_rows_matches_reference(monkeypatch):
     """Minimal rows in lexicographic order, each by the index of its first
-    occurrence in the input."""
-    n, rows = data
-    index = solver._minimize_rows(np.array(rows, dtype=np.int64).reshape(len(rows), n))
-    expected = minimize(Energy(tuple(r)) for r in rows)
-    assert [rows[i] for i in index] == [list(e.components) for e in expected]
-    assert [rows.index(rows[i]) for i in index] == index.tolist()
+    occurrence in the input, through both routes of the minimiser: the
+    pairwise sweep and the rank grid (the only caller of
+    ``_upward_closure`` here)."""
+    routes = {"sweep": 0, "grid": 0}
+    sweep, closure = solver._minimize_by_sweep, solver._upward_closure
+
+    def counted_sweep(unique):
+        routes["sweep"] += 1
+        return sweep(unique)
+
+    def counted_closure(keys, sizes):
+        routes["grid"] += 1
+        return closure(keys, sizes)
+
+    monkeypatch.setattr(solver, "_minimize_by_sweep", counted_sweep)
+    monkeypatch.setattr(solver, "_upward_closure", counted_closure)
+
+    @SEEDED
+    @given(data=row_sets())
+    def check(data):
+        n, rows = data
+        index = solver._minimize_rows(np.array(rows, dtype=np.int64).reshape(len(rows), n))
+        expected = minimize(Energy(tuple(r)) for r in rows)
+        assert [rows[i] for i in index] == [list(e.components) for e in expected]
+        assert [rows.index(rows[i]) for i in index] == index.tolist()
+
+    check()
+    assert routes["sweep"] > 0
+    assert routes["grid"] > 0
 
 
 @st.composite

@@ -10,8 +10,10 @@ from conftest import (
     attacker_wins_all_plays,
     cups_time_projection,
     espresso_with_target,
+    grid_game,
     history,
     invert,
+    minimiser_inputs,
     minimize,
     plain_pass,
     random_game,
@@ -436,11 +438,8 @@ def _sweep_inputs():
     }
 
 
-@pytest.mark.parametrize("name", ["cap", "int64"])
-def test_minimize_rows_sweeps_grids_over_the_cap(name, monkeypatch):
-    rows, cells = _sweep_inputs()[name]
-    sizes = [len(np.unique(rows[:, c])) for c in range(rows.shape[1])]
-    assert math.prod(sizes) > cells
+def _count_sweeps(monkeypatch) -> list[int]:
+    """Sizes of the inputs ``_minimize_by_sweep`` receives, from now on."""
     calls = []
     sweep = solver._minimize_by_sweep
 
@@ -449,10 +448,60 @@ def test_minimize_rows_sweeps_grids_over_the_cap(name, monkeypatch):
         return sweep(unique)
 
     monkeypatch.setattr(solver, "_minimize_by_sweep", counted)
-    got = rows[solver._minimize_rows(rows)]
-    assert calls == [len({tuple(r) for r in rows.tolist()})]
+    return calls
+
+
+def _assert_minimal(rows: np.ndarray, got: np.ndarray) -> None:
     expected = minimize(Energy(tuple(r)) for r in rows.tolist())
     assert got.tolist() == [list(e.components) for e in expected]
+
+
+@pytest.mark.parametrize("name", ["cap", "int64"])
+def test_minimize_rows_sweeps_grids_over_the_cap(name, monkeypatch):
+    rows, cells = _sweep_inputs()[name]
+    sizes = [len(np.unique(rows[:, c])) for c in range(rows.shape[1])]
+    assert math.prod(sizes) > cells
+    calls = _count_sweeps(monkeypatch)
+    got = rows[solver._minimize_rows(rows)]
+    assert calls == [len({tuple(r) for r in rows.tolist()})]
+    _assert_minimal(rows, got)
+
+
+@pytest.mark.parametrize("extra, sweeps", [(0, 1), (1, 0)])
+def test_minimize_rows_route_at_the_chunk_boundary(extra, sweeps, monkeypatch):
+    """``_CHUNK`` rows are swept in one call; one row more, on a rank grid
+    of 5^3 cells, never reaches the sweep."""
+    rows = np.random.default_rng(7).integers(0, 5, size=(solver._CHUNK + extra, 3))
+    calls = _count_sweeps(monkeypatch)
+    got = rows[solver._minimize_rows(rows)]
+    assert len(calls) == sweeps
+    _assert_minimal(rows, got)
+
+
+@pytest.mark.parametrize("name", ["espresso", "grid"])
+def test_minimiser_routes_agree_on_recorded_inputs(name, monkeypatch):
+    """Every minimiser input of a real solve gives the same indices when
+    all inputs are swept (no grid fits a cap of 0 cells) as when all go
+    to the rank grid (every input is over a chunk of 1 row, and every grid
+    fits the cap)."""
+    game = espresso_with_target(10) if name == "espresso" else grid_game(6, 3)
+    inputs = minimiser_inputs(game)
+    if name == "espresso":
+        # the solve itself takes both routes
+        assert any(rows.shape[0] > solver._CHUNK for rows in inputs)
+        assert any(1 < rows.shape[0] <= solver._CHUNK for rows in inputs)
+    calls = _count_sweeps(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_GRID_CELL_CAP", 0)
+        swept = [solver._minimize_rows(rows) for rows in inputs]
+    assert len(calls) == sum(rows.shape[0] > 1 for rows in inputs)
+    calls.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_CHUNK", 1)
+        gridded = [solver._minimize_rows(rows) for rows in inputs]
+    assert calls == []
+    for a, b in zip(swept, gridded):
+        assert np.array_equal(a, b)
 
 
 def _count_defender_paths(monkeypatch) -> dict[str, int]:
