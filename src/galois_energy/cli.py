@@ -8,13 +8,15 @@ brute-force oracle on a small game).
 ``check --samples`` and ``--bound`` must be at least 1: a check of no
 samples would pass vacuously.
 
-Exit codes: 0 success / WIN / no mismatches, 1 LOSE or mismatches found,
-2 parse or validation failure, an output file ``transform`` cannot write,
-a ``check`` argument below 1, or a game
-``check`` cannot test (over its size guard, or one where the oracle runs
-out of configurations), 3
-iteration cap exceeded, 4 a front value or edge parameter outside the
-solver's int64 range.
+Commands return 0 or 1 and raise on failure; ``main`` prints the error
+and maps it to an exit code through ``_EXIT_CODES``.  Exit codes: 0
+success / WIN / no mismatches, 1 LOSE or mismatches found, 2 parse or
+validation failure (any ``ValueError``), an output file ``transform``
+cannot write, a ``check`` argument below 1, or a game ``check`` cannot
+test (over its size guard, or one where the oracle runs out of
+configurations), 3 iteration cap exceeded (only for a solve given an
+``iteration_cap``; the commands solve without one), 4 a front value or
+edge parameter outside the solver's int64 range.
 """
 
 from __future__ import annotations
@@ -25,13 +27,7 @@ import sys
 from typing import Sequence
 
 from . import fileio, instances, oracle, solver
-from .errors import (
-    GameFileError,
-    InvalidGameError,
-    IterationCapExceeded,
-    MagnitudeOverflow,
-    OracleCapacityError,
-)
+from .errors import GameFileError, IterationCapExceeded, MagnitudeOverflow, OracleCapacityError
 from .lattice import Energy
 
 EXIT_OK = 0
@@ -39,6 +35,14 @@ EXIT_LOSE_OR_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_OVERFLOW = 4
+
+# GameFileError, InvalidGameError and DimensionMismatch are ValueErrors.
+_EXIT_CODES = {
+    ValueError: EXIT_PARSE,
+    OracleCapacityError: EXIT_PARSE,
+    IterationCapExceeded: EXIT_CAP,
+    MagnitudeOverflow: EXIT_OVERFLOW,
+}
 
 CHECK_MAX_POSITIONS = 12
 CHECK_MAX_DIMENSION = 4
@@ -65,30 +69,22 @@ def _print_fronts(result: solver.SolverResult, fmt: str, stats: bool, dimension:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        loaded = fileio.load_game(args.file)
-        result = solver.compute_winning_budgets(loaded.game)
-    except (GameFileError, InvalidGameError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    loaded = fileio.load_game(args.file)
+    result = solver.compute_winning_budgets(loaded.game)
     _print_fronts(result, args.format, args.stats, loaded.game.dimension)
     return EXIT_OK
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    try:
-        loaded = fileio.load_game(args.file)
-        energy = Energy.parse(args.energy)
-        if not loaded.game.has_position(args.position):
-            raise GameFileError(f"unknown position {args.position!r}")
-        if energy.dimension != loaded.game.dimension:
-            raise GameFileError(
-                f"energy has {energy.dimension} components, game has {loaded.game.dimension}"
-            )
-        result = solver.compute_winning_budgets(loaded.game)
-    except (GameFileError, InvalidGameError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    loaded = fileio.load_game(args.file)
+    energy = Energy.parse(args.energy)
+    if not loaded.game.has_position(args.position):
+        raise GameFileError(f"unknown position {args.position!r}")
+    if energy.dimension != loaded.game.dimension:
+        raise GameFileError(
+            f"energy has {energy.dimension} components, game has {loaded.game.dimension}"
+        )
+    result = solver.compute_winning_budgets(loaded.game)
     if solver.known_initial_credit(result, args.position, energy):
         print("WIN")
         return EXIT_OK
@@ -97,56 +93,44 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    try:
-        if args.kind == "shortest-path":
-            graph = fileio.load_weighted_graph(args.file)
-            game, source = instances.from_shortest_path(graph)
-            annotations = {"query": {"position": source}}
-        elif args.kind == "vass-coverability":
-            vass = fileio.load_vass(args.file)
-            game, state, energy = instances.from_vass_coverability(vass)
-            annotations = {"query": {"position": state, "energy": energy.render()}}
-        elif args.kind == "multi-reachability":
-            instance = fileio.load_multi_reachability(args.file)
-            game = instances.from_multi_reachability(instance)
-            annotations = {"targets": sorted(instance.targets)}
-        elif args.kind == "weak-bound":
-            loaded, pairs = fileio.load_weak_bound(args.file)
-            game = instances.add_weak_upper_bound(loaded.game, pairs)
-            annotations = {"pairs": [list(p) for p in sorted(pairs)]}
-        else:
-            loaded, targets = fileio.load_generalized_reachability(args.file)
-            game = instances.add_generalized_reachability(loaded.game, targets)
-            suffix = Energy((0,) * len(targets) + (1,))
-            annotations = {
-                "tracking_sets": [sorted(f) for f in targets],
-                "query_energy_suffix": suffix.render(),
-            }
-        fileio.save_game(game, args.output, annotations)
-    except (GameFileError, InvalidGameError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.kind == "shortest-path":
+        graph = fileio.load_weighted_graph(args.file)
+        game, source = instances.from_shortest_path(graph)
+        annotations = {"query": {"position": source}}
+    elif args.kind == "vass-coverability":
+        vass = fileio.load_vass(args.file)
+        game, state, energy = instances.from_vass_coverability(vass)
+        annotations = {"query": {"position": state, "energy": energy.render()}}
+    elif args.kind == "multi-reachability":
+        instance = fileio.load_multi_reachability(args.file)
+        game = instances.from_multi_reachability(instance)
+        annotations = {"targets": sorted(instance.targets)}
+    elif args.kind == "weak-bound":
+        loaded, pairs = fileio.load_weak_bound(args.file)
+        game = instances.add_weak_upper_bound(loaded.game, pairs)
+        annotations = {"pairs": [list(p) for p in sorted(pairs)]}
+    else:
+        loaded, targets = fileio.load_generalized_reachability(args.file)
+        game = instances.add_generalized_reachability(loaded.game, targets)
+        suffix = Energy((0,) * len(targets) + (1,))
+        annotations = {
+            "tracking_sets": [sorted(f) for f in targets],
+            "query_energy_suffix": suffix.render(),
+        }
+    fileio.save_game(game, args.output, annotations)
     return EXIT_OK
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        loaded = fileio.load_game(args.file)
-    except (GameFileError, InvalidGameError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    game = loaded.game
+    game = fileio.load_game(args.file).game
     if len(game.positions) > CHECK_MAX_POSITIONS or game.dimension > CHECK_MAX_DIMENSION:
-        print(
-            f"error: check handles at most {CHECK_MAX_POSITIONS} positions "
-            f"and dimension {CHECK_MAX_DIMENSION}",
-            file=sys.stderr,
+        raise ValueError(
+            f"check handles at most {CHECK_MAX_POSITIONS} positions "
+            f"and dimension {CHECK_MAX_DIMENSION}"
         )
-        return EXIT_PARSE
     for flag, value in (("--samples", args.samples), ("--bound", args.bound)):
         if value < 1:
-            print(f"error: {flag} must be at least 1", file=sys.stderr)
-            return EXIT_PARSE
+            raise ValueError(f"{flag} must be at least 1")
     result = solver.compute_winning_budgets(game)
     rng = random.Random(args.seed)
     mismatches = 0
@@ -155,8 +139,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         for _ in range(args.samples):
             energy = Energy(tuple(rng.randrange(args.bound) for _ in range(game.dimension)))
             checked += 1
-            # --corrupt claims every energy winning, to show that mismatches surface
-            claimed = args.corrupt or solver.known_initial_credit(result, g, energy)
+            claimed = solver.known_initial_credit(result, g, energy)
             actual = oracle.stable_decide(game, g, energy).attacker_wins
             if claimed != actual:
                 mismatches += 1
@@ -207,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--samples", type=int, default=50)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--bound", type=int, default=8)
-    p_check.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p_check.set_defaults(handler=_cmd_check)
 
     return parser
@@ -217,15 +199,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except IterationCapExceeded as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except MagnitudeOverflow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
-    except OracleCapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

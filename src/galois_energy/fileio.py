@@ -118,6 +118,13 @@ def _load_document(path: str | Path) -> Any:
         raise GameFileError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _list_field(doc: dict[str, Any], key: str) -> list[Any]:
+    raw = doc.get(key, [])
+    if not isinstance(raw, list):
+        raise GameFileError(f"{key!r} must be a list")
+    return raw
+
+
 def game_from_dict(doc: Any) -> LoadedGame:
     if not isinstance(doc, dict):
         raise GameFileError("a game document must be a JSON object")
@@ -129,7 +136,7 @@ def game_from_dict(doc: Any) -> LoadedGame:
     if dimension < 1:
         raise GameFileError(f"dimension must be at least 1, got {dimension}")
     positions: list[tuple[str, Owner]] = []
-    for p in doc.get("positions", []):
+    for p in _list_field(doc, "positions"):
         if not isinstance(p, dict) or "id" not in p or "owner" not in p:
             raise GameFileError(f"bad position entry {p!r}")
         try:
@@ -140,7 +147,7 @@ def game_from_dict(doc: Any) -> LoadedGame:
             ) from None
         positions.append((str(p["id"]), owner))
     edges: list[tuple[str, str, Update]] = []
-    for e in doc.get("edges", []):
+    for e in _list_field(doc, "edges"):
         if not isinstance(e, dict) or "from" not in e or "to" not in e or "update" not in e:
             raise GameFileError(f"bad edge entry {e!r}")
         edges.append((str(e["from"]), str(e["to"]), _update_from_json(e["update"], dimension)))

@@ -169,8 +169,8 @@ def estimate_worst_energy(game: GameGraph) -> Energy:
     Each inverse application can raise a component by at most the largest
     Add magnitude, and relevant inverse chains are shorter than the
     position count; Mul factors scale the bound once per potential
-    application.  Used to size oracle clip bounds and the iteration cap,
-    never for correctness of the fronts themselves.
+    application.  Sizes the oracle's clip bounds only; the solver does
+    not read it.
     """
     count = len(game.positions)
     if count <= 1:

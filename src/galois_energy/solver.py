@@ -80,7 +80,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DimensionMismatch, IterationCapExceeded, MagnitudeOverflow, StrategyError
-from .game import GameGraph, Owner, estimate_worst_energy
+from .game import GameGraph, Owner
 from .lattice import Energy, ParetoFront
 from .updates import Add, MinOf, Update
 
@@ -531,14 +531,9 @@ def iterate_once(game: GameGraph, old_win: Mapping[str, ParetoFront]) -> FrontMa
     return engine.to_fronts(new)
 
 
-def default_iteration_cap(game: GameGraph) -> int:
-    count = len(game.positions)
-    worst = estimate_worst_energy(game)
-    max_comp = max(worst.components, default=0)
-    return 2 * (count * (int(max_comp) + 1) + count + 1)
-
-
-def _solve_jacobi(engine: _Engine, cap: int) -> tuple[int, dict[str, np.ndarray], int, EntryLog]:
+def _solve_jacobi(
+    engine: _Engine, cap: int | None
+) -> tuple[int, dict[str, np.ndarray], int, EntryLog]:
     """Passes, fixed point, largest front and entry log of one solve."""
     prev = engine.empty_map()
     win, pulled = engine.start()
@@ -557,7 +552,7 @@ def _solve_jacobi(engine: _Engine, cap: int) -> tuple[int, dict[str, np.ndarray]
                 )
             entered[g].append((passes, rows))
             max_front = max(max_front, win[g].shape[0])
-        if passes > cap:
+        if cap is not None and passes > cap:
             raise IterationCapExceeded(cap, engine.to_fronts(prev), engine.to_fronts(win))
         new, fresh, pulled = engine.delta_pass(win, fresh, win, pulled)
         passes += 1
@@ -578,14 +573,18 @@ def _solve_jacobi(engine: _Engine, cap: int) -> tuple[int, dict[str, np.ndarray]
 def compute_winning_budgets(game: GameGraph, *, iteration_cap: int | None = None) -> SolverResult:
     """Iterate to the least fixed point and return all budget fronts.
 
-    The safety cap guards against broken inputs and is generous enough
-    never to fire on valid games.  Raises ``MagnitudeOverflow`` when a
-    front value outgrows the int64 range the passes compute in.
+    The passes stop once no front gains a row, which always happens:
+    upward closures of fronts only grow, and an ascending chain of
+    upward-closed subsets of ℕ^d stabilises (Dickson's lemma).  A caller
+    that wants a bound on the passes anyway passes ``iteration_cap``: a
+    pass after that many that still changes a front raises
+    ``IterationCapExceeded``.  Raises
+    ``MagnitudeOverflow`` when a front value outgrows the int64 range the
+    passes compute in.
     """
     game.require_valid()
-    cap = default_iteration_cap(game) if iteration_cap is None else iteration_cap
     engine = _Engine(game)
-    passes, fixed, max_front, entries = _solve_jacobi(engine, cap)
+    passes, fixed, max_front, entries = _solve_jacobi(engine, iteration_cap)
     return SolverResult(
         fronts=engine.to_fronts(fixed),
         iterations=passes,

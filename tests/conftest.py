@@ -245,12 +245,11 @@ def plain_pass(engine: solver._Engine, old: dict[str, np.ndarray]) -> dict[str, 
 def plain_jacobi(game: GameGraph, cap: int | None = None) -> list[dict[str, np.ndarray]]:
     """Row maps of the plain passes from the empty map up to the first
     repeat, raising ``IterationCapExceeded`` exactly where the solver's
-    cap check does."""
+    cap check does; ``cap=None`` means no cap, as in the solver."""
     engine = solver._Engine(game)
-    cap = solver.default_iteration_cap(game) if cap is None else cap
     history = [engine.empty_map()]
     while True:
-        if len(history) - 1 > cap:
+        if cap is not None and len(history) - 1 > cap:
             raise IterationCapExceeded(cap, history[-2] if len(history) > 1 else {}, history[-1])
         history.append(plain_pass(engine, history[-1]))
         if all(np.array_equal(history[-1][g], history[-2][g]) for g in engine.ids):

@@ -147,6 +147,18 @@ def test_solve_malformed_file(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("key", ["positions", "edges"])
+def test_solve_non_list_field_exits_2(tmp_path, capsys, key):
+    doc = {"schema": "galois-energy/1", "dimension": 1, "positions": [], "edges": []}
+    doc[key] = 5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: '{key}' must be a list")
+
+
 def test_query_win_and_lose(capsys):
     code, out, _ = run(capsys, "query", ESPRESSO, "--position", "Office", "--energy", "10,1,0,0")
     assert (code, out.strip()) == (0, "WIN")
@@ -268,6 +280,31 @@ def test_transform_dimension_zero_exits_2(tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, extra, message",
+    [
+        ("weak-bound", {"schema": "weak-bound/1", "pairs": [[0, 0]]}, "coincide"),
+        (
+            "generalized-reachability",
+            {"schema": "generalized-reachability/1", "targets": [["ghost"]]},
+            "do not exist",
+        ),
+    ],
+    ids=["weak-bound", "generalized-reachability"],
+)
+def test_transform_reduction_failure_exits_2(tmp_path, capsys, kind, extra, message):
+    """The loader accepts the file; the reduction itself refuses it."""
+    game = fileio.game_to_dict(fileio.load_game(ESPRESSO).game)
+    src = tmp_path / "instance.json"
+    src.write_text(json.dumps({"game": game, **extra}))
+    out_file = tmp_path / "game.json"
+    code, out, err = run(capsys, "transform", kind, str(src), "-o", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert not out_file.exists()
+
+
 def test_check_espresso_agrees(capsys):
     code, out, _ = run(capsys, "check", ESPRESSO, "--samples", "8", "--seed", "1", "--bound", "6")
     assert code == 0
@@ -275,7 +312,11 @@ def test_check_espresso_agrees(capsys):
     assert "MISMATCH" not in out
 
 
-def test_check_corrupt_front_detected(capsys):
+def test_check_corrupt_front_detected(capsys, monkeypatch):
+    from galois_energy import cli
+
+    # a solver that claims every energy winning must surface as mismatches
+    monkeypatch.setattr(cli.solver, "known_initial_credit", lambda result, g, energy: True)
     code, out, _ = run(
         capsys,
         "check",
@@ -286,7 +327,6 @@ def test_check_corrupt_front_detected(capsys):
         "1",
         "--bound",
         "6",
-        "--corrupt",
     )
     assert code == 1
     assert "MISMATCH" in out

@@ -101,6 +101,13 @@ def test_rejects_unknown_endpoint(tmp_path):
         fileio.load_game(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize("bad", [5, None, {"id": "a"}], ids=["int", "null", "object"])
+@pytest.mark.parametrize("key", ["positions", "edges"])
+def test_rejects_non_list_positions_and_edges(tmp_path, key, bad):
+    with pytest.raises(GameFileError, match=f"'{key}' must be a list"):
+        fileio.load_game(_write(tmp_path, _doc(**{key: bad})))
+
+
 def test_rejects_non_json(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
