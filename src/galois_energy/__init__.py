@@ -21,7 +21,6 @@ from .game import (
     Position,
     Verdict,
     energy_level,
-    estimate_worst_energy,
     split_parallel_edges,
     winner_of_finite_play,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "compute_new_win",
     "compute_winning_budgets",
     "energy_level",
-    "estimate_worst_energy",
     "extract_strategy",
     "from_multi_reachability",
     "from_shortest_path",

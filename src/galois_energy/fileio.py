@@ -65,6 +65,32 @@ def _ints(raw: Any, what: str) -> tuple[int, ...]:
     return tuple(_int(c, what) for c in raw)
 
 
+def _id(raw: Any, what: str) -> str:
+    """``raw`` itself when it is a JSON string; ``null``, numbers and lists
+    are rejected rather than converted."""
+    if not isinstance(raw, str):
+        raise GameFileError(f"{what} must be a string, got {raw!r}")
+    return raw
+
+
+def _ids(raw: Any, what: str) -> tuple[str, ...]:
+    if not isinstance(raw, list):
+        raise GameFileError(f"{what} must be a list of strings, got {raw!r}")
+    return tuple(_id(c, what) for c in raw)
+
+
+def _position(raw: Any) -> tuple[str, Owner]:
+    if not isinstance(raw, dict) or "id" not in raw or "owner" not in raw:
+        raise GameFileError(f"bad position entry {raw!r}")
+    try:
+        owner = Owner(raw["owner"])
+    except ValueError:
+        raise GameFileError(
+            f"bad owner {raw['owner']!r} (use 'attacker' or 'defender')"
+        ) from None
+    return _id(raw["id"], "a position id"), owner
+
+
 def _spec_from_json(raw: Any) -> ComponentSpec:
     if not isinstance(raw, dict) or "op" not in raw:
         raise GameFileError(f"bad component spec {raw!r}")
@@ -126,31 +152,19 @@ def _list_field(doc: dict[str, Any], key: str) -> list[Any]:
 
 
 def game_from_dict(doc: Any) -> LoadedGame:
-    if not isinstance(doc, dict):
-        raise GameFileError("a game document must be a JSON object")
-    if doc.get("schema") != GAME_SCHEMA:
-        raise GameFileError(f"expected schema {GAME_SCHEMA!r}, got {doc.get('schema')!r}")
+    doc = _require_schema(doc, GAME_SCHEMA)
     if "dimension" not in doc:
         raise GameFileError("missing 'dimension'")
     dimension = _int(doc["dimension"], "'dimension'")
     if dimension < 1:
         raise GameFileError(f"dimension must be at least 1, got {dimension}")
-    positions: list[tuple[str, Owner]] = []
-    for p in _list_field(doc, "positions"):
-        if not isinstance(p, dict) or "id" not in p or "owner" not in p:
-            raise GameFileError(f"bad position entry {p!r}")
-        try:
-            owner = Owner(p["owner"])
-        except ValueError:
-            raise GameFileError(
-                f"bad owner {p['owner']!r} (use 'attacker' or 'defender')"
-            ) from None
-        positions.append((str(p["id"]), owner))
+    positions = [_position(p) for p in _list_field(doc, "positions")]
     edges: list[tuple[str, str, Update]] = []
     for e in _list_field(doc, "edges"):
         if not isinstance(e, dict) or "from" not in e or "to" not in e or "update" not in e:
             raise GameFileError(f"bad edge entry {e!r}")
-        edges.append((str(e["from"]), str(e["to"]), _update_from_json(e["update"], dimension)))
+        source, target = _id(e["from"], "an edge end"), _id(e["to"], "an edge end")
+        edges.append((source, target, _update_from_json(e["update"], dimension)))
     positions, edges, insertions = split_parallel_edges(positions, edges)
     game = GameGraph.build(dimension, positions, edges)
     try:
@@ -212,10 +226,13 @@ def load_weighted_graph(path: str | Path) -> WeightedGraph:
     doc = _require_schema(_load_document(path), "weighted-graph/1")
     try:
         return WeightedGraph(
-            nodes=tuple(str(v) for v in doc["nodes"]),
-            edges=tuple((str(v), _int(w, "a weight"), str(u)) for v, w, u in doc["edges"]),
-            source=str(doc["source"]),
-            target=str(doc["target"]),
+            nodes=_ids(doc["nodes"], "'nodes'"),
+            edges=tuple(
+                (_id(v, "an edge end"), _int(w, "a weight"), _id(u, "an edge end"))
+                for v, w, u in doc["edges"]
+            ),
+            source=_id(doc["source"], "'source'"),
+            target=_id(doc["target"], "'target'"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise GameFileError(f"bad weighted graph: {exc}") from None
@@ -224,13 +241,15 @@ def load_weighted_graph(path: str | Path) -> WeightedGraph:
 def load_vass(path: str | Path) -> Vass:
     doc = _require_schema(_load_document(path), "vass/1")
     try:
+        initial, target = doc["initial"], doc["target"]
         return Vass(
-            states=tuple(str(q) for q in doc["states"]),
+            states=_ids(doc["states"], "'states'"),
             transitions=tuple(
-                (str(q), _ints(w, "a transition"), str(q2)) for q, w, q2 in doc["transitions"]
+                (_id(q, "a state"), _ints(w, "a transition"), _id(q2, "a state"))
+                for q, w, q2 in doc["transitions"]
             ),
-            initial=(str(doc["initial"]["state"]), _energy_from_json(doc["initial"]["energy"])),
-            target=(str(doc["target"]["state"]), _energy_from_json(doc["target"]["energy"])),
+            initial=(_id(initial["state"], "a state"), _energy_from_json(initial["energy"])),
+            target=(_id(target["state"], "a state"), _energy_from_json(target["energy"])),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise GameFileError(f"bad vass: {exc}") from None
@@ -240,14 +259,13 @@ def load_multi_reachability(path: str | Path) -> MultiReachabilityGame:
     doc = _require_schema(_load_document(path), "multi-reachability/1")
     try:
         dimension = _int(doc["dimension"], "'dimension'")
-        positions = tuple(
-            Position(str(p["id"]), Owner(p["owner"])) for p in doc["positions"]
-        )
+        positions = tuple(Position(*_position(p)) for p in doc["positions"])
         edges = tuple(
-            (str(e["from"]), str(e["to"]), _ints(e["weight"], "a weight"))
+            (_id(e["from"], "an edge end"), _id(e["to"], "an edge end"),
+             _ints(e["weight"], "a weight"))
             for e in doc["edges"]
         )
-        targets = frozenset(str(t) for t in doc["targets"])
+        targets = frozenset(_ids(doc["targets"], "'targets'"))
         return MultiReachabilityGame(
             dimension=dimension, positions=positions, edges=edges, targets=targets
         )
@@ -269,7 +287,7 @@ def load_generalized_reachability(path: str | Path) -> tuple[LoadedGame, list[fr
     doc = _require_schema(_load_document(path), "generalized-reachability/1")
     try:
         loaded = game_from_dict(doc["game"])
-        targets = [frozenset(str(p) for p in f) for f in doc["targets"]]
+        targets = [frozenset(_ids(f, "a target set")) for f in doc["targets"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise GameFileError(f"bad generalized-reachability instance: {exc}") from None
     return loaded, targets

@@ -155,30 +155,6 @@ class GameGraph:
             raise InvalidGameError(violations)
         return self
 
-    def max_add_magnitude(self) -> int:
-        return max((e.update.max_add_magnitude() for e in self.edges), default=0)
-
-    def max_mul_factor(self) -> int:
-        return max((e.update.max_mul_factor() for e in self.edges), default=1)
-
-
-def estimate_worst_energy(game: GameGraph) -> Energy:
-    """Component-wise over-approximation of the largest energy the
-    backward iteration can produce.
-
-    Each inverse application can raise a component by at most the largest
-    Add magnitude, and relevant inverse chains are shorter than the
-    position count; Mul factors scale the bound once per potential
-    application.  Sizes the oracle's clip bounds only; the solver does
-    not read it.
-    """
-    count = len(game.positions)
-    if count <= 1:
-        return Energy.zero(game.dimension)
-    bound = game.max_add_magnitude() * (count - 1)
-    bound *= game.max_mul_factor() ** (count - 1)
-    return Energy((bound,) * game.dimension)
-
 
 @dataclass(frozen=True)
 class AuxiliaryInsertion:

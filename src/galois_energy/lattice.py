@@ -48,10 +48,6 @@ class Energy:
         return all(c != INF for c in self.components)
 
     @classmethod
-    def of(cls, *components: Component) -> Energy:
-        return cls(tuple(components))
-
-    @classmethod
     def zero(cls, dimension: int) -> Energy:
         return cls((0,) * dimension)
 

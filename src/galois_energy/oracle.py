@@ -38,7 +38,7 @@ from operator import add, itemgetter, mul
 from typing import Callable
 
 from .errors import DimensionMismatch, OracleCapacityError
-from .game import GameGraph, Owner, Verdict, estimate_worst_energy
+from .game import GameGraph, Owner, Verdict
 from .lattice import Energy
 from .updates import Add, MinOf, Mul, Update
 
@@ -273,11 +273,24 @@ class OracleVerdict:
 
 @lru_cache(maxsize=8)
 def _game_bound(game: GameGraph) -> tuple[int, int]:
-    """The largest component of the worst backward estimate, and the
-    headroom of one maximal step per position."""
-    worst = estimate_worst_energy(game)
-    headroom = game.max_add_magnitude() * len(game.positions)
-    return max((int(c) for c in worst.components), default=0), headroom
+    """The game's part of the first clip bound: an estimate of the largest
+    component the backward iteration can reach, and a headroom of one
+    maximal step per position.
+
+    With ``a`` the largest Add magnitude, ``m`` the largest Mul factor and
+    ``n`` the position count: each inverse raises a component by at most
+    ``a`` and scales it by at most ``m``, over chains shorter than ``n``,
+    so the estimate is ``a*(n-1)*m^(n-1)``.  The headroom is ``a*n``.
+    """
+    a, m, n = 0, 1, len(game.positions)
+    for edge in game.edges:
+        for atom in edge.update.steps:
+            for s in atom.specs:
+                if isinstance(s, Add):
+                    a = max(a, abs(s.z))
+                elif isinstance(s, Mul):
+                    m = max(m, s.factor)
+    return (a * (n - 1) * m ** (n - 1) if n > 1 else 0), a * n
 
 
 def starting_bound(game: GameGraph, e: Energy) -> int:

@@ -142,17 +142,3 @@ class Update:
         if self.dimension != later.dimension:
             raise DimensionMismatch(f"dim {self.dimension} vs {later.dimension}")
         return Update(self.steps + later.steps)
-
-    def max_add_magnitude(self) -> int:
-        """Largest ``|z|`` over all Add components (0 if there are none)."""
-        return max(
-            (abs(s.z) for atom in self.steps for s in atom.specs if isinstance(s, Add)),
-            default=0,
-        )
-
-    def max_mul_factor(self) -> int:
-        """Largest Mul factor (1 if there are none)."""
-        return max(
-            (s.factor for atom in self.steps for s in atom.specs if isinstance(s, Mul)),
-            default=1,
-        )

@@ -280,6 +280,26 @@ def test_transform_dimension_zero_exits_2(tmp_path, capsys):
     assert not out_file.exists()
 
 
+def test_transform_string_id_list_exits_2(tmp_path, capsys):
+    src = tmp_path / "mr.json"
+    src.write_text(
+        json.dumps(
+            {
+                "schema": "multi-reachability/1",
+                "dimension": 1,
+                "positions": [{"id": "a", "owner": "attacker"}, {"id": "t", "owner": "attacker"}],
+                "edges": [{"from": "a", "to": "t", "weight": [1]}],
+                "targets": "t",
+            }
+        )
+    )
+    out_file = tmp_path / "game.json"
+    code, _, err = run(capsys, "transform", "multi-reachability", str(src), "-o", str(out_file))
+    assert code == 2
+    assert "'targets' must be a list of strings" in err
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize(
     "kind, extra, message",
     [

@@ -227,3 +227,91 @@ def test_instance_files_reject_non_integers(tmp_path, bad):
     vass["transitions"] = [["q", [1], "q"]]
     with pytest.raises(GameFileError, match="must be an integer"):
         fileio.load_vass(_write(tmp_path, vass, "vass.json"))
+
+
+def _with_bad_position(bad):
+    return _doc(positions=[{"id": "a", "owner": "attacker"}, {"id": bad, "owner": "defender"}],
+                edges=[])
+
+
+# one document per loader, with ``bad`` where a position, node or state id belongs
+_BAD_ID_CASES = {
+    "game": (fileio.load_game, _with_bad_position),
+    "game-edge": (
+        fileio.load_game,
+        lambda bad: _doc(edges=[{"from": bad, "to": "d", "update": [[{"op": "add", "z": 0}]]}]),
+    ),
+    "weighted-graph": (
+        fileio.load_weighted_graph,
+        lambda bad: {"schema": "weighted-graph/1", "nodes": ["s", "t", bad],
+                     "edges": [["s", 1, "t"]], "source": "s", "target": "t"},
+    ),
+    "vass": (
+        fileio.load_vass,
+        lambda bad: {"schema": "vass/1", "states": ["q", bad], "transitions": [],
+                     "initial": {"state": "q", "energy": [0]},
+                     "target": {"state": "q", "energy": [1]}},
+    ),
+    "multi-reachability": (
+        fileio.load_multi_reachability,
+        lambda bad: {**_multi_reachability(),
+                     "positions": _multi_reachability()["positions"]
+                     + [{"id": bad, "owner": "attacker"}]},
+    ),
+    "weak-bound": (
+        fileio.load_weak_bound,
+        lambda bad: {"schema": "weak-bound/1", "game": _with_bad_position(bad), "pairs": []},
+    ),
+    "generalized-reachability": (
+        fileio.load_generalized_reachability,
+        lambda bad: {"schema": "generalized-reachability/1", "game": _with_bad_position(bad),
+                     "targets": [["a"]]},
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [None, 7, [1, 2]], ids=["null", "int", "list"])
+@pytest.mark.parametrize("case", sorted(_BAD_ID_CASES))
+def test_loaders_reject_non_string_ids(tmp_path, case, bad):
+    load, make = _BAD_ID_CASES[case]
+    with pytest.raises(GameFileError, match="must be a string"):
+        load(_write(tmp_path, make(bad)))
+
+
+# one document per loader that reads a list of ids, with a string in its place
+_STRING_ID_LIST_CASES = {
+    "weighted-graph": (
+        fileio.load_weighted_graph,
+        {"schema": "weighted-graph/1", "nodes": "st", "edges": [["s", 1, "t"]],
+         "source": "s", "target": "t"},
+    ),
+    "vass": (
+        fileio.load_vass,
+        {"schema": "vass/1", "states": "q", "transitions": [],
+         "initial": {"state": "q", "energy": [0]}, "target": {"state": "q", "energy": [1]}},
+    ),
+    "multi-reachability": (
+        fileio.load_multi_reachability,
+        {**_multi_reachability(), "targets": "b"},
+    ),
+    "generalized-reachability": (
+        fileio.load_generalized_reachability,
+        {"schema": "generalized-reachability/1", "game": _doc(), "targets": ["ad"]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STRING_ID_LIST_CASES))
+def test_loaders_reject_a_string_as_id_list(tmp_path, case):
+    load, doc = _STRING_ID_LIST_CASES[case]
+    with pytest.raises(GameFileError, match="must be a list of strings"):
+        load(_write(tmp_path, doc))
+
+
+def test_both_position_readers_report_a_bad_owner(tmp_path):
+    game = _doc(positions=[{"id": "a", "owner": "boss"}], edges=[])
+    with pytest.raises(GameFileError, match="bad owner 'boss'"):
+        fileio.load_game(_write(tmp_path, game))
+    mr = {**_multi_reachability(), "positions": [{"id": "a", "owner": "boss"}]}
+    with pytest.raises(GameFileError, match="bad owner 'boss'"):
+        fileio.load_multi_reachability(_write(tmp_path, mr))

@@ -10,7 +10,7 @@ from galois_energy.game import GameGraph, Owner, Verdict
 from galois_energy.lattice import INF, Energy
 from galois_energy.oracle import attractor_decide, stable_decide, starting_bound
 from galois_energy.solver import compute_winning_budgets, known_initial_credit
-from galois_energy.updates import Add, Update
+from galois_energy.updates import Add, MinOf, Mul, Update, UpdateAtom
 
 
 def E(*cs):
@@ -123,6 +123,41 @@ def test_rejects_infinite_or_oversized_energy(espresso):
 def test_starting_bound_covers_query(espresso):
     e = E(40, 41, 0, 0)
     assert starting_bound(espresso, e) >= 41
+
+
+def test_starting_bound_zero_updates():
+    game = GameGraph.build(
+        2,
+        [("a", Owner.ATTACKER), ("d", Owner.DEFENDER)],
+        [("a", "d", delta(0, 0))],
+    )
+    assert starting_bound(game, E(0, 0)) == 0
+
+
+def test_starting_bound_espresso(espresso):
+    # estimate 10 * (5 - 1), headroom 10 * 5
+    assert starting_bound(espresso, E(0, 0, 0, 0)) == 90
+
+
+def test_starting_bound_pure_min_game():
+    u = Update((UpdateAtom((MinOf((0, 1)), Add(0))),))
+    game = GameGraph.build(
+        2,
+        [("a", Owner.ATTACKER), ("d", Owner.DEFENDER)],
+        [("a", "d", u)],
+    )
+    assert starting_bound(game, E(0, 0)) == 0
+
+
+def test_starting_bound_mul_scales():
+    u = Update((UpdateAtom((Mul(3),)),))
+    game = GameGraph.build(
+        1,
+        [("a", Owner.ATTACKER), ("b", Owner.ATTACKER), ("d", Owner.DEFENDER)],
+        [("a", "b", u), ("b", "d", delta(-2))],
+    )
+    # estimate 2 * (3 - 1) * 3^(3 - 1), headroom 2 * 3
+    assert starting_bound(game, E(0)) == 36 + 6
 
 
 def test_config_budget_enforced():

@@ -28,7 +28,7 @@ from galois_energy.errors import (
     MagnitudeOverflow,
     StrategyError,
 )
-from galois_energy.game import GameGraph, Owner, estimate_worst_energy
+from galois_energy.game import GameGraph, Owner
 from galois_energy.lattice import INF, Energy, ParetoFront, sup2
 from galois_energy.solver import (
     compute_new_win,
@@ -38,7 +38,7 @@ from galois_energy.solver import (
     known_initial_credit,
     unknown_initial_credit,
 )
-from galois_energy.updates import Add, MinOf, Mul, Update, UpdateAtom
+from galois_energy.updates import Add, Mul, Update
 
 
 def E(*cs):
@@ -248,41 +248,6 @@ def test_strategy_rejects_out_of_domain(espresso):
         strategy.choose("Office", E(0, 0, 0, 0))
     with pytest.raises(LookupError):
         strategy.choose("Energized", E(0, 0, 0, 0))
-
-
-def test_estimate_worst_energy_zero_updates():
-    game = GameGraph.build(
-        2,
-        [("a", Owner.ATTACKER), ("d", Owner.DEFENDER)],
-        [("a", "d", delta(0, 0))],
-    )
-    assert estimate_worst_energy(game) == E(0, 0)
-
-
-def test_estimate_worst_energy_espresso(espresso):
-    worst = estimate_worst_energy(espresso)
-    bound = 10 * (len(espresso.positions) - 1)
-    assert worst.components == (bound,) * 4
-
-
-def test_estimate_worst_energy_pure_min_game():
-    u = Update((UpdateAtom((MinOf((0, 1)), Add(0))),))
-    game = GameGraph.build(
-        2,
-        [("a", Owner.ATTACKER), ("d", Owner.DEFENDER)],
-        [("a", "d", u)],
-    )
-    assert estimate_worst_energy(game) == E(0, 0)
-
-
-def test_estimate_worst_energy_mul_scales():
-    u = Update((UpdateAtom((Mul(3),)),))
-    game = GameGraph.build(
-        1,
-        [("a", Owner.ATTACKER), ("b", Owner.ATTACKER), ("d", Owner.DEFENDER)],
-        [("a", "b", u), ("b", "d", delta(-2))],
-    )
-    assert estimate_worst_energy(game) == E(2 * 2 * 3 ** 2)
 
 
 @pytest.mark.parametrize("target", [10, 16])
