@@ -49,20 +49,21 @@ CHECK_MAX_DIMENSION = 4
 
 
 def _print_fronts(result: solver.SolverResult, fmt: str, stats: bool, dimension: int) -> None:
-    ids = sorted(result.fronts)
+    """Print the fixed point straight from its rows, one write per
+    position; each element reads as ``Energy.render`` renders it."""
+    out = sys.stdout
     if fmt == "csv":
-        header = "position," + ",".join(f"component_{i}" for i in range(dimension))
-        print(header)
-        for g in ids:
-            for e in result.fronts[g]:
-                print(f"{g},{e.render()}")
+        print("position," + ",".join(f"component_{i}" for i in range(dimension)))
+        for g in sorted(result.rows):
+            rows = result.rows[g].tolist()
+            out.write("".join(f"{g},{','.join(map(str, row))}\n" for row in rows))
         if stats:
             print(f"# iterations={result.iterations}")
             print(f"# max_front_size={result.max_front_size}")
     else:
-        for g in ids:
-            front = result.fronts[g]
-            print(f"{g}:" + (" " + front.render() if not front.is_empty else ""))
+        for g in sorted(result.rows):
+            front = "; ".join(",".join(map(str, row)) for row in result.rows[g].tolist())
+            out.write(f"{g}:" + (" " + front if front else "") + "\n")
         if stats:
             print(f"iterations: {result.iterations}")
             print(f"max_front_size: {result.max_front_size}")
@@ -135,7 +136,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     mismatches = 0
     checked = 0
-    for g in sorted(result.fronts):
+    for g in game.position_ids:
         for _ in range(args.samples):
             energy = Energy(tuple(rng.randrange(args.bound) for _ in range(game.dimension)))
             checked += 1

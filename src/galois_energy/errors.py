@@ -25,14 +25,18 @@ class IterationCapExceeded(RuntimeError):
 
     Keeps the last two front maps (``ParetoFront`` per position) so the
     divergence can be inspected; ``previous`` is empty when the cap fired
-    before the first pass.
+    before the first pass.  ``growing`` maps each position whose front
+    gained rows in the last pass to the number of rows it gained; the
+    message names them.
     """
 
-    def __init__(self, cap: int, previous, current):
-        super().__init__(f"no fixed point within {cap} iterations")
+    def __init__(self, cap: int, previous, current, growing):
+        still = ", ".join(f"{g} (+{count})" for g, count in growing.items())
+        super().__init__(f"no fixed point within {cap} iterations; still growing: {still}")
         self.cap = cap
         self.previous = previous
         self.current = current
+        self.growing = growing
 
 
 class MagnitudeOverflow(OverflowError):

@@ -8,7 +8,7 @@ minima, until two consecutive passes agree.  Pass ``k+1`` computes
 * attacker position: minimal elements of
   ``{ inv_u(e') | g -u-> g', e' in W_k[g'] }``, where ``inv_u(e')`` is the
   least energy whose image under ``u`` dominates ``e'`` (the Galois
-  inverse of ``updates``, evaluated on rows by ``_invert_rows``)
+  inverse of ``updates``, evaluated on rows by ``_Inverses``)
 * defender position: minimal suprema of one pulled-back energy per
   successor (``compute_new_win``); a defender deadlock therefore
   yields exactly the zero vector, and one empty successor budget empties
@@ -24,6 +24,14 @@ distributes over union, so with ``D_i`` the pulled-back ``Δ_k`` at the
 ``i``-th successor an attacker position needs the new rows only:
 
 * attacker: ``W_{k+1}[g] = min(W_k[g] ∪ ⋃_i D_i)``
+
+The attacker side of a pass runs set-at-a-time, as one batch over all
+positions: the rows of every ``Δ_k`` are stacked once and pulled back
+over all incoming attacker edges in one gather through ``_Inverses``,
+which holds every edge's undo plan as padded per-step arrays.  The
+unions ``W_k[g] ∪ ⋃_i D_i`` of every touched attacker are then minimised
+together as the segments of one sort (``_minimize_segments``); a union
+of more than ``_CHUNK`` rows goes to the minimiser on its own.
 
 A defender position whose successors gained rows is computed as the meet
 ``W_{k+1}[g] = min(⋂_i ↑N_i)`` of the pulled-back fronts ``N_i`` of
@@ -43,12 +51,12 @@ the few new rows ``D_i`` rather than from whole fronts.
 
 The minimiser returns the indices of the minimal rows: up to ``_CHUNK``
 rows (the common ``min(W_k[g] ∪ a few new rows)``) by a pairwise
-dominance sweep, ``O(m²·d)``, and above that on a rank grid, whose cost
-follows its cells.  ``W_k[g]`` is stacked first, so the new rows
-``Δ_{k+1}[g]`` are exactly the survivors past it; the meet marks the
-rows it finds that are not rows of ``W_k[g]``.  A position without new
-rows among its successors keeps its array, and the loop stops once no
-position gained a row.  Pass 1 is ``F(∅)``: the zero row at defender
+dominance sweep, ``O(m²·d)``, the one-segment case of the batch, and
+above that on a rank grid, whose cost follows its cells.  ``W_k[g]`` is
+stacked first, so the new rows ``Δ_{k+1}[g]`` are exactly the survivors
+past it; the meet marks the rows it finds that are not rows of
+``W_k[g]``.  A position without new rows among its successors keeps its
+array, and the loop stops once no position gained a row.  Pass 1 is ``F(∅)``: the zero row at defender
 deadlocks, all of it new.  Each pass yields exactly the front map of the
 plain pass; with ``W_{k-1}`` empty the formulas are the plain pass
 itself, which is how ``iterate_once`` (and ``compute_new_win`` through
@@ -61,9 +69,10 @@ throughout, so the passes run on int64 row matrices.  A row is refused
 with ``MagnitudeOverflow`` when it enters a front above what pulling it
 back over an incoming edge keeps within int64, so no value ever wraps.
 
-Only the fixed point becomes ``ParetoFront`` values.  Every row that
-enters a front is logged once with the pass it entered at (a row that
-leaves a front is dominated from then on and never re-enters), so
+The fixed point stays int64 rows (``SolverResult.rows``); ``ParetoFront``
+values are built on the first access to ``SolverResult.fronts``.  Every
+row that enters a front is logged once with the pass it entered at (a
+row that leaves a front is dominated from then on and never re-enters), so
 ``↑W_k[g]`` is the upward closure of the rows stamped at most ``k``.  The
 pass at which an energy became winning is read off these stamps
 (``SolverResult.entry_pass``), and so is membership in the upward closure
@@ -75,6 +84,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -109,26 +119,50 @@ def _rows_to_front(rows: np.ndarray) -> ParetoFront:
     return ParetoFront(tuple(Energy(tuple(int(c) for c in row)) for row in rows))
 
 
-def _minimize_by_sweep(unique: np.ndarray) -> np.ndarray:
-    """Indices of the minimal rows of distinct, lexicographically sorted
-    rows, in order.
+def _minimize_by_sweep(unique: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """Indices of the minimal rows of each segment, in order, for rows
+    sorted by segment id (``segments``, one per row) and then
+    lexicographically, distinct within their segment.
 
     A row that dominates another is at most it in every column and below
     it in the first column where they differ, so it comes first in that
-    order; a row is minimal exactly when no kept row before its chunk and
-    no other row of its chunk is below it.  Each chunk is compared with
-    those rows column by column, one 2-D ``<=`` per column AND-ed together.
+    order; a row is minimal exactly when no kept row of its segment before
+    its chunk and no other row of its chunk and segment is below it.  Each
+    chunk is compared with those rows column by column, one 2-D ``<=`` per
+    column AND-ed together, and by segment id when it spans segments.
     """
     keep = np.zeros(unique.shape[0], dtype=bool)
     for start in range(0, unique.shape[0], _CHUNK):
         chunk = unique[start : start + _CHUNK]
-        lower = np.vstack([unique[:start][keep[:start]], chunk])
+        end = start + chunk.shape[0]
+        lo = np.searchsorted(segments[:start], segments[start])
+        kept = lo + np.flatnonzero(keep[lo:start])
+        lower = np.vstack([unique[kept], chunk])
         below = lower[:, :1] <= chunk[:, 0]
         for c in range(1, chunk.shape[1]):
             below &= lower[:, c : c + 1] <= chunk[:, c]
+        if segments[start] != segments[end - 1]:
+            below &= np.concatenate([segments[kept], segments[start:end]])[:, None] == segments[
+                start:end
+            ]
         np.fill_diagonal(below[-chunk.shape[0] :], False)
-        keep[start : start + chunk.shape[0]] = ~below.any(0)
+        keep[start:end] = ~below.any(0)
     return np.flatnonzero(keep)
+
+
+def _minimize_segments(rows: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """Indices of the minimal rows of each segment (the rows sharing one
+    value of ``segments``): the first occurrence of each, ordered by
+    segment id and then lexicographically.
+
+    One stable ``np.lexsort`` by segment and row, each row equal to its
+    predecessor in its segment dropped, and the pairwise sweep on the rest.
+    """
+    order = np.lexsort(np.vstack([rows.T[::-1], segments]))
+    ordered, ids = rows[order], segments[order]
+    first = np.ones(rows.shape[0], dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(1) | (ids[1:] != ids[:-1])
+    return order[first][_minimize_by_sweep(ordered[first], ids[first])]
 
 
 def _rank_grid(rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -172,8 +206,9 @@ def _minimize_rows(rows: np.ndarray) -> np.ndarray:
     """Indices of the minimal rows under the component-wise order: the
     first occurrence of each, in lexicographic row order.
 
-    Up to ``_CHUNK`` rows, a stable ``np.lexsort`` drops each row equal to
-    its predecessor and the pairwise sweep takes the rest.  Above that,
+    Up to ``_CHUNK`` rows it is the one-segment case of
+    ``_minimize_segments``: a stable ``np.lexsort`` drops each row equal
+    to its predecessor and the pairwise sweep takes the rest.  Above that,
     when the rank grid has at most ``_GRID_CELL_CAP`` cells, deduplication
     runs on the cell keys, and a row is minimal exactly when none of its
     lower neighbours (one rank less along one axis) is in the upward
@@ -196,11 +231,7 @@ def _minimize_rows(rows: np.ndarray) -> np.ndarray:
                 dominated |= closure[unique_keys - stride] & (ranks[first, c] > 0)
                 stride *= sizes[c]
             return first[~dominated]
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    first = np.ones(m, dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(1)
-    return order[first][_minimize_by_sweep(ordered[first])]
+    return _minimize_segments(rows, np.zeros(m, dtype=np.int64))
 
 
 def _meet(
@@ -241,58 +272,63 @@ def _meet(
     return rows, ~np.isin(cells, old)
 
 
-_InversePlan = list[list[tuple[int | None, int | None, tuple[int, ...]]]]
+class _Inverses:
+    """Batched inverse evaluator: the undo plans of a list of updates,
+    applied to rows that each name their update.
 
+    Plans are padded per-step arrays, indexed ``[step, update, component]``;
+    step ``s`` undoes an update's ``s``-th last atom, and a shorter plan is
+    padded with identity steps (``Add(0)`` everywhere).  ``sub`` holds the
+    Add amounts (0 elsewhere), ``div`` the Mul factors (1 elsewhere),
+    ``keep`` is False at a MinOf, and ``drain[s, u, i, j]`` marks the MinOf
+    components ``j`` reading ``i``.  A step maps component ``i`` of ``e'``
+    to ``max(keep_i · ceil(max(e'_i - z_i, 0) / m_i), max_j drain_ij · e'_j)``.
+    ``growth`` holds, per update, the most that pulling a row back adds to
+    its largest component, intermediate values included: per step, the
+    largest subtracted Add magnitude (a Mul or MinOf never exceeds its
+    inputs).
+    """
 
-def _inverse_plan(update: Update) -> _InversePlan:
-    """Per step (in undo order), per component: Add amount, Mul factor and
-    the components draining into it through a MinOf."""
-    plan: _InversePlan = []
-    for atom in reversed(update.steps):
-        step = []
-        for i, spec in enumerate(atom.specs):
-            if isinstance(spec, Add):
-                z, m = spec.z, None
-            elif isinstance(spec, MinOf):
-                z, m = None, None
-            else:
-                z, m = None, spec.factor
-            param = z if m is None else m
-            if param is not None and not _INT64_MIN <= param <= _INT64_MAX:
-                raise MagnitudeOverflow(f"edge parameter {param} is outside int64")
-            drains = tuple(
-                j
-                for j, other in enumerate(atom.specs)
-                if isinstance(other, MinOf) and i in other.indices
-            )
-            step.append((z, m, drains))
-        plan.append(step)
-    return plan
+    def __init__(self, updates: list[Update], dimension: int):
+        shape = (max((len(u.steps) for u in updates), default=0), len(updates), dimension)
+        self.sub = np.zeros(shape, dtype=np.int64)
+        self.div = np.ones(shape, dtype=np.int64)
+        self.keep = np.ones(shape, dtype=bool)
+        self.drain = np.zeros((*shape, dimension), dtype=bool)
+        self.growth = []
+        for u, update in enumerate(updates):
+            growth = 0
+            for s, atom in enumerate(reversed(update.steps)):
+                for i, spec in enumerate(atom.specs):
+                    if isinstance(spec, MinOf):
+                        self.keep[s, u, i] = False
+                        self.drain[s, u, list(spec.indices), i] = True
+                        continue
+                    param = spec.z if isinstance(spec, Add) else spec.factor
+                    if not _INT64_MIN <= param <= _INT64_MAX:
+                        raise MagnitudeOverflow(f"edge parameter {param} is outside int64")
+                    (self.sub if isinstance(spec, Add) else self.div)[s, u, i] = param
+                growth += max([0, *(-spec.z for spec in atom.specs if isinstance(spec, Add))])
+            self.growth.append(growth)
+        self.scaled = (self.div != 1).any((1, 2))
+        self.drained = [np.flatnonzero(step.any((0, 1))) for step in self.drain]
 
-
-def _plan_growth(plan: _InversePlan) -> int:
-    """Most that pulling a row back through ``plan`` adds to its largest
-    component, intermediate values included: per step, the largest
-    subtracted Add magnitude (a Mul or MinOf never exceeds its inputs)."""
-    return sum(max([0, *(-z for z, _, _ in step if z is not None and z < 0)]) for step in plan)
-
-
-def _invert_rows(plan: _InversePlan, rows: np.ndarray) -> np.ndarray:
-    for step in plan:
-        cols = []
-        for i, (z, m, drains) in enumerate(step):
-            if z is not None:
-                col = rows[:, i] - z
-                np.maximum(col, 0, out=col)
-            elif m is not None:
-                col = -(-rows[:, i] // m)
-            else:
-                col = np.zeros(rows.shape[0], dtype=np.int64)
-            for j in drains:
-                col = np.maximum(col, rows[:, j])
-            cols.append(col)
-        rows = np.stack(cols, axis=1) if cols else rows[:, :0]
-    return rows
+    def pull(self, updates: np.ndarray | int, rows: np.ndarray) -> np.ndarray:
+        """``inv_u(e')`` for every row ``e'`` of ``rows``, with ``u`` the
+        update ``updates`` names for it (one index for all rows, or one
+        per row)."""
+        for s in range(self.sub.shape[0]):
+            out = rows - self.sub[s, updates]
+            np.maximum(out, 0, out=out)
+            if self.scaled[s]:
+                out = -(-out // self.div[s, updates])
+            if self.drained[s].size:
+                out *= self.keep[s, updates]
+                drain = self.drain[s, updates]
+                for j in self.drained[s]:
+                    np.maximum(out, rows[:, j : j + 1] * drain[..., j], out=out)
+            rows = out
+        return rows
 
 
 # Per position, a mask of the rows that are new since the previous map; a
@@ -304,6 +340,10 @@ _Pulled = dict[str, list[np.ndarray]]
 
 def _every_row(rows: Mapping[str, np.ndarray]) -> _Fresh:
     return {g: np.ones(r.shape[0], dtype=bool) for g, r in rows.items() if r.shape[0]}
+
+
+def _to_fronts(rows: Mapping[str, np.ndarray]) -> FrontMap:
+    return {g: _rows_to_front(r) for g, r in rows.items()}
 
 
 def _min_union(base: np.ndarray, terms: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -350,25 +390,39 @@ class _Engine:
     A pass computes ``F(cur)`` from ``base = F(old)`` and the rows of
     ``cur`` that are not in ``old``, for maps whose upward closures grow
     from ``old`` to ``cur``.  With ``old`` the empty map it is the plain
-    pass over the full fronts.
+    pass over the full fronts.  Edges are numbered in position order;
+    ``moves`` lists each position's successors with their edge numbers.
     """
 
     def __init__(self, game: GameGraph):
         self.game = game
         self.n = game.dimension
         self.ids = game.position_ids
+        self.index = {g: k for k, g in enumerate(self.ids)}
         self.is_attacker = {g: game.owner(g) is Owner.ATTACKER for g in self.ids}
-        self.moves = {
-            g: [(target, _inverse_plan(update)) for target, update in game.successors(g)]
-            for g in self.ids
-        }
+        edges = [(g, target, update) for g in self.ids for target, update in game.successors(g)]
+        self.inverses = _Inverses([update for _, _, update in edges], self.n)
+        self.moves: dict[str, list[tuple[str, int]]] = {g: [] for g in self.ids}
+        self.defenders_of: dict[str, list[str]] = {g: [] for g in self.ids}
         # per position, the largest front value that every pull-back over
         # an incoming edge keeps within int64
         growth = dict.fromkeys(self.ids, 0)
-        for moves in self.moves.values():
-            for target, plan in moves:
-                growth[target] = max(growth[target], _plan_growth(plan))
+        for e, (g, target, _) in enumerate(edges):
+            self.moves[g].append((target, e))
+            if not self.is_attacker[g]:
+                self.defenders_of[target].append(g)
+            growth[target] = max(growth[target], self.inverses.growth[e])
         self.limit = {g: _INT64_MAX - growth[g] for g in self.ids}
+        # the attacker edges by target position: those into position k are
+        # pull_edge[pull_start[k]:pull_start[k + 1]], from pull_source
+        into = sorted(
+            (self.index[target], e, self.index[g])
+            for e, (g, target, _) in enumerate(edges)
+            if self.is_attacker[g]
+        )
+        self.pull_edge = np.array([e for _, e, _ in into], dtype=np.intp)
+        self.pull_source = np.array([g for _, _, g in into], dtype=np.intp)
+        self.pull_start = np.searchsorted([k for k, _, _ in into], np.arange(len(self.ids) + 1))
 
     def _empty(self) -> np.ndarray:
         return np.empty((0, self.n), dtype=np.int64)
@@ -378,9 +432,6 @@ class _Engine:
 
     def from_fronts(self, fronts: Mapping[str, ParetoFront]) -> dict[str, np.ndarray]:
         return {g: _front_to_rows(fronts[g], self.n, self.limit[g]) for g in self.ids}
-
-    def to_fronts(self, rows: Mapping[str, np.ndarray]) -> FrontMap:
-        return {g: _rows_to_front(rows[g]) for g in self.ids}
 
     def start(self) -> tuple[dict[str, np.ndarray], _Pulled]:
         """``F`` of the empty map (the zero row at defender deadlocks, empty
@@ -396,16 +447,46 @@ class _Engine:
         }
         return base, pulled
 
-    def attacker_rows(
-        self, g: str, base: np.ndarray, cur: Mapping[str, np.ndarray], fresh: _Fresh
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``min(base ∪ ⋃_t inv_t(Δ_t))`` and the mask of its new rows."""
-        pulled = [
-            _invert_rows(plan, cur[target][fresh[target]])
-            for target, plan in self.moves[g]
-            if target in fresh
-        ]
-        return _min_union(base, pulled)
+    def attacker_pass(
+        self, cur: Mapping[str, np.ndarray], fresh: _Fresh, base: Mapping[str, np.ndarray]
+    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """``min(base ∪ ⋃_t inv_t(Δ_t))`` and the mask of its new rows, for
+        every attacker with a successor that gained rows.
+
+        The new rows of every position are stacked once and pulled back
+        over all their incoming attacker edges in one call.  The unions of
+        at most ``_CHUNK`` rows are minimised together, one segment per
+        attacker with all ``base`` rows stacked first; a larger union goes
+        through ``_min_union`` on its own.
+        """
+        if not fresh:
+            return {}
+        delta = np.vstack([cur[t][mask] for t, mask in fresh.items()])
+        target = np.repeat(
+            [self.index[t] for t in fresh], [np.count_nonzero(m) for m in fresh.values()]
+        )
+        # each new row once per attacker edge into its position
+        lo = self.pull_start[target]
+        count = self.pull_start[target + 1] - lo
+        k = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+        delta = delta[np.repeat(np.arange(len(target)), count)]
+        pulled, source = self.inverses.pull(self.pull_edge[k], delta), self.pull_source[k]
+        sources, sizes = np.unique(source, return_counts=True)
+        sizes += np.array([base[self.ids[s]].shape[0] for s in sources], dtype=np.int64)
+        result = {
+            self.ids[s]: _min_union(base[self.ids[s]], [pulled[source == s]])
+            for s in sources[sizes > _CHUNK]
+        }
+        small = sources[sizes <= _CHUNK]
+        bases = [base[self.ids[s]] for s in small]
+        mine = np.isin(source, small)
+        rows = np.vstack([*bases, pulled[mine]])
+        segments = np.concatenate([np.repeat(small, [b.shape[0] for b in bases]), source[mine]])
+        keep = _minimize_segments(rows, segments)
+        old = rows.shape[0] - np.count_nonzero(mine)
+        for s, part in zip(small, np.split(keep, np.searchsorted(segments[keep], small[1:]))):
+            result[self.ids[s]] = rows[part], part >= old
+        return result
 
     def defender_rows(
         self,
@@ -426,8 +507,8 @@ class _Engine:
         the few new rows.
         """
         after = [
-            _invert_rows(plan, cur[target]) if target in fresh else old
-            for (target, plan), old in zip(self.moves[g], before)
+            self.inverses.pull(e, cur[target]) if target in fresh else old
+            for (target, e), old in zip(self.moves[g], before)
         ]
         product = math.prod(f.shape[0] for f in after)
         met = _meet(base, after, min(_GRID_CELL_CAP, product))
@@ -447,45 +528,51 @@ class _Engine:
         pulled: _Pulled,
     ) -> tuple[dict[str, np.ndarray], _Fresh, _Pulled]:
         """``F(cur)``, the masks of its rows absent from ``base`` (for the
-        positions that gained a row) and the pulled-back successor fronts
-        of ``cur``.
+        positions that gained a row, in position order) and the
+        pulled-back successor fronts of ``cur``.
 
         ``base`` is ``F(old)``, ``fresh`` marks the rows of ``cur`` absent
         from ``old`` and ``pulled`` holds the pulled-back fronts of ``old``.
         A position with no new rows among its successors keeps its array.
         """
         new = dict(base)
-        grown: _Fresh = {}
         pulled = dict(pulled)
-        for g in self.ids:
-            if not any(target in fresh for target, _ in self.moves[g]):
-                continue
-            if self.is_attacker[g]:
-                new[g], mask = self.attacker_rows(g, base[g], cur, fresh)
-            else:
-                new[g], mask, pulled[g] = self.defender_rows(g, base[g], cur, fresh, pulled[g])
+        grown: _Fresh = {}
+        found = self.attacker_pass(cur, fresh, base)
+        for g in sorted({d for t in fresh for d in self.defenders_of[t]}):
+            rows, mask, pulled[g] = self.defender_rows(g, base[g], cur, fresh, pulled[g])
+            found[g] = rows, mask
+        for g, (rows, mask) in found.items():
+            new[g] = rows
             if mask.any():
                 grown[g] = mask
-        return new, grown, pulled
+        return new, dict(sorted(grown.items())), pulled
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverResult:
     """Fixed point plus instrumentation.
 
-    ``iterations`` counts passes of the do-while loop including the final
-    confirming pass; ``max_front_size`` is the largest front cardinality
-    observed anywhere during the run.  ``entries`` holds, per position,
-    every row that ever entered its front (an int64 matrix) and the pass
-    it entered at, in pass order; the front after pass ``k`` is the
-    minimal rows stamped at most ``k``.  ``entry_pass`` answers membership
-    and the entry pass of an energy from these rows.
+    ``rows`` holds the fixed point: per position its front as an int64
+    matrix, one row per element in lexicographic order.  ``fronts`` turns
+    it into ``ParetoFront`` values on first access.  ``iterations`` counts
+    passes of the do-while loop including the final confirming pass;
+    ``max_front_size`` is the largest front cardinality observed anywhere
+    during the run.  ``entries`` holds, per position, every row that ever
+    entered its front (an int64 matrix) and the pass it entered at, in
+    pass order; the front after pass ``k`` is the minimal rows stamped at
+    most ``k``.  ``entry_pass`` answers membership and the entry pass of
+    an energy from these rows.
     """
 
-    fronts: FrontMap
+    rows: dict[str, np.ndarray] = field(repr=False)
     iterations: int
     max_front_size: int
-    entries: EntryLog = field(repr=False, compare=False)
+    entries: EntryLog = field(repr=False)
+
+    @cached_property
+    def fronts(self) -> FrontMap:
+        return _to_fronts(self.rows)
 
     def front(self, g: str) -> ParetoFront:
         try:
@@ -528,7 +615,7 @@ def iterate_once(game: GameGraph, old_win: Mapping[str, ParetoFront]) -> FrontMa
     engine = _Engine(game)
     cur = engine.from_fronts(old_win)
     new, _, _ = engine.delta_pass(cur, _every_row(cur), *engine.start())
-    return engine.to_fronts(new)
+    return _to_fronts(new)
 
 
 def _solve_jacobi(
@@ -553,7 +640,8 @@ def _solve_jacobi(
             entered[g].append((passes, rows))
             max_front = max(max_front, win[g].shape[0])
         if cap is not None and passes > cap:
-            raise IterationCapExceeded(cap, engine.to_fronts(prev), engine.to_fronts(win))
+            growing = {g: int(np.count_nonzero(mask)) for g, mask in fresh.items()}
+            raise IterationCapExceeded(cap, _to_fronts(prev), _to_fronts(win), growing)
         new, fresh, pulled = engine.delta_pass(win, fresh, win, pulled)
         passes += 1
         prev, win = win, new
@@ -578,19 +666,14 @@ def compute_winning_budgets(game: GameGraph, *, iteration_cap: int | None = None
     upward-closed subsets of ℕ^d stabilises (Dickson's lemma).  A caller
     that wants a bound on the passes anyway passes ``iteration_cap``: a
     pass after that many that still changes a front raises
-    ``IterationCapExceeded``.  Raises
+    ``IterationCapExceeded``, naming the positions still growing.  Raises
     ``MagnitudeOverflow`` when a front value outgrows the int64 range the
     passes compute in.
     """
     game.require_valid()
     engine = _Engine(game)
     passes, fixed, max_front, entries = _solve_jacobi(engine, iteration_cap)
-    return SolverResult(
-        fronts=engine.to_fronts(fixed),
-        iterations=passes,
-        max_front_size=max_front,
-        entries=entries,
-    )
+    return SolverResult(rows=fixed, iterations=passes, max_front_size=max_front, entries=entries)
 
 
 def known_initial_credit(result: SolverResult, g: str, e: Energy) -> bool:
@@ -600,7 +683,10 @@ def known_initial_credit(result: SolverResult, g: str, e: Energy) -> bool:
 
 def unknown_initial_credit(result: SolverResult, g: str) -> bool:
     """Does any energy suffice to win from ``g``?"""
-    return not result.front(g).is_empty
+    try:
+        return result.rows[g].shape[0] > 0
+    except KeyError:
+        raise KeyError(f"unknown position {g!r}") from None
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ constraint pulling on it: ``e'_i - z`` for an Add (when nonnegative),
 ``ceil(e'_i / m)`` for a Mul, ``e'_j`` for every MinOf component ``j``
 drawing on ``i``, and the floor ``0``.  Undo of a composite runs the atom
 inverses in reverse order.  The solver evaluates these inverses on int64
-rows (``solver._inverse_plan`` and ``solver._invert_rows``); this module
-only defines the updates and their forward application.
+rows, for many updates at once (``solver._Inverses``); this module only
+defines the updates and their forward application.
 """
 
 from __future__ import annotations

@@ -100,9 +100,8 @@ def invert(u: Update | UpdateAtom, e: Energy) -> Energy:
 def kernel_invert(u: Update | UpdateAtom, e: Energy) -> Energy:
     """The solver's inverse evaluator applied to one finite energy."""
     update = u if isinstance(u, Update) else Update((u,))
-    row = solver._invert_rows(
-        solver._inverse_plan(update), np.array([e.components], dtype=np.int64)
-    )
+    inverses = solver._Inverses([update], update.dimension)
+    row = inverses.pull(0, np.array([e.components], dtype=np.int64))
     return Energy(tuple(int(c) for c in row[0]))
 
 
@@ -211,12 +210,33 @@ def grid_game(
 
 
 def minimiser_inputs(game: GameGraph) -> list[np.ndarray]:
-    """Every row matrix ``solver._minimize_rows`` receives in one solve of
-    ``game``, in call order: real traffic to replay through either route
-    of the minimiser."""
-    with mock.patch.object(solver, "_minimize_rows", wraps=solver._minimize_rows) as spy:
+    """Every row set the solver minimises in one solve of ``game``, in call
+    order: each matrix ``solver._minimize_rows`` receives, and each
+    segment of the ``solver._minimize_segments`` calls made outside it
+    (the attacker unions of a pass), rows in input order.  Real traffic to
+    replay through either route of the minimiser."""
+    inputs: list[np.ndarray] = []
+    inside = []
+    minimize_rows, minimize_segments = solver._minimize_rows, solver._minimize_segments
+
+    def record_rows(rows):
+        inputs.append(rows)
+        inside.append(True)
+        try:
+            return minimize_rows(rows)
+        finally:
+            inside.pop()
+
+    def record_segments(rows, segments):
+        if not inside:
+            inputs.extend(rows[segments == s] for s in np.unique(segments))
+        return minimize_segments(rows, segments)
+
+    with mock.patch.object(solver, "_minimize_rows", record_rows), mock.patch.object(
+        solver, "_minimize_segments", record_segments
+    ):
         solver.compute_winning_budgets(game)
-    return [call.args[0] for call in spy.call_args_list]
+    return inputs
 
 
 def plain_pass(engine: solver._Engine, old: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -229,13 +249,13 @@ def plain_pass(engine: solver._Engine, old: dict[str, np.ndarray]) -> dict[str, 
     new = {}
     for g in engine.ids:
         if engine.is_attacker[g]:
-            pulled = [solver._invert_rows(plan, old[t]) for t, plan in engine.moves[g]]
+            pulled = [engine.inverses.pull(e, old[t]) for t, e in engine.moves[g]]
             rows = np.vstack([np.empty((0, n), np.int64), *pulled])
             rows = rows[solver._minimize_rows(rows)]
         else:
             rows = np.zeros((1, n), dtype=np.int64)
-            for t, plan in engine.moves[g]:
-                pulled = solver._invert_rows(plan, old[t])
+            for t, e in engine.moves[g]:
+                pulled = engine.inverses.pull(e, old[t])
                 sups = np.maximum(rows[:, None, :], pulled[None, :, :]).reshape(-1, n)
                 rows = sups[solver._minimize_rows(sups)]
         new[g] = rows
@@ -245,12 +265,20 @@ def plain_pass(engine: solver._Engine, old: dict[str, np.ndarray]) -> dict[str, 
 def plain_jacobi(game: GameGraph, cap: int | None = None) -> list[dict[str, np.ndarray]]:
     """Row maps of the plain passes from the empty map up to the first
     repeat, raising ``IterationCapExceeded`` exactly where the solver's
-    cap check does; ``cap=None`` means no cap, as in the solver."""
+    cap check does, with the row maps of the last two passes and the
+    number of rows each position gained in the last one; ``cap=None``
+    means no cap, as in the solver."""
     engine = solver._Engine(game)
     history = [engine.empty_map()]
     while True:
         if cap is not None and len(history) - 1 > cap:
-            raise IterationCapExceeded(cap, history[-2] if len(history) > 1 else {}, history[-1])
+            previous, current = history[-2], history[-1]
+            gained = {
+                g: len(set(map(tuple, current[g].tolist())) - set(map(tuple, previous[g].tolist())))
+                for g in engine.ids
+            }
+            growing = {g: count for g, count in gained.items() if count}
+            raise IterationCapExceeded(cap, previous, current, growing)
         history.append(plain_pass(engine, history[-1]))
         if all(np.array_equal(history[-1][g], history[-2][g]) for g in engine.ids):
             return history

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from galois_energy import fileio
+from conftest import espresso_with_target, grid_game
+from galois_energy import fileio, solver
 from galois_energy.cli import main
 
 
@@ -50,6 +51,61 @@ def test_solve_stats(capsys):
     assert any(line.startswith("# max_front_size=") for line in out.splitlines())
 
 
+def render_fronts(result: solver.SolverResult, fmt: str, stats: bool, dimension: int) -> str:
+    """Reference ``solve`` output: ``result.fronts`` rendered element by
+    element through ``Energy.render`` and ``ParetoFront.render``."""
+    lines = []
+    if fmt == "csv":
+        lines.append("position," + ",".join(f"component_{i}" for i in range(dimension)))
+        for g in sorted(result.fronts):
+            lines += [f"{g},{e.render()}" for e in result.fronts[g]]
+        if stats:
+            lines += [f"# iterations={result.iterations}"]
+            lines += [f"# max_front_size={result.max_front_size}"]
+    else:
+        for g in sorted(result.fronts):
+            front = result.fronts[g]
+            lines.append(f"{g}:" + ("" if front.is_empty else " " + front.render()))
+        if stats:
+            lines += [f"iterations: {result.iterations}"]
+            lines += [f"max_front_size: {result.max_front_size}"]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("name", ["espresso-16", "grid"])
+def test_solve_output_is_the_rendered_fronts(name, capsys, tmp_path):
+    game = espresso_with_target(16) if name == "espresso-16" else grid_game(8, 4, seed=2)
+    path = tmp_path / "game.json"
+    fileio.save_game(game, path)
+    result = solver.compute_winning_budgets(fileio.load_game(path).game)
+    if name == "grid":
+        assert any(f.is_empty for f in result.fronts.values())
+    for fmt in ("text", "csv"):
+        for stats in ([], ["--stats"]):
+            code, out, _ = run(capsys, "solve", str(path), "--format", fmt, *stats)
+            assert code == 0
+            assert out == render_fronts(result, fmt, bool(stats), game.dimension)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", ESPRESSO, "--format", "csv", "--stats"],
+        ["query", ESPRESSO, "--position", "Office", "--energy", "0,0,0,10"],
+        ["check", ESPRESSO, "--samples", "2"],
+    ],
+    ids=["solve", "query", "check"],
+)
+def test_commands_build_no_front_objects(argv, capsys, monkeypatch):
+    def refuse(rows):
+        raise AssertionError("a command built a ParetoFront")
+
+    monkeypatch.setattr(solver, "_rows_to_front", refuse)
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -64,7 +120,7 @@ def test_iteration_cap_exit_code(capsys, monkeypatch, argv):
     from galois_energy.errors import IterationCapExceeded
 
     def blow_up(game, **kwargs):
-        raise IterationCapExceeded(7, {}, {})
+        raise IterationCapExceeded(7, {}, {}, {})
 
     monkeypatch.setattr(cli.solver, "compute_winning_budgets", blow_up)
     code, out, err = run(capsys, *argv)

@@ -72,6 +72,7 @@ def test_semi_naive_history_matches_plain_pass(game, cap):
         with pytest.raises(IterationCapExceeded) as ref:
             plain_jacobi(game, cap)
         assert err.cap == ref.value.cap
+        assert err.growing == ref.value.growing
         assert err.current.keys() == ref.value.current.keys()
         for g, rows in ref.value.current.items():
             assert [e.components for e in err.current[g]] == list(map(tuple, rows.tolist()))
@@ -104,9 +105,9 @@ def test_minimize_rows_matches_reference(monkeypatch):
     routes = {"sweep": 0, "grid": 0}
     sweep, closure = solver._minimize_by_sweep, solver._upward_closure
 
-    def counted_sweep(unique):
+    def counted_sweep(unique, segments):
         routes["sweep"] += 1
-        return sweep(unique)
+        return sweep(unique, segments)
 
     def counted_closure(keys, sizes):
         routes["grid"] += 1
@@ -171,19 +172,51 @@ def test_meet_matches_reference(case):
 
 
 @st.composite
-def updates_and_rows(draw) -> tuple[Update, list[list[int]]]:
+def updates_and_rows(draw) -> tuple[list[Update], list[tuple[int, list[int]]]]:
+    """1-4 updates of 1-3 steps of one dimension and 1-12 rows, each naming
+    one of them, in any order."""
     n = draw(st.integers(1, 3))
     value = st.one_of(st.integers(0, 12), st.integers(0, 2**60))
-    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=8))
-    return draw(_updates(n, 3)), rows
+    updates = draw(st.lists(_updates(n, 3), min_size=1, max_size=4))
+    row = st.tuples(
+        st.integers(0, len(updates) - 1), st.lists(value, min_size=n, max_size=n)
+    )
+    return updates, draw(st.lists(row, min_size=1, max_size=12))
 
 
 @SEEDED
 @given(case=updates_and_rows())
 def test_invert_rows_matches_reference(case):
-    update, rows = case
-    got = solver._invert_rows(solver._inverse_plan(update), np.array(rows, dtype=np.int64))
-    assert got.tolist() == [list(invert(update, Energy(tuple(r))).components) for r in rows]
+    """The batched inverse evaluator pulls every row back through the
+    update it names, plans of different lengths padded in one batch."""
+    updates, rows = case
+    inverses = solver._Inverses(updates, updates[0].dimension)
+    edges = np.array([u for u, _ in rows], dtype=np.intp)
+    got = inverses.pull(edges, np.array([r for _, r in rows], dtype=np.int64))
+    expected = [list(invert(updates[u], Energy(tuple(r))).components) for u, r in rows]
+    assert got.tolist() == expected
+
+
+def test_inverse_batch_mixes_plan_lengths_and_kinds():
+    """One batch over plans of 1, 2 and 3 steps that together use Add,
+    Mul and MinOf, rows interleaved: each row as its own plan pulls it."""
+    updates = [
+        Update.single(Add(-2), MinOf((0, 2)), Mul(3)),
+        Update((UpdateAtom((Mul(2), Add(1), Add(-1))), UpdateAtom((MinOf((1,)), Add(0), Add(-3))))),
+        Update(
+            (
+                UpdateAtom((Add(-1), Add(-1), MinOf((0, 1)))),
+                UpdateAtom((Add(2), Mul(2), Add(0))),
+                UpdateAtom((MinOf((2,)), Add(-4), Add(1))),
+            )
+        ),
+    ]
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 20, size=(30, 3))
+    edges = np.arange(30) % 3
+    got = solver._Inverses(updates, 3).pull(edges, rows)
+    for u, row, pulled in zip(edges, rows.tolist(), got.tolist()):
+        assert pulled == list(invert(updates[u], Energy(tuple(row))).components)
 
 
 @st.composite

@@ -265,6 +265,44 @@ def test_history_matches_plain_pass_on_random_games():
         assert_history_matches_plain(game, compute_winning_budgets(game))
 
 
+def test_history_matches_plain_pass_with_attacker_unions_on_both_sides_of_the_chunk(
+    monkeypatch,
+):
+    """A multi-reachability grid on which some passes minimise attacker
+    unions of more than ``_CHUNK`` rows on their own and smaller ones as
+    segments of one batch."""
+    unions = []  # per attacker pass, the sizes of the unions it minimised
+    inside = []
+    attacker_pass, min_union = solver._Engine.attacker_pass, solver._min_union
+    segments = solver._minimize_segments
+
+    def counted_pass(self, *args):
+        unions.append([])
+        inside.append(True)
+        try:
+            return attacker_pass(self, *args)
+        finally:
+            inside.pop()
+
+    def counted_union(base, terms):
+        if inside:
+            unions[-1].append(base.shape[0] + sum(t.shape[0] for t in terms))
+        return min_union(base, terms)
+
+    def counted_segments(rows, ids):
+        if inside:
+            unions[-1].extend(np.unique(ids, return_counts=True)[1].tolist())
+        return segments(rows, ids)
+
+    monkeypatch.setattr(solver._Engine, "attacker_pass", counted_pass)
+    monkeypatch.setattr(solver, "_min_union", counted_union)
+    monkeypatch.setattr(solver, "_minimize_segments", counted_segments)
+    game = grid_game(8, 4, seed=2)
+    result = compute_winning_budgets(game)
+    assert any(u and max(u) > solver._CHUNK >= min(u) for u in unions)
+    assert_history_matches_plain(game, result)
+
+
 def test_iteration_cap_raises():
     game = GameGraph.build(
         1,
@@ -276,6 +314,24 @@ def test_iteration_cap_raises():
     assert err.value.cap == 1
     assert err.value.previous == {"a": ParetoFront.empty(), "d": minimize([E(0)])}
     assert err.value.current == {"a": minimize([E(3)]), "d": minimize([E(0)])}
+
+
+def test_iteration_cap_names_the_positions_still_growing(espresso):
+    """At a cap of 5 the solver stops after its sixth pass; the positions
+    still growing are those with rows stamped 6 in the full solve, each
+    with its count of such rows, and the message names every one."""
+    full = compute_winning_budgets(espresso)
+    expected = {}
+    for g, (_, stamps) in full.entries.items():
+        if (stamps == 6).any():
+            expected[g] = int((stamps == 6).sum())
+    assert expected
+    with pytest.raises(IterationCapExceeded) as err:
+        compute_winning_budgets(espresso, iteration_cap=5)
+    assert err.value.growing == expected
+    for g, count in expected.items():
+        assert f"{g} (+{count})" in str(err.value)
+    assert err.value.current == iterate_once(espresso, err.value.previous)
 
 
 INT64_MAX = 2**63 - 1
@@ -320,6 +376,31 @@ def test_edge_parameter_outside_int64_raises(z):
         compute_winning_budgets(game)
     with pytest.raises(MagnitudeOverflow):
         iterate_once(game, empty_map(game))
+
+
+@pytest.mark.parametrize("top", [INT64_MAX - 7, INT64_MAX - 6])
+def test_overflow_limit_is_the_largest_growth_of_the_incoming_attacker_edges(top):
+    """Three attacker predecessors pull ``t``'s front back in one batch,
+    growing it by 5, by 3 + 4 over two steps and by nothing: ``t`` may hold
+    ``INT64_MAX - 7`` and no more."""
+    game = GameGraph.build(
+        1,
+        [(g, Owner.ATTACKER) for g in ("a1", "a2", "a3", "t")] + [("d", Owner.DEFENDER)],
+        [
+            ("a1", "t", delta(-5)),
+            ("a2", "t", Update((*delta(-3).steps, *delta(-4).steps))),
+            ("a3", "t", Update.single(Mul(2))),
+            ("t", "d", delta(-top)),
+        ],
+    )
+    if top > INT64_MAX - 7:
+        with pytest.raises(MagnitudeOverflow, match=f"front of 't' reaches {top}"):
+            compute_winning_budgets(game)
+        return
+    fronts = compute_winning_budgets(game).fronts
+    assert fronts["a2"].elements == (E(INT64_MAX),)
+    assert fronts["a1"].elements == (E(top + 5),)
+    assert fronts["a3"].elements == (E(-(-top // 2)),)
 
 
 def test_given_front_past_int64_headroom_raises():
@@ -408,9 +489,9 @@ def _count_sweeps(monkeypatch) -> list[int]:
     calls = []
     sweep = solver._minimize_by_sweep
 
-    def counted(unique):
+    def counted(unique, segments):
         calls.append(unique.shape[0])
-        return sweep(unique)
+        return sweep(unique, segments)
 
     monkeypatch.setattr(solver, "_minimize_by_sweep", counted)
     return calls
