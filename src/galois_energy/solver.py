@@ -136,15 +136,14 @@ def _minimize_by_sweep(unique: np.ndarray, segments: np.ndarray) -> np.ndarray:
         chunk = unique[start : start + _CHUNK]
         end = start + chunk.shape[0]
         lo = np.searchsorted(segments[:start], segments[start])
-        kept = lo + np.flatnonzero(keep[lo:start])
-        lower = np.vstack([unique[kept], chunk])
+        kept = keep[lo:start]
+        lower = np.vstack([unique[lo:start][kept], chunk])
         below = lower[:, :1] <= chunk[:, 0]
         for c in range(1, chunk.shape[1]):
             below &= lower[:, c : c + 1] <= chunk[:, c]
         if segments[start] != segments[end - 1]:
-            below &= np.concatenate([segments[kept], segments[start:end]])[:, None] == segments[
-                start:end
-            ]
+            ids = np.concatenate([segments[lo:start][kept], segments[start:end]])
+            below &= ids[:, None] == segments[start:end]
         np.fill_diagonal(below[-chunk.shape[0] :], False)
         keep[start:end] = ~below.any(0)
     return np.flatnonzero(keep)
@@ -158,7 +157,7 @@ def _minimize_segments(rows: np.ndarray, segments: np.ndarray) -> np.ndarray:
     One stable ``np.lexsort`` by segment and row, each row equal to its
     predecessor in its segment dropped, and the pairwise sweep on the rest.
     """
-    order = np.lexsort(np.vstack([rows.T[::-1], segments]))
+    order = np.lexsort((*rows.T[::-1], segments))
     ordered, ids = rows[order], segments[order]
     first = np.ones(rows.shape[0], dtype=bool)
     first[1:] = (ordered[1:] != ordered[:-1]).any(1) | (ids[1:] != ids[:-1])
