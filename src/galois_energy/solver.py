@@ -56,11 +56,11 @@ above that on a rank grid, whose cost follows its cells.  ``W_k[g]`` is
 stacked first, so the new rows ``Δ_{k+1}[g]`` are exactly the survivors
 past it; the meet marks the rows it finds that are not rows of
 ``W_k[g]``.  A position without new rows among its successors keeps its
-array, and the loop stops once no position gained a row.  Pass 1 is ``F(∅)``: the zero row at defender
-deadlocks, all of it new.  Each pass yields exactly the front map of the
-plain pass; with ``W_{k-1}`` empty the formulas are the plain pass
-itself, which is how ``iterate_once`` (and ``compute_new_win`` through
-it) evaluates arbitrary maps.
+array, and the loop stops once no position gained a row.  Pass 1 is
+``F(∅)``: the zero row at defender deadlocks, all of it new.  Each pass
+yields exactly the front map of the plain pass; with ``W_{k-1}`` empty
+the formulas are the plain pass itself, which is how ``iterate_once``
+(and ``compute_new_win`` through it) evaluates arbitrary maps.
 
 The resulting fixed point maps each position to the Pareto front of its
 winning budgets; membership of arbitrary energies follows by upward
