@@ -74,7 +74,7 @@ class GameGraph:
 
     @cached_property
     def _hash(self) -> int:
-        # the oracle's caches look a game up on every query
+        # the oracle's arena cache looks a game up on every query
         return hash((self.dimension, self.positions, self.edges))
 
     def __getstate__(self) -> dict:

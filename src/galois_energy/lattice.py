@@ -53,17 +53,19 @@ class Energy:
 
     @classmethod
     def parse(cls, text: str) -> Energy:
-        """Parse the textual rendering, e.g. ``"0,2,0,10"`` or ``"inf,3"``."""
-        parts = [p.strip() for p in text.split(",")]
+        """Parse the textual rendering, e.g. ``"0,2,0,10"`` or ``"inf,3"``.
+
+        Each comma-separated component, stripped of surrounding whitespace,
+        is ``inf`` or ASCII decimal digits; signs, ``_`` separators and
+        other scripts' digits are refused."""
         comps: list[Component] = []
-        for p in parts:
+        for p in (p.strip() for p in text.split(",")):
             if p == "inf":
                 comps.append(INF)
+            elif p.isascii() and p.isdigit():
+                comps.append(int(p))
             else:
-                try:
-                    comps.append(int(p))
-                except ValueError:
-                    raise ValueError(f"bad energy component {p!r} in {text!r}") from None
+                raise ValueError(f"bad energy component {p!r} in {text!r}")
         return cls(tuple(comps))
 
     def render(self) -> str:

@@ -271,7 +271,6 @@ class OracleVerdict:
         return self.winner is Verdict.ATTACKER
 
 
-@lru_cache(maxsize=8)
 def _game_bound(game: GameGraph) -> tuple[int, int]:
     """The game's part of the first clip bound: an estimate of the largest
     component the backward iteration can reach, and a headroom of one

@@ -41,13 +41,17 @@ are AND-ed, and a cell of the intersection is minimal exactly when none of
 its lower neighbours is in it.  This costs a few passes over the grid
 per successor, so it runs only when the grid has at most ``∏_i |N_i|``
 cells, the size of the full sup product.  Otherwise, with ``O_i`` the
-pulled-back fronts of ``W_{k-1}``, the front is the telescoped fold
+pulled-back fronts of ``W_{k-1}`` (``O_i = N_i`` where the successor
+gained no rows), the front is the telescoped fold
 
 * defender: ``W_{k+1}[g] = min(W_k[g] ∪ ⋃_i N_1⊔…⊔N_{i-1}⊔D_i⊔O_{i+1}⊔…⊔O_m)``
 
 (the terms telescope ``⋂_i ↑N_i`` minus ``⋂_i ↑O_i``, since intersection
 of upward closures distributes over union), whose products start from
-the few new rows ``D_i`` rather than from whole fronts.
+the few new rows ``D_i`` rather than from whole fronts.  Defenders keep
+nothing between passes: each evaluation pulls back the fronts of
+``W_k``, and the fold pulls ``O_i`` from ``W_{k-1}``, the previous map
+the pass loop holds anyway.
 
 The minimiser returns the indices of the minimal rows: up to ``_CHUNK``
 rows (the common ``min(W_k[g] ∪ a few new rows)``) by a pairwise
@@ -333,8 +337,6 @@ class _Inverses:
 # Per position, a mask of the rows that are new since the previous map; a
 # position without new rows has no entry.
 _Fresh = dict[str, np.ndarray]
-# Per defender position, one pulled-back successor front per move.
-_Pulled = dict[str, list[np.ndarray]]
 
 
 def _every_row(rows: Mapping[str, np.ndarray]) -> _Fresh:
@@ -394,7 +396,6 @@ class _Engine:
     """
 
     def __init__(self, game: GameGraph):
-        self.game = game
         self.n = game.dimension
         self.ids = game.position_ids
         self.index = {g: k for k, g in enumerate(self.ids)}
@@ -432,19 +433,15 @@ class _Engine:
     def from_fronts(self, fronts: Mapping[str, ParetoFront]) -> dict[str, np.ndarray]:
         return {g: _front_to_rows(fronts[g], self.n, self.limit[g]) for g in self.ids}
 
-    def start(self) -> tuple[dict[str, np.ndarray], _Pulled]:
-        """``F`` of the empty map (the zero row at defender deadlocks, empty
-        elsewhere) and its pulled-back successor fronts (all empty)."""
-        base = {
+    def start(self) -> dict[str, np.ndarray]:
+        """``F`` of the empty map: the zero row at defender deadlocks, empty
+        elsewhere.  Nothing else is carried into the passes."""
+        return {
             g: np.zeros((1, self.n), dtype=np.int64)
             if not self.is_attacker[g] and not self.moves[g]
             else self._empty()
             for g in self.ids
         }
-        pulled = {
-            g: [self._empty()] * len(self.moves[g]) for g in self.ids if not self.is_attacker[g]
-        }
-        return base, pulled
 
     def attacker_pass(
         self, cur: Mapping[str, np.ndarray], fresh: _Fresh, base: Mapping[str, np.ndarray]
@@ -493,59 +490,57 @@ class _Engine:
         base: np.ndarray,
         cur: Mapping[str, np.ndarray],
         fresh: _Fresh,
-        before: list[np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """``min(⋂_i ↑N_i)`` over the pulled-back current successor fronts N.
+        old: Mapping[str, np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``min(⋂_i ↑N_i)`` over the pulled-back successor fronts N of
+        ``cur``, and the mask of its rows absent from ``base``.
 
-        ``before`` holds the pulled-back old successor fronts O; returns
-        the new front, the mask of its rows absent from ``base`` and N.
-        The front is the meet of the N on their rank grid (``_meet``) when
-        that grid has at most ``∏_i |N_i|`` cells (the size of the full sup
-        product) and at most ``_GRID_CELL_CAP``; otherwise it is the
-        telescoped fold (``_telescoped_fold``), whose products start from
-        the few new rows.
+        Every successor front is pulled back on each call; a defender keeps
+        nothing between passes.  The front is the meet of the N on their
+        rank grid (``_meet``) when that grid has at most ``∏_i |N_i|`` cells
+        (the size of the full sup product) and at most ``_GRID_CELL_CAP``;
+        otherwise it is the telescoped fold (``_telescoped_fold``), whose
+        products start from the few new rows.  Only the fold needs the
+        pulled-back fronts O of the previous map ``old``: a successor with
+        new rows has its old front pulled back, any other has ``O_i = N_i``.
         """
-        after = [
-            self.inverses.pull(e, cur[target]) if target in fresh else old
-            for (target, e), old in zip(self.moves[g], before)
-        ]
+        after = [self.inverses.pull(e, cur[target]) for target, e in self.moves[g]]
         product = math.prod(f.shape[0] for f in after)
         met = _meet(base, after, min(_GRID_CELL_CAP, product))
         if met is None:
-            deltas = [
-                rows[fresh[target]] if target in fresh else None
-                for (target, _), rows in zip(self.moves[g], after)
-            ]
+            deltas, before = [], []
+            for (target, e), rows in zip(self.moves[g], after):
+                changed = target in fresh
+                deltas.append(rows[fresh[target]] if changed else None)
+                before.append(self.inverses.pull(e, old[target]) if changed else rows)
             met = _telescoped_fold(base, deltas, after, before)
-        return *met, after
+        return met
 
     def delta_pass(
         self,
         cur: Mapping[str, np.ndarray],
         fresh: _Fresh,
         base: Mapping[str, np.ndarray],
-        pulled: _Pulled,
-    ) -> tuple[dict[str, np.ndarray], _Fresh, _Pulled]:
-        """``F(cur)``, the masks of its rows absent from ``base`` (for the
-        positions that gained a row, in position order) and the
-        pulled-back successor fronts of ``cur``.
+        old: Mapping[str, np.ndarray],
+    ) -> tuple[dict[str, np.ndarray], _Fresh]:
+        """``F(cur)`` and the masks of its rows absent from ``base``, for
+        the positions that gained a row, in position order.
 
-        ``base`` is ``F(old)``, ``fresh`` marks the rows of ``cur`` absent
-        from ``old`` and ``pulled`` holds the pulled-back fronts of ``old``.
-        A position with no new rows among its successors keeps its array.
+        ``old`` is the previous map, ``base`` is ``F(old)`` and ``fresh``
+        marks the rows of ``cur`` absent from ``old``.  A position with no
+        new rows among its successors keeps its array; no other state
+        passes from one pass to the next.
         """
         new = dict(base)
-        pulled = dict(pulled)
         grown: _Fresh = {}
         found = self.attacker_pass(cur, fresh, base)
         for g in sorted({d for t in fresh for d in self.defenders_of[t]}):
-            rows, mask, pulled[g] = self.defender_rows(g, base[g], cur, fresh, pulled[g])
-            found[g] = rows, mask
+            found[g] = self.defender_rows(g, base[g], cur, fresh, old)
         for g, (rows, mask) in found.items():
             new[g] = rows
             if mask.any():
                 grown[g] = mask
-        return new, dict(sorted(grown.items())), pulled
+        return new, dict(sorted(grown.items()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -613,7 +608,7 @@ def iterate_once(game: GameGraph, old_win: Mapping[str, ParetoFront]) -> FrontMa
     """One full pass over all positions, reading only the old snapshot."""
     engine = _Engine(game)
     cur = engine.from_fronts(old_win)
-    new, _, _ = engine.delta_pass(cur, _every_row(cur), *engine.start())
+    new, _ = engine.delta_pass(cur, _every_row(cur), engine.start(), engine.empty_map())
     return _to_fronts(new)
 
 
@@ -622,7 +617,7 @@ def _solve_jacobi(
 ) -> tuple[int, dict[str, np.ndarray], int, EntryLog]:
     """Passes, fixed point, largest front and entry log of one solve."""
     prev = engine.empty_map()
-    win, pulled = engine.start()
+    win = engine.start()
     fresh = _every_row(win)
     entered: dict[str, list[tuple[int, np.ndarray]]] = {g: [] for g in engine.ids}
     max_front = 0
@@ -641,7 +636,7 @@ def _solve_jacobi(
         if cap is not None and passes > cap:
             growing = {g: int(np.count_nonzero(mask)) for g, mask in fresh.items()}
             raise IterationCapExceeded(cap, _to_fronts(prev), _to_fronts(win), growing)
-        new, fresh, pulled = engine.delta_pass(win, fresh, win, pulled)
+        new, fresh = engine.delta_pass(win, fresh, win, prev)
         passes += 1
         prev, win = win, new
     entries = {

@@ -231,6 +231,10 @@ def test_query_bad_energy(capsys):
     assert code == 2
     code, _, err = run(capsys, "query", ESPRESSO, "--position", "Nowhere", "--energy", "0,0,0,0")
     assert code == 2
+    # Python's int reads "1_0" as 10, a winning energy here
+    code, out, err = run(capsys, "query", ESPRESSO, "--position", "Office", "--energy", "1_0,0,0,0")
+    assert (code, out) == (2, "")
+    assert "bad energy component '1_0'" in err
 
 
 def test_transform_shortest_path_and_solve(tmp_path, capsys):

@@ -160,8 +160,10 @@ def test_render_and_parse_round_trip():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        Energy.parse("1,x")
+    # Python's int would read the last three as (10, 2), (5, 1) and (12, 1)
+    for text in ("1,x", "1_0,2", "+5,1", "\u0661\u0662,1"):
+        with pytest.raises(ValueError):
+            Energy.parse(text)
 
 
 def test_energy_rejects_negative_and_fractional():

@@ -606,6 +606,44 @@ def test_defender_over_the_grid_cap_folds(monkeypatch):
     assert len(got) > 0
 
 
+def test_fold_telescopes_from_the_previous_map(monkeypatch):
+    """Every telescoped fold of an espresso solve reads ``O_i``, the
+    successor fronts of ``W_{k-1}`` pulled back, and ``N_i``, those of
+    ``W_k``.  Passing ``N_i`` for ``O_i`` keeps the answers but starts the
+    products from whole fronts, so the fold would no longer telescope."""
+    calls = []
+    passes = []
+    delta_pass, defender_rows, fold = (
+        solver._Engine.delta_pass,
+        solver._Engine.defender_rows,
+        solver._telescoped_fold,
+    )
+
+    def counted_pass(self, *args):
+        passes.append(None)
+        return delta_pass(self, *args)
+
+    def named_defender(self, g, *args):
+        calls.append([self, len(passes), g])
+        return defender_rows(self, g, *args)
+
+    def recorded_fold(base, deltas, after, before):
+        calls[-1] += [deltas, after, before]
+        return fold(base, deltas, after, before)
+
+    monkeypatch.setattr(solver._Engine, "delta_pass", counted_pass)
+    monkeypatch.setattr(solver._Engine, "defender_rows", named_defender)
+    monkeypatch.setattr(solver, "_telescoped_fold", recorded_fold)
+    maps = history(compute_winning_budgets(espresso_with_target(16)))
+    folds = [call for call in calls if len(call) > 3]
+    assert len(folds) == 19
+    for engine, k, g, deltas, after, before in folds:
+        assert sum(d is not None for d in deltas) >= 2
+        for (t, e), n_i, o_i in zip(engine.moves[g], after, before):
+            assert np.array_equal(n_i, engine.inverses.pull(e, maps[k][t]))
+            assert np.array_equal(o_i, engine.inverses.pull(e, maps[k - 1][t]))
+
+
 def test_invalid_game_rejected():
     game = GameGraph.build(1, [("a", Owner.ATTACKER)], [("a", "ghost", delta(0))])
     with pytest.raises(Exception):
