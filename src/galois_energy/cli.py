@@ -5,18 +5,19 @@ initial credit), ``transform`` (reduce a classical problem to a game
 file) and ``check`` (differentially test the solver against the
 brute-force oracle on a small game).
 
-``check --samples`` and ``--bound`` must be at least 1: a check of no
-samples would pass vacuously.
+``check --samples`` and ``--bound`` must be at least 1, and ``check``
+refuses a game without positions: a check of no samples would pass
+vacuously.
 
 Commands return 0 or 1 and raise on failure; ``main`` prints the error
 and maps it to an exit code through ``_EXIT_CODES``.  Exit codes: 0
 success / WIN / no mismatches, 1 LOSE or mismatches found, 2 parse or
 validation failure (any ``ValueError``), an output file ``transform``
 cannot write, a ``check`` argument below 1, or a game ``check`` cannot
-test (over its size guard, or one where the oracle runs out of
-configurations), 3 iteration cap exceeded (only for a solve given an
-``iteration_cap``; the commands solve without one), 4 a front value or
-edge parameter outside the solver's int64 range.
+test (without positions, over its size guard, or one where the oracle
+runs out of configurations), 3 iteration cap exceeded (only for a solve
+given an ``iteration_cap``; the commands solve without one), 4 a front
+value or edge parameter outside the solver's int64 range.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     else:
         loaded, targets = fileio.load_generalized_reachability(args.file)
         game = instances.add_generalized_reachability(loaded.game, targets)
-        suffix = Energy((0,) * len(targets) + (1,))
+        suffix = instances.generalized_query_energy(Energy(()), len(targets))
         annotations = {
             "tracking_sets": [sorted(f) for f in targets],
             "query_energy_suffix": suffix.render(),
@@ -124,6 +125,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     game = fileio.load_game(args.file).game
+    if not game.positions:
+        raise ValueError("check needs a game with at least one position")
     if len(game.positions) > CHECK_MAX_POSITIONS or game.dimension > CHECK_MAX_DIMENSION:
         raise ValueError(
             f"check handles at most {CHECK_MAX_POSITIONS} positions "

@@ -101,13 +101,17 @@ def _subtract(weight: tuple[int, ...]) -> Update:
 
 def from_shortest_path(graph: WeightedGraph) -> tuple[GameGraph, str]:
     """Single-player game whose front at the source is the shortest
-    distance to the target (empty when unreachable)."""
-    sink = fresh_id("__sink", set(graph.nodes))
-    positions = [(v, Owner.ATTACKER) for v in graph.nodes] + [(sink, Owner.DEFENDER)]
-    edges = [(v, w, Update.single(Add(-cost))) for v, cost, w in graph.edges]
-    edges.append((graph.target, sink, Update.identity(1)))
-    positions, edges, _ = split_parallel_edges(positions, edges)
-    return GameGraph.build(1, positions, edges).require_valid(), graph.source
+    distance to the target (empty when unreachable): the coverability
+    game of the one-counter VASS that pays each edge's cost, from and to
+    zero energy."""
+    vass = Vass(
+        states=graph.nodes,
+        transitions=tuple((v, (-cost,), w) for v, cost, w in graph.edges),
+        initial=(graph.source, Energy((0,))),
+        target=(graph.target, Energy((0,))),
+    )
+    game, source, _ = from_vass_coverability(vass)
+    return game, source
 
 
 def from_vass_coverability(vass: Vass) -> tuple[GameGraph, str, Energy]:

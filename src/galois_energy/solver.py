@@ -40,18 +40,21 @@ share one rank grid; each upward closure is a boolean grid, the closures
 are AND-ed, and a cell of the intersection is minimal exactly when none of
 its lower neighbours is in it.  This costs a few passes over the grid
 per successor, so it runs only when the grid has at most ``∏_i |N_i|``
-cells, the size of the full sup product.  Otherwise, with ``O_i`` the
-pulled-back fronts of ``W_{k-1}`` (``O_i = N_i`` where the successor
+cells, the size of the full sup product.  Otherwise, with ``N_i`` split
+row by row into ``D_i`` and ``O_i``, the pulled-back rows of ``W_k`` that
+were already rows of ``W_{k-1}`` (``O_i = N_i`` where the successor
 gained no rows), the front is the telescoped fold
 
 * defender: ``W_{k+1}[g] = min(W_k[g] ∪ ⋃_i N_1⊔…⊔N_{i-1}⊔D_i⊔O_{i+1}⊔…⊔O_m)``
 
-(the terms telescope ``⋂_i ↑N_i`` minus ``⋂_i ↑O_i``, since intersection
-of upward closures distributes over union), whose products start from
-the few new rows ``D_i`` rather than from whole fronts.  Defenders keep
-nothing between passes: each evaluation pulls back the fronts of
-``W_k``, and the fold pulls ``O_i`` from ``W_{k-1}``, the previous map
-the pass loop holds anyway.
+whose products start from the few new rows ``D_i`` rather than from
+whole fronts.  The terms telescope ``⋂_i ↑N_i`` minus ``⋂_i ↑O_i``,
+since ``↑N_i = ↑O_i ∪ ↑D_i`` and intersection of upward closures
+distributes over union; the part left out lies in ``↑W_k[g]``, since
+``↑O_i`` lies in the closure of the pulled-back ``W_{k-1}``.  Defenders
+keep nothing between passes, and a pass reads no map but ``W_k``: each
+evaluation pulls back the successor fronts of ``W_k`` once, and the
+masks of new rows split them.
 
 The minimiser returns the indices of the minimal rows: up to ``_CHUNK``
 rows (the common ``min(W_k[g] ∪ a few new rows)``) by a pairwise
@@ -358,20 +361,18 @@ def _min_union(base: np.ndarray, terms: list[np.ndarray]) -> tuple[np.ndarray, n
 
 def _telescoped_fold(
     base: np.ndarray,
-    deltas: list[np.ndarray | None],
+    deltas: list[np.ndarray],
     after: list[np.ndarray],
     before: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """``min(base ∪ ⋃_i N_1⊔…⊔N_{i-1}⊔D_i⊔O_{i+1}⊔…⊔O_k)`` and the mask of
-    its new rows, over the successors ``i`` with pulled-back new rows
-    ``D_i = deltas[i]`` (``None`` for the others), where ``after`` holds
-    the N and ``before`` the O.  Each term is a fold of pairwise sup
-    products through the minimiser, starting from its small delta factor.
+    its new rows, where ``after`` holds the N, ``deltas`` the D and
+    ``before`` the O.  Each term is a fold of pairwise sup products
+    through the minimiser, starting from its small delta factor; a term
+    with an empty factor (an empty D_i above all) is empty and skipped.
     """
     terms = []
     for i, delta in enumerate(deltas):
-        if delta is None:
-            continue
         factors = [delta, *after[:i], *before[i + 1 :]]
         if any(not f.shape[0] for f in factors):
             continue
@@ -388,11 +389,12 @@ def _telescoped_fold(
 class _Engine:
     """Array-based semi-naive pass evaluator for one game.
 
-    A pass computes ``F(cur)`` from ``base = F(old)`` and the rows of
-    ``cur`` that are not in ``old``, for maps whose upward closures grow
-    from ``old`` to ``cur``.  With ``old`` the empty map it is the plain
-    pass over the full fronts.  Edges are numbered in position order;
-    ``moves`` lists each position's successors with their edge numbers.
+    A pass computes ``F(cur)`` from ``base = F(old)`` and the masks of the
+    rows of ``cur`` that are not in ``old``, for maps whose upward
+    closures grow from ``old`` to ``cur``; ``old`` itself is not needed.
+    With every row marked new (``old`` empty) it is the plain pass over
+    the full fronts.  Edges are numbered in position order; ``moves``
+    lists each position's successors with their edge numbers.
     """
 
     def __init__(self, game: GameGraph):
@@ -485,12 +487,7 @@ class _Engine:
         return result
 
     def defender_rows(
-        self,
-        g: str,
-        base: np.ndarray,
-        cur: Mapping[str, np.ndarray],
-        fresh: _Fresh,
-        old: Mapping[str, np.ndarray],
+        self, g: str, base: np.ndarray, cur: Mapping[str, np.ndarray], fresh: _Fresh
     ) -> tuple[np.ndarray, np.ndarray]:
         """``min(⋂_i ↑N_i)`` over the pulled-back successor fronts N of
         ``cur``, and the mask of its rows absent from ``base``.
@@ -500,42 +497,38 @@ class _Engine:
         rank grid (``_meet``) when that grid has at most ``∏_i |N_i|`` cells
         (the size of the full sup product) and at most ``_GRID_CELL_CAP``;
         otherwise it is the telescoped fold (``_telescoped_fold``), whose
-        products start from the few new rows.  Only the fold needs the
-        pulled-back fronts O of the previous map ``old``: a successor with
-        new rows has its old front pulled back, any other has ``O_i = N_i``.
+        products start from the few new rows.  The fold splits each N_i
+        by ``fresh``: D_i are the pulled-back new rows, and O_i the
+        pulled-back rows that the previous map held as well.
         """
         after = [self.inverses.pull(e, cur[target]) for target, e in self.moves[g]]
         product = math.prod(f.shape[0] for f in after)
         met = _meet(base, after, min(_GRID_CELL_CAP, product))
         if met is None:
             deltas, before = [], []
-            for (target, e), rows in zip(self.moves[g], after):
-                changed = target in fresh
-                deltas.append(rows[fresh[target]] if changed else None)
-                before.append(self.inverses.pull(e, old[target]) if changed else rows)
+            for (target, _), rows in zip(self.moves[g], after):
+                new = fresh.get(target, np.zeros(rows.shape[0], dtype=bool))
+                deltas.append(rows[new])
+                before.append(rows[~new])
             met = _telescoped_fold(base, deltas, after, before)
         return met
 
     def delta_pass(
-        self,
-        cur: Mapping[str, np.ndarray],
-        fresh: _Fresh,
-        base: Mapping[str, np.ndarray],
-        old: Mapping[str, np.ndarray],
+        self, cur: Mapping[str, np.ndarray], fresh: _Fresh, base: Mapping[str, np.ndarray]
     ) -> tuple[dict[str, np.ndarray], _Fresh]:
         """``F(cur)`` and the masks of its rows absent from ``base``, for
         the positions that gained a row, in position order.
 
-        ``old`` is the previous map, ``base`` is ``F(old)`` and ``fresh``
-        marks the rows of ``cur`` absent from ``old``.  A position with no
-        new rows among its successors keeps its array; no other state
-        passes from one pass to the next.
+        ``fresh`` marks the rows of ``cur`` absent from the previous map
+        ``old``, and ``base`` is ``F(old)``; ``old`` itself is never read.
+        A position with no new rows among its successors keeps its array;
+        no other state passes from one pass to the next.
         """
         new = dict(base)
         grown: _Fresh = {}
         found = self.attacker_pass(cur, fresh, base)
         for g in sorted({d for t in fresh for d in self.defenders_of[t]}):
-            found[g] = self.defender_rows(g, base[g], cur, fresh, old)
+            found[g] = self.defender_rows(g, base[g], cur, fresh)
         for g, (rows, mask) in found.items():
             new[g] = rows
             if mask.any():
@@ -567,12 +560,6 @@ class SolverResult:
     @cached_property
     def fronts(self) -> FrontMap:
         return _to_fronts(self.rows)
-
-    def front(self, g: str) -> ParetoFront:
-        try:
-            return self.fronts[g]
-        except KeyError:
-            raise KeyError(f"unknown position {g!r}") from None
 
     def entry_pass(self, g: str, e: Energy) -> int | None:
         """First pass after which ``e`` is winning at ``g``, or ``None``
@@ -608,7 +595,7 @@ def iterate_once(game: GameGraph, old_win: Mapping[str, ParetoFront]) -> FrontMa
     """One full pass over all positions, reading only the old snapshot."""
     engine = _Engine(game)
     cur = engine.from_fronts(old_win)
-    new, _ = engine.delta_pass(cur, _every_row(cur), engine.start(), engine.empty_map())
+    new, _ = engine.delta_pass(cur, _every_row(cur), engine.start())
     return _to_fronts(new)
 
 
@@ -636,7 +623,7 @@ def _solve_jacobi(
         if cap is not None and passes > cap:
             growing = {g: int(np.count_nonzero(mask)) for g, mask in fresh.items()}
             raise IterationCapExceeded(cap, _to_fronts(prev), _to_fronts(win), growing)
-        new, fresh = engine.delta_pass(win, fresh, win, prev)
+        new, fresh = engine.delta_pass(win, fresh, win)
         passes += 1
         prev, win = win, new
     entries = {

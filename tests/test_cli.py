@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import espresso_with_target, grid_game
+import galois_energy
 from galois_energy import fileio, solver
 from galois_energy.cli import main
 
@@ -441,12 +444,29 @@ def test_check_guard_rejects_large_dimension(tmp_path, capsys):
     assert "dimension" in err
 
 
+def test_check_rejects_a_game_without_positions(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(
+        json.dumps(
+            {"schema": "galois-energy/1", "dimension": 1, "positions": [], "edges": []}
+        )
+    )
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert "at least one position" in err
+    assert "checked" not in out
+
+
 def test_module_entry_point():
+    # the child process finds the package where this process found it
+    package_root = str(Path(galois_energy.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "galois_energy", "query", ESPRESSO, "--position", "Office",
          "--energy", "0,0,0,10"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "WIN"

@@ -606,11 +606,14 @@ def test_defender_over_the_grid_cap_folds(monkeypatch):
     assert len(got) > 0
 
 
-def test_fold_telescopes_from_the_previous_map(monkeypatch):
-    """Every telescoped fold of an espresso solve reads ``O_i``, the
-    successor fronts of ``W_{k-1}`` pulled back, and ``N_i``, those of
-    ``W_k``.  Passing ``N_i`` for ``O_i`` keeps the answers but starts the
-    products from whole fronts, so the fold would no longer telescope."""
+def test_fold_splits_the_current_fronts_by_their_new_rows(monkeypatch):
+    """Every telescoped fold of an espresso solve reads ``N_i``, the
+    successor fronts of ``W_k`` pulled back, split row by row into
+    ``D_i``, the rows absent from ``W_{k-1}``, and ``O_i``, the rows that
+    ``W_{k-1}`` held as well.  ``O_i`` is not the whole pulled-back front
+    of ``W_{k-1}``: some of its rows have left ``W_k``.  Passing ``N_i``
+    for ``O_i`` keeps the answers but starts the products from whole
+    fronts, so the fold would no longer telescope."""
     calls = []
     passes = []
     delta_pass, defender_rows, fold = (
@@ -637,11 +640,17 @@ def test_fold_telescopes_from_the_previous_map(monkeypatch):
     maps = history(compute_winning_budgets(espresso_with_target(16)))
     folds = [call for call in calls if len(call) > 3]
     assert len(folds) == 19
+    shrunk = 0
     for engine, k, g, deltas, after, before in folds:
-        assert sum(d is not None for d in deltas) >= 2
-        for (t, e), n_i, o_i in zip(engine.moves[g], after, before):
-            assert np.array_equal(n_i, engine.inverses.pull(e, maps[k][t]))
-            assert np.array_equal(o_i, engine.inverses.pull(e, maps[k - 1][t]))
+        assert sum(d.shape[0] > 0 for d in deltas) >= 2
+        for (t, e), d_i, n_i, o_i in zip(engine.moves[g], deltas, after, before):
+            rows, previous = maps[k][t], {tuple(r) for r in maps[k - 1][t].tolist()}
+            kept = np.array([tuple(r) in previous for r in rows.tolist()], dtype=bool)
+            assert np.array_equal(n_i, engine.inverses.pull(e, rows))
+            assert np.array_equal(d_i, engine.inverses.pull(e, rows[~kept]))
+            assert np.array_equal(o_i, engine.inverses.pull(e, rows[kept]))
+            shrunk += np.count_nonzero(kept) < len(previous)
+    assert shrunk >= 1
 
 
 def test_invalid_game_rejected():
