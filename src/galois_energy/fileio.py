@@ -33,7 +33,7 @@ from typing import Any
 from .errors import GameFileError, InvalidGameError
 from .game import AuxiliaryInsertion, GameGraph, Owner, Position, split_parallel_edges
 from .instances import MultiReachabilityGame, Vass, WeightedGraph
-from .lattice import Energy
+from .lattice import Energy, is_int
 from .updates import Add, ComponentSpec, MinOf, Mul, Update, UpdateAtom
 
 GAME_SCHEMA = "galois-energy/1"
@@ -54,7 +54,7 @@ def bundled_game_path(name: str = "espresso") -> Path:
 def _int(raw: Any, what: str) -> int:
     """``raw`` itself when it is a JSON integer; floats, booleans and
     strings are rejected rather than converted."""
-    if isinstance(raw, bool) or not isinstance(raw, int):
+    if not is_int(raw):
         raise GameFileError(f"{what} must be an integer, got {raw!r}")
     return raw
 

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import InvalidGameError
-from .lattice import Energy
+from .lattice import Energy, is_int
 from .updates import Update
 
 
@@ -125,7 +125,9 @@ class GameGraph:
     def validate(self) -> list[str]:
         """All structural violations; an empty list means the graph is well formed."""
         violations: list[str] = []
-        if self.dimension < 1:
+        if not is_int(self.dimension):
+            violations.append(f"dimension must be an integer, got {self.dimension!r}")
+        elif self.dimension < 1:
             violations.append(f"dimension must be at least 1, got {self.dimension}")
         seen_ids: set[str] = set()
         for p in self.positions:

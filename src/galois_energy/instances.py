@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch
 from .game import GameGraph, Owner, Position, fresh_id, split_parallel_edges
-from .lattice import Energy
+from .lattice import Energy, is_int
 from .updates import Add, MinOf, Update, UpdateAtom
 
 
@@ -37,9 +37,11 @@ class WeightedGraph:
             raise ValueError(f"unknown source {self.source!r}")
         if self.target not in known:
             raise ValueError(f"unknown target {self.target!r}")
-        for v, _, w in self.edges:
+        for v, cost, w in self.edges:
             if v not in known or w not in known:
                 raise ValueError(f"edge ({v!r}, ., {w!r}) leaves the node set")
+            if not is_int(cost):
+                raise ValueError(f"edge ({v!r}, ., {w!r}) has cost {cost!r}, not an integer")
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,8 @@ class Vass:
                 raise ValueError(f"transition ({q!r}, ., {q2!r}) leaves the state set")
             if len(w) != n:
                 raise DimensionMismatch(f"transition weight {w} is not {n}-dimensional")
+            if not all(map(is_int, w)):
+                raise ValueError(f"transition weight {w} is not a vector of integers")
         for name, (state, energy) in (("initial", self.initial), ("target", self.target)):
             if state not in known:
                 raise ValueError(f"unknown {name} state {state!r}")
@@ -82,12 +86,16 @@ class MultiReachabilityGame:
     targets: frozenset[str]
 
     def __post_init__(self) -> None:
+        if not is_int(self.dimension):
+            raise ValueError(f"dimension must be an integer, got {self.dimension!r}")
         known = {p.id for p in self.positions}
         for s, t, w in self.edges:
             if s not in known or t not in known:
                 raise ValueError(f"edge ({s!r}, {t!r}) leaves the position set")
             if len(w) != self.dimension:
                 raise DimensionMismatch(f"weight {w} is not {self.dimension}-dimensional")
+            if not all(map(is_int, w)):
+                raise ValueError(f"weight {w} is not a vector of integers")
             if any(c < 0 for c in w):
                 raise ValueError(f"negative weight {w}")
         unknown = self.targets - known

@@ -20,8 +20,13 @@ INF = math.inf
 Component = int | float  # a natural number, or INF
 
 
+def is_int(x: object) -> bool:
+    """``x`` is an integer and not a boolean."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_component(c: Component) -> None:
-    if isinstance(c, int) and not isinstance(c, bool):
+    if is_int(c):
         if c >= 0:
             return
     elif isinstance(c, float) and c == INF:

@@ -3,8 +3,10 @@
 Works on the configuration graph whose nodes pair a position with a
 concrete finite energy, clipped component-wise to a bound ``B`` once per
 move, after its last step (a step may pass ``B`` and a later one come
-back below it).  A least-fixed-point attacker attractor is computed
-backwards from the defender deadlocks:
+back below it).  Each edge's move is compiled once per arena by
+``updates.forward``, the evaluator ``Update.apply`` runs too.  A
+least-fixed-point attacker attractor is computed backwards from the
+defender deadlocks:
 
 * an attacker configuration joins when some move lands in the set,
 * a defender configuration joins when it has at least one move and every
@@ -25,7 +27,7 @@ only: every successor of an old configuration is old, and old verdicts
 are settled, so a new win can only reach new configurations.
 
 No Pareto fronts and no update inverses appear here: the module shares
-nothing with the solver's computation path and serves as its
+nothing with the solver's backward computation and serves as its
 verification baseline at small scale.
 """
 
@@ -34,56 +36,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from operator import add, itemgetter, mul
 from typing import Callable
 
 from .errors import DimensionMismatch, OracleCapacityError
 from .game import GameGraph, Owner, Verdict
 from .lattice import Energy
-from .updates import Add, MinOf, Mul, Update
-
-RawEnergy = tuple[int, ...]
+from .updates import Add, Mul, RawEnergy, forward
 
 DEFAULT_CONFIG_BUDGET = 5_000_000
 
 _NEVER = -1  # defender configuration that can never be satisfied
-
-
-def _compile(update: Update, bound: int) -> Callable[[RawEnergy], RawEnergy | None]:
-    """Forward application over plain int tuples at most ``bound`` (finite
-    energies only), clipped to ``bound`` once, after the last step."""
-    plan = []
-    for atom in update.steps:
-        zs = tuple(s.z if isinstance(s, Add) else 0 for s in atom.specs)
-        ms = tuple(s.factor if isinstance(s, Mul) else 1 for s in atom.specs)
-        # repeating an index makes every getter return a tuple
-        mins = [(i, itemgetter(*s.indices, s.indices[0]))
-                for i, s in enumerate(atom.specs) if isinstance(s, MinOf)]
-        plan.append((zs if any(zs) else None, ms if max(ms) > 1 else None, min(zs) < 0, mins))
-    # without an increment or a factor, no component exceeds the input's maximum
-    grows = any(ms or zs and max(zs) > 0 for zs, ms, _, _ in plan)
-    caps = (bound,) * update.dimension
-
-    def run(e: RawEnergy) -> RawEnergy | None:
-        for zs, ms, drops, mins in plan:
-            out = e
-            if ms:
-                out = tuple(map(mul, out, ms))
-            if zs:
-                out = tuple(map(add, out, zs))
-                if drops and min(out) < 0:
-                    return None
-            if mins:
-                out = list(out)
-                for i, get in mins:
-                    out[i] = min(get(e))
-                out = tuple(out)
-            e = out
-        if grows and max(e) > bound:
-            return tuple(map(min, e, caps))
-        return e
-
-    return run
 
 
 class _Arena:
@@ -105,7 +67,7 @@ class _Arena:
         self.is_defender = [game.owner(g) is Owner.DEFENDER for g in ids]
         self.is_deadlock = [game.is_deadlock(g) for g in ids]
         self.moves: list[list[tuple[int, Callable[[RawEnergy], RawEnergy | None]]]] = [
-            [(self.pos_index[t], _compile(u, bound)) for t, u in game.successors(g)] for g in ids
+            [(self.pos_index[t], forward(u, bound)) for t, u in game.successors(g)] for g in ids
         ]
         # positions with no path to any defender deadlock can never be won,
         # whatever the energy; their configurations need no expansion

@@ -1,8 +1,9 @@
 """Shared fixtures: the espresso game, random game generators, reference
 implementations for the solver (the pure-Python minimiser, membership test
 and Galois inverse, the plain pass, the per-pass front maps and the
-history-scanning strategy), a recorder of the minimiser's inputs, and the
-independent check helpers used across the suite."""
+history-scanning strategy), a per-spec reference for forward application,
+a recorder of the minimiser's inputs, and the independent check helpers used
+across the suite."""
 
 from __future__ import annotations
 
@@ -59,6 +60,40 @@ def minimize(energies: Iterable[Energy]) -> ParetoFront:
 def member_upward(front: ParetoFront, e: Energy) -> bool:
     """Reference membership: is ``e`` in the upward closure of the front?"""
     return any(leq(m, e) for m in front)
+
+
+def _apply_atom(atom: UpdateAtom, e: Energy) -> Energy | None:
+    src = e.components
+    out: list[Component] = []
+    for i, spec in enumerate(atom.specs):
+        if isinstance(spec, Add):
+            c = src[i]
+            if c == INF:
+                out.append(INF)
+            else:
+                v = c + spec.z
+                if v < 0:
+                    return None
+                out.append(v)
+        elif isinstance(spec, MinOf):
+            out.append(min(src[k] for k in spec.indices))
+        else:
+            c = src[i]
+            out.append(INF if c == INF else c * spec.factor)
+    return Energy(tuple(out))
+
+
+def reference_apply(u: Update | UpdateAtom, e: Energy) -> Energy | None:
+    """Reference forward application, one spec at a time: ``None`` once
+    some Add goes below zero; every MinOf reads its step's input."""
+    if e.dimension != u.dimension:
+        raise DimensionMismatch(f"energy dim {e.dimension} vs update dim {u.dimension}")
+    current: Energy | None = e
+    for atom in u.steps if isinstance(u, Update) else (u,):
+        current = _apply_atom(atom, current)
+        if current is None:
+            return None
+    return current
 
 
 def _invert_atom(atom: UpdateAtom, e: Energy) -> Energy:

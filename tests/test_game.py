@@ -64,12 +64,20 @@ def test_validate_reports_wrong_dimension():
 
 
 def test_validate_rejects_dimension_zero():
-    game = GameGraph.build(
-        0, [("a", Owner.ATTACKER), ("d", Owner.DEFENDER)], [("a", "d", Update.identity(0))]
-    )
-    assert game.validate() == ["dimension must be at least 1, got 0"]
-    with pytest.raises(InvalidGameError):
-        compute_winning_budgets(game)
+    """Also a dimension that is not an integer: ``True`` is no dimension 1."""
+    for dimension, violation in (
+        (0, "dimension must be at least 1, got 0"),
+        (True, "dimension must be an integer, got True"),
+        (1.0, "dimension must be an integer, got 1.0"),
+    ):
+        game = GameGraph.build(
+            dimension,
+            [("a", Owner.ATTACKER), ("d", Owner.DEFENDER)],
+            [("a", "d", Update.identity(int(dimension)))],
+        )
+        assert game.validate() == [violation]
+        with pytest.raises(InvalidGameError):
+            compute_winning_budgets(game)
 
 
 def test_validate_reports_duplicates():

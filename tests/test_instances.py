@@ -91,6 +91,22 @@ def test_shortest_path_against_relaxation_oracle():
             assert front.elements == (E(int(distance)),)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_instances_reject_non_integer_weights(bad):
+    """A boolean, float or string in a weight or dimension is refused when
+    the instance is built, not read as an integer later."""
+    with pytest.raises(ValueError):
+        WeightedGraph(nodes=("s", "t"), edges=(("s", bad, "t"),), source="s", target="t")
+    with pytest.raises(ValueError):
+        Vass(states=("s",), transitions=(("s", (bad,), "s"),),
+             initial=("s", E(0)), target=("s", E(0)))
+    positions = (Position("a", Owner.ATTACKER),)
+    with pytest.raises(ValueError):
+        MultiReachabilityGame(1, positions, (("a", "a", (bad,)),), frozenset({"a"}))
+    with pytest.raises(ValueError):
+        MultiReachabilityGame(bad, positions, (), frozenset({"a"}))
+
+
 def test_vass_trivial_self_coverability():
     vass = Vass(
         states=("s",),

@@ -153,6 +153,14 @@ def test_atom_validation():
         Mul(0)
     with pytest.raises(ValueError):
         Update(())
+    with pytest.raises(ValueError):
+        atom(1, Add(0))
+    with pytest.raises(ValueError):
+        MinOf((True,))
+    with pytest.raises(ValueError):
+        MinOf((1.0,))
+    with pytest.raises(ValueError):
+        Mul(True)
 
 
 def _random_update(rng: random.Random, n: int, max_abs: int = 2) -> Update:
