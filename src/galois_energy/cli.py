@@ -15,7 +15,8 @@ success / WIN / no mismatches, 1 LOSE or mismatches found, 2 parse or
 validation failure (any ``ValueError``), an output file ``transform``
 cannot write, a ``check`` argument below 1, or a game ``check`` cannot
 test (without positions, over its size guard, or one where the oracle
-runs out of configurations), 3 iteration cap exceeded (only for a solve
+runs out of configurations or its clip bound would carry a move past
+int64), 3 iteration cap exceeded (only for a solve
 given an ``iteration_cap``; the commands solve without one), 4 a front
 value or edge parameter outside the solver's int64 range.
 """

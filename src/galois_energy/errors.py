@@ -49,7 +49,8 @@ class MagnitudeOverflow(OverflowError):
 
 
 class OracleCapacityError(RuntimeError):
-    """The brute-force oracle exceeded its configuration budget."""
+    """The brute-force oracle exceeded its configuration budget, or its clip
+    bound lets a move leave the int64 range."""
 
 
 class StrategyError(RuntimeError):

@@ -4,7 +4,7 @@ Works on the configuration graph whose nodes pair a position with a
 concrete finite energy, clipped component-wise to a bound ``B`` once per
 move, after its last step (a step may pass ``B`` and a later one come
 back below it).  Each edge's move is compiled once per arena by
-``updates.forward``, the evaluator ``Update.apply`` runs too.  A
+``updates.forward``, the row evaluator ``Update.apply`` runs too.  A
 least-fixed-point attacker attractor is computed backwards from the
 defender deadlocks:
 
@@ -20,11 +20,21 @@ monotonicity of the updates; a defender answer may flip once ``B`` grows,
 which ``stable_decide`` pursues by doubling the bound until two
 consecutive answers agree.
 
-An arena keeps the explored graph as two flat lists of edge ends and a
-set of escaping configurations.  Each query that explores a new region
-builds predecessor lists and missing-successor counts for that region
-only: every successor of an old configuration is old, and old verdicts
-are settled, so a new win can only reach new configurations.
+An arena keeps, per ``(game, B)``, every explored configuration as an
+int64 row ``(position, energy...)``, numbered and indexed by the bytes of
+its row, and whether the attacker wins it.  A query that meets an
+unexplored configuration explores its forward closure breadth-first, a
+level at a time: each move of a position runs once, on all of the level's
+configurations at that position, and the successors are looked up and
+numbered in one batch.  The attractor is then settled over the new region
+alone, in rounds over a predecessor index of its edges: every successor
+of an old configuration is old, and old verdicts are settled, so a new
+win can only reach new configurations.
+
+Rows are int64, so an arena first bounds every value a move can compute
+from energies at most ``B``; when that bound leaves the int64 range the
+arena refuses with ``OracleCapacityError``, as it does when exploration
+exceeds the configuration budget.  Nothing wraps.
 
 No Pareto fronts and no update inverses appear here: the module shares
 nothing with the solver's backward computation and serves as its
@@ -35,17 +45,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
-from typing import Callable
+from itertools import compress, count
+
+import numpy as np
 
 from .errors import DimensionMismatch, OracleCapacityError
 from .game import GameGraph, Owner, Verdict
 from .lattice import Energy
-from .updates import Add, Mul, RawEnergy, forward
+from .updates import Add, Mul, Update, forward
 
 DEFAULT_CONFIG_BUDGET = 5_000_000
 
+_INT64_MAX = 2**63 - 1
 _NEVER = -1  # defender configuration that can never be satisfied
+
+
+def _move_magnitude(update: Update, bound: int) -> int:
+    """A bound on every value, intermediate ones included, that ``update``
+    computes from rows in ``[0, bound]``.  Undefined rows keep being
+    evaluated, so a negative value counts by its magnitude: an Add moves it
+    by at most ``|z|``, a Mul scales it by at most ``m`` and a MinOf keeps
+    one of its inputs."""
+    total, factor = bound, 1
+    for atom in update.steps:
+        total += max((abs(s.z) for s in atom.specs if isinstance(s, Add)), default=0)
+        factor *= max((s.factor for s in atom.specs if isinstance(s, Mul)), default=1)
+    return total * factor
 
 
 class _Arena:
@@ -64,23 +89,27 @@ class _Arena:
         self.budget = config_budget
         ids = game.position_ids
         self.pos_index = {g: i for i, g in enumerate(ids)}
-        self.is_defender = [game.owner(g) is Owner.DEFENDER for g in ids]
+        self.is_defender = np.array([game.owner(g) is Owner.DEFENDER for g in ids])
         self.is_deadlock = [game.is_deadlock(g) for g in ids]
-        self.moves: list[list[tuple[int, Callable[[RawEnergy], RawEnergy | None]]]] = [
+        worst = max((_move_magnitude(e.update, bound) for e in game.edges), default=bound)
+        if worst > _INT64_MAX:
+            raise OracleCapacityError(
+                f"clip bound {bound} lets a move reach {worst}, past the int64 range"
+            )
+        self.moves = [
             [(self.pos_index[t], forward(u, bound)) for t, u in game.successors(g)] for g in ids
         ]
         # positions with no path to any defender deadlock can never be won,
         # whatever the energy; their configurations need no expansion
         self.hopeful = self._positions_reaching_defender_deadlocks(len(ids))
         self.poisoned = False
-        self.config_index: dict[tuple[int, RawEnergy], int] = {}
-        self.keys: list[tuple[int, RawEnergy]] = []
-        self.src: list[int] = []
-        self.dst: list[int] = []
-        self.escapes: set[int] = set()
-        self.won = bytearray()
+        self.width = 1 + game.dimension
+        self.row_key = np.dtype((np.void, 8 * self.width))  # one int64 row as bytes
+        self.config_index: dict[bytes, int] = {}
+        self.keys = self.config_index.keys()  # row bytes, in the order of their numbers
+        self.won = np.zeros(0, dtype=bool)
 
-    def _positions_reaching_defender_deadlocks(self, count: int) -> list[bool]:
+    def _positions_reaching_defender_deadlocks(self, count: int) -> np.ndarray:
         rev: list[set[int]] = [set() for _ in range(count)]
         for src, moves in enumerate(self.moves):
             for tgt, _ in moves:
@@ -93,98 +122,136 @@ class _Arena:
                 if p not in reach:
                     reach.add(p)
                     frontier.append(p)
-        return [i in reach for i in range(count)]
+        return np.array([i in reach for i in range(count)], dtype=bool)
 
-    def decide(self, pos: int, e: RawEnergy) -> bool:
+    def decide(self, pos: int, e: tuple[int, ...]) -> bool:
         # a partially explored graph has unusable verdicts, so a capacity
         # overflow permanently disables this arena
         if self.poisoned:
             raise OracleCapacityError(
                 f"exploration at clip bound {self.bound} exceeded {self.budget} configurations"
             )
-        key = (pos, e)
-        hit = self.config_index.get(key)
+        seed = np.array([(pos, *e)], dtype=np.int64)
+        hit = self.config_index.get(seed.tobytes())
         if hit is not None:
             return bool(self.won[hit])
-        first_new, first_edge = len(self.keys), len(self.src)
+        first_new = len(self.keys)
         try:
-            self._explore(key)
+            region = self._explore(seed)
         except OracleCapacityError:
             self.poisoned = True
             raise
-        self._propagate(first_new, first_edge)
+        self._propagate(first_new, *region)
         return bool(self.won[first_new])
 
-    def _explore(self, seed: tuple[int, RawEnergy]) -> None:
-        keys, index, src, dst = self.keys, self.config_index, self.src, self.dst
-        moves, hopeful, budget = self.moves, self.hopeful, self.budget
-        index[seed] = len(keys)
-        keys.append(seed)
-        stack = [len(keys) - 1]
-        while stack:
-            # every stored configuration is pushed, so no growth escapes this check
+    def _insert(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Store the rows not stored yet and return the number of every row,
+        with a mask of the first appearances of new rows, which get the next
+        numbers in that order.  The dictionary work runs in C: ``setdefault``
+        stores a new row under its place in ``rows`` as a provisional
+        number, and the new rows are then renumbered consecutively."""
+        index = self.config_index
+        first = len(index)
+        found = np.ascontiguousarray(rows).view(self.row_key).ravel().tolist()
+        numbers = np.fromiter(map(index.setdefault, found, count(first)), np.int64, len(found))
+        fresh = numbers == np.arange(first, first + len(found))
+        if fresh.any():
+            index.update(zip(compress(found, fresh.tolist()), count(first)))
+            renumber = np.cumsum(fresh) - 1
+            late = numbers >= first
+            numbers[late] = first + renumber[numbers[late] - first]
+        return numbers, fresh
+
+    def _explore(self, seed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Store the forward closure of ``seed`` breadth-first, a level at a
+        time, and return the new region, numbered from 0: the position of
+        each new configuration, the sources and (global) targets of the
+        edges leaving them, and the defender configurations that escape."""
+        keys, moves, hopeful, budget = self.keys, self.moves, self.hopeful, self.budget
+        first_new = len(keys)
+        self._insert(seed)
+        level, base = seed, 0
+        empty = np.zeros(0, dtype=np.int64)
+        positions, srcs, dsts, escapes = [], [empty], [empty], [empty]
+        while len(level):
+            # every stored configuration is in some level, so no growth escapes this check
             if len(keys) > budget:
                 raise OracleCapacityError(
                     f"more than {budget} configurations at clip bound {self.bound}"
                 )
-            idx = stack.pop()
-            p, energy = keys[idx]
-            if not hopeful[p]:
-                continue
-            for tpos, fn in moves[p]:
-                value = fn(energy)
-                if value is None:
-                    if self.is_defender[p]:
-                        self.escapes.add(idx)
+            at = level[:, 0]
+            positions.append(at)
+            # each move of a position runs once, on all of its configurations in the level
+            order = np.argsort(at)
+            ranked = at[order]
+            cuts = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
+            outs, defs, sources, targets, sizes = [], [], [], [], []
+            for lo, hi in zip([0, *cuts], [*cuts, len(at)]):
+                p = ranked[lo]
+                if not hopeful[p]:
                     continue
-                tkey = (tpos, value)
-                tidx = index.get(tkey)
-                if tidx is None:
-                    tidx = index[tkey] = len(keys)
-                    keys.append(tkey)
-                    stack.append(tidx)
-                src.append(idx)
-                dst.append(tidx)
+                group = order[lo:hi]
+                energies = level[group, 1:]
+                for t, run in moves[p]:
+                    out, defined = run(energies)
+                    outs.append(out)
+                    defs.append(defined)
+                    sources.append(group)
+                    targets.append(t)
+                    sizes.append(hi - lo)
+            if not outs:
+                break
+            rows = np.empty((sum(sizes), self.width), dtype=np.int64)
+            rows[:, 0] = np.repeat(targets, sizes)
+            rows[:, 1:] = np.concatenate(outs)
+            src = np.concatenate(sources) + base
+            defined = np.concatenate(defs)
+            if not defined.all():
+                undefined = src[~defined]
+                escapes.append(undefined[self.is_defender[at[undefined - base]]])
+                rows, src = rows[defined], src[defined]
+            base = len(keys) - first_new
+            numbers, fresh = self._insert(rows)
+            srcs.append(src)
+            dsts.append(numbers)
+            level = rows[fresh]
+        return tuple(map(np.concatenate, (positions, srcs, dsts, escapes)))
 
-    def _propagate(self, first_new: int, first_edge: int) -> None:
-        # configurations from ``first_new`` on and edges from ``first_edge``
-        # on are new; new configurations are numbered from 0 here
-        old_won = self.won
-        owners = [self.is_defender[p] for p, _ in self.keys[first_new:]]
-        won = bytearray(len(owners))
-        preds: list[list[int]] = [[] for _ in owners]
-        missing = [0] * len(owners)
-        stack = []
-        for s, t in zip(islice(self.src, first_edge, None), islice(self.dst, first_edge, None)):
-            s -= first_new
-            if t >= first_new:
-                preds[t - first_new].append(s)
-                missing[s] += 1
-            elif not old_won[t]:
-                missing[s] += 1  # an old loss is final
-            elif not owners[s] and not won[s]:
-                won[s] = 1
-                stack.append(s)
-        for s, defender in enumerate(owners):
-            if not defender:
-                continue
-            p, _ = self.keys[first_new + s]
-            if first_new + s in self.escapes or not self.hopeful[p]:
-                missing[s] = _NEVER
-            elif missing[s] == 0:  # every move lands in an old win, or a deadlock
-                won[s] = 1
-                stack.append(s)
-        while stack:
-            for pr in preds[stack.pop()]:
-                if won[pr]:
-                    continue
-                if owners[pr]:
-                    missing[pr] -= 1
-                    if missing[pr]:
-                        continue
-                won[pr] = 1
-                stack.append(pr)
-        old_won += won
+    def _propagate(self, first_new: int, positions: np.ndarray, src: np.ndarray,
+                   dst: np.ndarray, escapes: np.ndarray) -> None:
+        """Settle the attractor over the new region: configurations from
+        ``first_new`` on, numbered from 0 here, with every edge leaving
+        them (``src`` new, ``dst`` global)."""
+        size = len(positions)
+        defender = self.is_defender[positions]
+        old = dst < first_new
+        into_win = np.zeros(len(dst), dtype=bool)
+        into_win[old] = self.won[dst[old]]
+        won = np.zeros(size, dtype=bool)
+        won[src[into_win & ~defender[src]]] = True
+        # an edge into an old win satisfies a defender; an old loss is final
+        missing = np.bincount(src[~into_win], minlength=size)
+        never = ~self.hopeful[positions]
+        never[escapes] = True
+        missing[defender & never] = _NEVER
+        won |= defender & (missing == 0)  # every move lands in an old win, or a deadlock
+        # predecessors of each new configuration, one per edge, grouped by target
+        new = ~old
+        tgt = dst[new] - first_new
+        preds = src[new][np.argsort(tgt)]
+        ptr = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tgt, minlength=size), out=ptr[1:])
+        frontier = np.flatnonzero(won)
+        while len(frontier):
+            starts, lens = ptr[frontier], ptr[frontier + 1] - ptr[frontier]
+            reach = preds[np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())]
+            reach = reach[~won[reach]]
+            attackers = np.unique(reach[~defender[reach]])
+            defenders, edges = np.unique(reach[defender[reach]], return_counts=True)
+            missing[defenders] -= edges
+            frontier = np.concatenate([attackers, defenders[missing[defenders] == 0]])
+            won[frontier] = True
+        self.won = np.concatenate([self.won, won])
 
 
 @lru_cache(maxsize=8)

@@ -17,18 +17,22 @@ constraint pulling on it: ``e'_i - z`` for an Add (when nonnegative),
 drawing on ``i``, and the floor ``0``.  Undo of a composite runs the atom
 inverses in reverse order.  The solver evaluates these inverses on int64
 rows, for many updates at once (``solver._Inverses``); this module defines
-the updates and their one forward evaluator, ``forward``, which both
-``Update.apply`` and the oracle's moves run.
+the updates and their one forward evaluator, ``forward``, which runs one
+update on a matrix of rows.  The oracle's moves run it on int64 rows, and
+``Update.apply`` on a one-row ``dtype=object`` matrix, whose Python
+numbers keep every value exact, infinite components included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, itemgetter, mul
+from functools import cached_property
 from typing import Callable
 
+import numpy as np
+
 from .errors import DimensionMismatch
-from .lattice import Component, Energy, is_int
+from .lattice import Energy, is_int
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,7 @@ class UpdateAtom:
     specs: tuple[ComponentSpec, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "specs", tuple(self.specs))
         n = len(self.specs)
         for spec in self.specs:
             if not isinstance(spec, (Add, MinOf, Mul)):
@@ -99,6 +104,7 @@ class Update:
     steps: tuple[UpdateAtom, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "steps", tuple(self.steps))
         if not self.steps:
             raise ValueError("an update needs at least one step")
         dims = {s.dimension for s in self.steps}
@@ -121,8 +127,16 @@ class Update:
         """Forward application; ``None`` means undefined (some Add went negative)."""
         if e.dimension != self.dimension:
             raise DimensionMismatch(f"energy dim {e.dimension} vs update dim {self.dimension}")
-        out = forward(self)(e.components)
-        return None if out is None else Energy(out)
+        out, defined = self._forward(np.array([e.components], dtype=object))
+        return Energy(tuple(out[0].tolist())) if defined[0] else None
+
+    @cached_property
+    def _forward(self) -> Evaluator:
+        return forward(self)
+
+    def __getstate__(self) -> dict:
+        # a compiled evaluator is a closure, which pickle cannot store
+        return {k: v for k, v in self.__dict__.items() if k != "_forward"}
 
     def compose(self, later: Update) -> Update:
         """This update followed by ``later``, as one edge label."""
@@ -131,43 +145,59 @@ class Update:
         return Update(self.steps + later.steps)
 
 
-RawEnergy = tuple[Component, ...]
+# rows in, updated rows and the mask of rows where the update is defined out
+Evaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def forward(update: Update, cap: int | None = None) -> Callable[[RawEnergy], RawEnergy | None]:
-    """Compile ``update`` into a function on component tuples that returns
-    ``None`` when undefined and clips to ``cap`` once, after the last step
-    (no clip when ``cap`` is ``None``).  Infinite components stay infinite."""
+def forward(update: Update, cap: int | None = None) -> Evaluator:
+    """Compile ``update`` into a function on a matrix of energies, one row
+    each, that returns the updated rows and a mask of the rows where the
+    update is defined.  The rows are clipped to ``cap`` once, after the
+    last step (no clip when ``cap`` is ``None``); undefined rows carry
+    meaningless values.  On ``dtype=object`` rows every value stays a
+    Python number, so integers never wrap and infinite components stay
+    infinite; on int64 rows the caller keeps every value in range.
+
+    A step multiplies and adds whole rows, then tests for a negative value
+    only the columns it decrements and writes only the ``MinOf`` columns
+    that are not the identity (a minimum over the component itself)."""
     plan = []
     for atom in update.steps:
-        zs = tuple(s.z if isinstance(s, Add) else 0 for s in atom.specs)
-        ms = tuple(s.factor if isinstance(s, Mul) else 1 for s in atom.specs)
-        # repeating an index makes every getter return a tuple
-        mins = [(i, itemgetter(*s.indices, s.indices[0]))
-                for i, s in enumerate(atom.specs) if isinstance(s, MinOf)]
-        plan.append((zs if any(zs) else None, ms if max(ms, default=1) > 1 else None,
-                     min(zs, default=0) < 0, mins))
+        zs = [s.z if isinstance(s, Add) else 0 for s in atom.specs]
+        ms = [s.factor if isinstance(s, Mul) else 1 for s in atom.specs]
+        drops = [i for i, z in enumerate(zs) if z < 0]
+        mins = [(i, s.indices) for i, s in enumerate(atom.specs)
+                if isinstance(s, MinOf) and s.indices != (i,)]
+        plan.append((np.array(zs) if any(zs) else None, np.array(ms) if max(ms) > 1 else None,
+                     drops, mins))
     # without an increment or a factor, no component exceeds the input's maximum
-    grows = cap is not None and any(ms or zs and max(zs) > 0 for zs, ms, _, _ in plan)
-    caps = (cap,) * update.dimension
+    grows = cap is not None and any(
+        ms is not None or zs is not None and zs.max() > 0 for zs, ms, _, _ in plan
+    )
 
-    def run(e: RawEnergy) -> RawEnergy | None:
+    def run(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        defined = None
         for zs, ms, drops, mins in plan:
-            out = e
-            if ms:
-                out = tuple(map(mul, out, ms))
-            if zs:
-                out = tuple(map(add, out, zs))
-                if drops and min(out) < 0:
-                    return None
+            out = rows
+            if ms is not None:
+                out = out * ms
+            if zs is not None:
+                out = out + zs
+                # only a decremented column can go below zero on a defined row
+                for i in drops:
+                    ok = out[:, i] >= 0
+                    defined = ok if defined is None else defined & ok
             if mins:
-                out = list(out)
-                for i, get in mins:
-                    out[i] = min(get(e))
-                out = tuple(out)
-            e = out
-        if grows and max(e) > cap:
-            return tuple(map(min, e, caps))
-        return e
+                if out is rows:
+                    out = rows.copy()
+                for i, (first, *rest) in mins:
+                    low = rows[:, first]
+                    for k in rest:
+                        low = np.minimum(low, rows[:, k])
+                    out[:, i] = low
+            rows = out
+        if grows:
+            rows = np.minimum(rows, cap)
+        return rows, np.ones(len(rows), dtype=bool) if defined is None else defined
 
     return run

@@ -2,8 +2,8 @@
 implementations for the solver (the pure-Python minimiser, membership test
 and Galois inverse, the plain pass, the per-pass front maps and the
 history-scanning strategy), a per-spec reference for forward application,
-a recorder of the minimiser's inputs, and the independent check helpers used
-across the suite."""
+a reference arena for the oracle, a recorder of the minimiser's inputs,
+and the independent check helpers used across the suite."""
 
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from galois_energy import fileio, solver
-from galois_energy.errors import DimensionMismatch, IterationCapExceeded
+from galois_energy import fileio, oracle, solver
+from galois_energy.errors import DimensionMismatch, IterationCapExceeded, OracleCapacityError
 from galois_energy.game import GameGraph, Owner, Position
 from galois_energy.instances import MultiReachabilityGame, Vass, from_multi_reachability
 from galois_energy.lattice import INF, Component, Energy, ParetoFront, leq
@@ -94,6 +94,135 @@ def reference_apply(u: Update | UpdateAtom, e: Energy) -> Energy | None:
         if current is None:
             return None
     return current
+
+
+_NEVER = -1  # defender configuration that can never be satisfied
+
+
+class ReferenceArena:
+    """Reference for ``oracle._Arena``: the clipped configuration graph of
+    one (game, bound), explored depth first one configuration at a time,
+    with per-configuration predecessor lists and missing-successor counts.
+
+    A move is ``reference_apply`` followed by one clip to the bound.  Like
+    the oracle's arena it expands no configuration whose position cannot
+    reach a defender deadlock, keeps every explored region, propagates over
+    the new region only, and refuses every query once exploration has
+    exceeded ``config_budget`` configurations.
+    """
+
+    def __init__(
+        self, game: GameGraph, bound: int, config_budget: int = oracle.DEFAULT_CONFIG_BUDGET
+    ):
+        self.bound = bound
+        self.budget = config_budget
+        ids = game.position_ids
+        self.pos_index = {g: i for i, g in enumerate(ids)}
+        self.is_defender = [game.owner(g) is Owner.DEFENDER for g in ids]
+        self.moves = [[(self.pos_index[t], u) for t, u in game.successors(g)] for g in ids]
+        rev = [{s for s, moves in enumerate(self.moves) if any(t == i for t, _ in moves)}
+               for i in range(len(ids))]
+        frontier = [i for i, g in enumerate(ids) if self.is_defender[i] and game.is_deadlock(g)]
+        reach = set(frontier)
+        while frontier:
+            for p in rev[frontier.pop()] - reach:
+                reach.add(p)
+                frontier.append(p)
+        self.hopeful = [i in reach for i in range(len(ids))]
+        self.poisoned = False
+        self.config_index: dict[tuple[int, tuple[int, ...]], int] = {}
+        self.keys: list[tuple[int, tuple[int, ...]]] = []
+        self.src: list[int] = []
+        self.dst: list[int] = []
+        self.escapes: set[int] = set()
+        self.won = bytearray()
+
+    def move(self, update: Update, energy: tuple[int, ...]) -> tuple[int, ...] | None:
+        out = reference_apply(update, Energy(energy))
+        return None if out is None else tuple(min(c, self.bound) for c in out.components)
+
+    def decide(self, g: str, e: Energy) -> bool:
+        if self.poisoned:
+            raise OracleCapacityError("exploration exceeded the configuration budget")
+        key = (self.pos_index[g], tuple(e.components))
+        hit = self.config_index.get(key)
+        if hit is not None:
+            return bool(self.won[hit])
+        first_new, first_edge = len(self.keys), len(self.src)
+        try:
+            self._explore(key)
+        except OracleCapacityError:
+            self.poisoned = True
+            raise
+        self._propagate(first_new, first_edge)
+        return bool(self.won[first_new])
+
+    def _explore(self, seed: tuple[int, tuple[int, ...]]) -> None:
+        keys, index = self.keys, self.config_index
+        index[seed] = len(keys)
+        keys.append(seed)
+        stack = [len(keys) - 1]
+        while stack:
+            if len(keys) > self.budget:
+                raise OracleCapacityError(f"more than {self.budget} configurations")
+            idx = stack.pop()
+            p, energy = keys[idx]
+            if not self.hopeful[p]:
+                continue
+            for tpos, update in self.moves[p]:
+                value = self.move(update, energy)
+                if value is None:
+                    if self.is_defender[p]:
+                        self.escapes.add(idx)
+                    continue
+                tkey = (tpos, value)
+                tidx = index.get(tkey)
+                if tidx is None:
+                    tidx = index[tkey] = len(keys)
+                    keys.append(tkey)
+                    stack.append(tidx)
+                self.src.append(idx)
+                self.dst.append(tidx)
+
+    def _propagate(self, first_new: int, first_edge: int) -> None:
+        # configurations from ``first_new`` on and edges from ``first_edge``
+        # on are new; new configurations are numbered from 0 here
+        old_won = self.won
+        owners = [self.is_defender[p] for p, _ in self.keys[first_new:]]
+        won = bytearray(len(owners))
+        preds: list[list[int]] = [[] for _ in owners]
+        missing = [0] * len(owners)
+        stack = []
+        for s, t in zip(self.src[first_edge:], self.dst[first_edge:]):
+            s -= first_new
+            if t >= first_new:
+                preds[t - first_new].append(s)
+                missing[s] += 1
+            elif not old_won[t]:
+                missing[s] += 1  # an old loss is final
+            elif not owners[s] and not won[s]:
+                won[s] = 1
+                stack.append(s)
+        for s, defender in enumerate(owners):
+            if not defender:
+                continue
+            p, _ = self.keys[first_new + s]
+            if first_new + s in self.escapes or not self.hopeful[p]:
+                missing[s] = _NEVER
+            elif missing[s] == 0:  # every move lands in an old win, or a deadlock
+                won[s] = 1
+                stack.append(s)
+        while stack:
+            for pr in preds[stack.pop()]:
+                if won[pr]:
+                    continue
+                if owners[pr]:
+                    missing[pr] -= 1
+                    if missing[pr]:
+                        continue
+                won[pr] = 1
+                stack.append(pr)
+        old_won += won
 
 
 def _invert_atom(atom: UpdateAtom, e: Energy) -> Energy:

@@ -171,6 +171,25 @@ def test_int64_overflow_exit_code(tmp_path, capsys):
         assert "int64" in err
 
 
+def test_oracle_int64_refusal_exit_code(tmp_path, capsys):
+    from galois_energy.game import GameGraph, Owner
+    from galois_energy.updates import Add, Mul, Update
+
+    # the solver stays in range, but the oracle's first clip bound, about
+    # 2**81, times the factor leaves int64
+    game = GameGraph.build(
+        1,
+        [("a", Owner.ATTACKER), ("b", Owner.ATTACKER), ("d", Owner.DEFENDER)],
+        [("a", "b", Update.single(Mul(2**40))), ("b", "d", Update.single(Add(-1)))],
+    )
+    path = tmp_path / "scale.json"
+    fileio.save_game(game, path)
+    code, out, err = run(capsys, "check", str(path), "--samples", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "int64" in err
+
+
 def test_solve_deterministic(capsys):
     _, first, _ = run(capsys, "solve", ESPRESSO, "--format", "csv", "--stats")
     _, second, _ = run(capsys, "solve", ESPRESSO, "--format", "csv", "--stats")

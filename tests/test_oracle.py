@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import random_game
+from conftest import ReferenceArena, random_game
 from galois_energy import oracle
 from galois_energy.errors import OracleCapacityError
 from galois_energy.game import GameGraph, Owner, Verdict
@@ -175,23 +175,21 @@ def test_config_budget_enforced():
 def _shared_then_fresh(game, queries, bound):
     """Verdicts of ``queries`` on one shared arena and each on a fresh one,
     with how many shared queries hit a stored configuration, explored an
-    isolated region, or explored a region with an edge into older ones."""
+    isolated region, or explored a region with an edge into older ones
+    (its fresh arena holds more configurations than the shared one added)."""
     oracle._arena_for.cache_clear()
     arena = oracle._arena_for(game, bound, oracle.DEFAULT_CONFIG_BUDGET)
-    shared, kinds = [], Counter()
+    shared, added = [], []
     for g, e in queries:
-        first_new, first_edge = len(arena.keys), len(arena.dst)
+        first_new = len(arena.keys)
         shared.append(attractor_decide(game, g, e, bound))
-        if len(arena.keys) == first_new:
-            kinds["hit"] += 1
-        elif any(t < first_new for t in arena.dst[first_edge:]):
-            kinds["reaches old"] += 1
-        else:
-            kinds["new"] += 1
-    fresh = []
-    for g, e in queries:
+        added.append(len(arena.keys) - first_new)
+    fresh, kinds = [], Counter()
+    for (g, e), grown in zip(queries, added):
         oracle._arena_for.cache_clear()
         fresh.append(attractor_decide(game, g, e, bound))
+        closure = len(oracle._arena_for(game, bound, oracle.DEFAULT_CONFIG_BUDGET).keys)
+        kinds["hit" if not grown else "new" if closure == grown else "reaches old"] += 1
     return shared, fresh, kinds
 
 
@@ -227,3 +225,87 @@ def test_config_budget_boundary_is_exact():
     for _ in range(2):
         with pytest.raises(OracleCapacityError):
             attractor_decide(game, "a", E(0, 0), 40, config_budget=needed - 1)
+
+
+def _outcome(decide, *args):
+    try:
+        return decide(*args)
+    except OracleCapacityError:
+        return "capacity"
+
+
+@pytest.mark.parametrize("kind", ["plain", "declining", "mul"])
+def test_arena_matches_reference_arena(kind):
+    """On random games, sequences of queries on one arena give the
+    reference arena's verdict after every query, the capacity refusal
+    included, and its configuration count after every answered one (a
+    refused exploration stops at a different point in each order)."""
+    rng = random.Random(f"arena-{kind}")
+    budget = 300  # a few plain games exceed it
+    for _ in range(60):
+        game = random_game(
+            rng, max_positions=6, max_dim=4, declining=kind == "declining", mul=kind == "mul"
+        )
+        bound = rng.randint(0, 20)
+        arena = oracle._Arena(game, bound, budget)
+        reference = ReferenceArena(game, bound, budget)
+        for _ in range(12):
+            g = rng.choice(game.position_ids)
+            top = rng.choice((bound, min(bound, 2)))
+            e = Energy(tuple(rng.randint(0, top) for _ in range(game.dimension)))
+            got = _outcome(arena.decide, arena.pos_index[g], e.components)
+            assert got == _outcome(reference.decide, g, e)
+            if got != "capacity":
+                assert len(arena.keys) == len(reference.keys)
+
+
+def test_defender_counts_every_edge_won_in_one_round():
+    # both successors of d win in the first round, so both edges must count
+    game = GameGraph.build(
+        1,
+        [("d", Owner.DEFENDER), ("x", Owner.DEFENDER), ("y", Owner.DEFENDER)],
+        [("d", "x", delta(0)), ("d", "y", delta(-1))],
+    )
+    oracle._arena_for.cache_clear()
+    assert attractor_decide(game, "d", E(1), 4) is Verdict.ATTACKER
+    assert attractor_decide(game, "d", E(0), 4) is Verdict.DEFENDER
+
+
+def _doubling_game():
+    return GameGraph.build(
+        1,
+        [("a", Owner.ATTACKER), ("d", Owner.DEFENDER)],
+        [("a", "a", Update.single(Mul(2))), ("a", "d", delta(-3))],
+    )
+
+
+def test_int64_safe_bound_matches_reference():
+    # the doubling move reaches 2 * bound, the largest int64 value at most
+    game, bound = _doubling_game(), 2**62 - 1
+    oracle._arena_for.cache_clear()
+    reference = ReferenceArena(game, bound)
+    for value in (0, 1, 2, 3, 2**61, bound):
+        expected = reference.decide("a", E(value))
+        verdict = attractor_decide(game, "a", E(value), bound)
+        assert (verdict is Verdict.ATTACKER) is expected
+    assert len(oracle._arena_for(game, bound, oracle.DEFAULT_CONFIG_BUDGET).keys) == len(
+        reference.keys
+    )
+
+
+def test_int64_unsafe_bound_is_refused():
+    game = _doubling_game()
+    oracle._arena_for.cache_clear()
+    for _ in range(2):
+        with pytest.raises(OracleCapacityError, match="int64"):
+            attractor_decide(game, "a", E(1), 2**62)
+
+
+def test_list_valued_updates_are_stored_as_tuples():
+    listed = Update([UpdateAtom([Add(-1)])])
+    assert listed == Update.single(Add(-1))
+    assert hash(listed) == hash(Update.single(Add(-1)))
+    game = GameGraph.build(1, [("a", Owner.ATTACKER), ("d", Owner.DEFENDER)], [("a", "d", listed)])
+    assert game.validate() == []
+    assert stable_decide(game, "a", E(1)).attacker_wins
+    assert not stable_decide(game, "a", E(0)).attacker_wins

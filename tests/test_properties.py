@@ -271,10 +271,40 @@ def moves(draw) -> tuple[Update, int, tuple[int, ...]]:
 @SEEDED
 @given(case=moves())
 def test_compiled_move_is_apply_then_one_clip(case):
+    """``forward(update, bound)`` on one batch of int64 rows, the drawn
+    energy and a grid of small and bound-sized ones: each defined row is
+    the reference application clipped once, and the mask marks exactly the
+    rows where the reference is defined."""
     update, bound, energy = case
-    expected = reference_apply(update, Energy(energy))
-    got = forward(update, bound)(energy)
-    if expected is None:
-        assert got is None
-    else:
-        assert got == tuple(min(c, bound) for c in expected.components)
+    rows = [energy, *itertools.product(sorted({0, 1, bound}), repeat=len(energy))]
+    out, defined = forward(update, bound)(np.array(rows, dtype=np.int64))
+    assert out.dtype == np.int64 and defined.shape == (len(rows),)
+    for row, got, ok in zip(rows, out.tolist(), defined.tolist()):
+        expected = reference_apply(update, Energy(row))
+        assert ok == (expected is not None)
+        if ok:
+            assert tuple(got) == tuple(min(c, bound) for c in expected.components)
+
+
+def test_compiled_move_masks_undefined_rows():
+    update = Update((UpdateAtom((Add(-1),)), UpdateAtom((Add(2),))))
+    out, defined = forward(update, 2)(np.array([[0], [1], [2]], dtype=np.int64))
+    assert defined.tolist() == [False, True, True]
+    assert out[defined].tolist() == [[2], [2]]
+
+
+@SEEDED
+@given(update=st.integers(1, 3).flatmap(lambda n: _updates(n, 3)))
+def test_apply_is_exact_past_int64(update):
+    """``Update.apply`` stays exact on components above 2^63 and infinite
+    ones, mixed with small ones."""
+    for t in itertools.product((0, 2**63 + 5, 3 * 2**70 + 1, INF), repeat=update.dimension):
+        assert update.apply(Energy(t)) == reference_apply(update, Energy(t))
+
+
+def test_apply_keeps_python_ints_and_inf():
+    update = Update.single(Mul(3), Add(1), MinOf((0, 1)))
+    out = update.apply(Energy((2**70, INF, 4)))
+    assert out == reference_apply(update, Energy((2**70, INF, 4)))
+    assert out.components == (3 * 2**70, INF, 2**70)
+    assert type(out.components[0]) is int

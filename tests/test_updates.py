@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -135,6 +136,14 @@ def test_compose_invert_reverses_order():
         e = E(*(rng.randint(0, 4) for _ in range(3)))
         for inv in INVERSES:
             assert inv(composed, e) == inv(u1, inv(u2, e))
+
+
+def test_applied_update_pickles():
+    update = Update.single(Add(-1), MinOf((0, 1)))
+    assert update.apply(E(2, 5)) == E(1, 2)
+    copy = pickle.loads(pickle.dumps(update))
+    assert copy == update
+    assert copy.apply(E(2, 5)) == E(1, 2)
 
 
 def test_dimension_mismatch_raises():
