@@ -36,7 +36,7 @@ from .instances import (
     generalized_query_energy,
 )
 from .lattice import INF, Energy, ParetoFront, leq, sup2
-from .oracle import OracleVerdict, attractor_decide, stable_decide
+from .oracle import OracleVerdict, attractor_decide, stable_decide, stable_decide_many
 from .solver import (
     AttackerStrategy,
     SolverResult,
@@ -93,6 +93,7 @@ __all__ = [
     "leq",
     "split_parallel_edges",
     "stable_decide",
+    "stable_decide_many",
     "sup2",
     "unknown_initial_credit",
     "winner_of_finite_play",

@@ -138,21 +138,23 @@ def _cmd_check(args: argparse.Namespace) -> int:
             raise ValueError(f"{flag} must be at least 1")
     result = solver.compute_winning_budgets(game)
     rng = random.Random(args.seed)
+    samples = [
+        (g, Energy(tuple(rng.randrange(args.bound) for _ in range(game.dimension))))
+        for g in game.position_ids
+        for _ in range(args.samples)
+    ]
+    verdicts = oracle.stable_decide_many(game, samples)
     mismatches = 0
-    checked = 0
-    for g in game.position_ids:
-        for _ in range(args.samples):
-            energy = Energy(tuple(rng.randrange(args.bound) for _ in range(game.dimension)))
-            checked += 1
-            claimed = solver.known_initial_credit(result, g, energy)
-            actual = oracle.stable_decide(game, g, energy).attacker_wins
-            if claimed != actual:
-                mismatches += 1
-                print(
-                    f"MISMATCH {g} {energy.render()} "
-                    f"solver={'WIN' if claimed else 'LOSE'} oracle={'WIN' if actual else 'LOSE'}"
-                )
-    print(f"checked {checked} samples, {mismatches} mismatches")
+    for (g, energy), verdict in zip(samples, verdicts):
+        claimed = solver.known_initial_credit(result, g, energy)
+        actual = verdict.attacker_wins
+        if claimed != actual:
+            mismatches += 1
+            print(
+                f"MISMATCH {g} {energy.render()} "
+                f"solver={'WIN' if claimed else 'LOSE'} oracle={'WIN' if actual else 'LOSE'}"
+            )
+    print(f"checked {len(samples)} samples, {mismatches} mismatches")
     return EXIT_OK if mismatches == 0 else EXIT_LOSE_OR_MISMATCH
 
 

@@ -1,4 +1,4 @@
-"""Brute-force decision of single game instances, independent of the solver.
+"""Brute-force decision of game instances, independent of the solver.
 
 Works on the configuration graph whose nodes pair a position with a
 concrete finite energy, clipped component-wise to a bound ``B`` once per
@@ -16,20 +16,24 @@ defender deadlocks:
 Everything that never joins, including all infinite-play behaviour, is a
 defender win.  Clipping keeps the graph finite and only ever lowers
 energies, so an attacker win here transfers to the unclipped game by
-monotonicity of the updates; a defender answer may flip once ``B`` grows,
-which ``stable_decide`` pursues by doubling the bound until two
-consecutive answers agree.
+monotonicity of the updates; a defender answer may flip once ``B`` grows.
+``stable_decide_many`` therefore decides each query at its starting bound
+and once more at twice that bound when the answer is the defender's, and
+takes the second answer: no query runs more than two bounds.  It decides
+in batches, one per bound: the queries that share a bound seed one
+exploration of that bound's arena, the multi-source form of the same
+attractor.  ``stable_decide`` is a batch of one.
 
 An arena keeps, per ``(game, B)``, every explored configuration as an
 int64 row ``(position, energy...)``, numbered and indexed by the bytes of
-its row, and whether the attacker wins it.  A query that meets an
-unexplored configuration explores its forward closure breadth-first, a
-level at a time: each move of a position runs once, on all of the level's
-configurations at that position, and the successors are looked up and
-numbered in one batch.  The attractor is then settled over the new region
-alone, in rounds over a predecessor index of its edges: every successor
-of an old configuration is old, and old verdicts are settled, so a new
-win can only reach new configurations.
+its row, and whether the attacker wins it.  A batch whose configurations
+are not all stored explores the forward closure of the unstored ones
+breadth-first, a level at a time: each move of a position runs once, on
+all of the level's configurations at that position, and the successors
+are looked up and numbered in one batch.  The attractor is then settled
+over the new region alone, in rounds over a predecessor index of its
+edges: every successor of an old configuration is old, and old verdicts
+are settled, so a new win can only reach new configurations.
 
 Rows are int64, so an arena first bounds every value a move can compute
 from energies at most ``B``; when that bound leaves the int64 range the
@@ -43,9 +47,11 @@ verification baseline at small scale.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
+from typing import Iterable
 
 import numpy as np
 
@@ -76,11 +82,11 @@ def _move_magnitude(update: Update, bound: int) -> int:
 class _Arena:
     """Explored part of the clipped configuration graph for one (game, B).
 
-    Grows on demand: ``decide`` explores the full forward closure of a
-    seed configuration, then propagates the attractor over the newly
-    added region.  Settled verdicts never change afterwards, because
-    every stored configuration already has its complete forward closure
-    stored as well.
+    Grows on demand: ``decide_rows`` explores the full forward closure of
+    the seed configurations not stored yet, then propagates the attractor
+    over the newly added region.  Settled verdicts never change
+    afterwards, because every stored configuration already has its
+    complete forward closure stored as well.
     """
 
     def __init__(self, game: GameGraph, bound: int, config_budget: int):
@@ -125,24 +131,29 @@ class _Arena:
         return np.array([i in reach for i in range(count)], dtype=bool)
 
     def decide(self, pos: int, e: tuple[int, ...]) -> bool:
+        return bool(self.decide_rows(np.array([(pos, *e)], dtype=np.int64))[0])
+
+    def decide_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Whether the attacker wins each int64 row ``(position, energy...)``.
+        The rows not stored yet seed one exploration together, so their
+        closures share their levels."""
         # a partially explored graph has unusable verdicts, so a capacity
         # overflow permanently disables this arena
         if self.poisoned:
             raise OracleCapacityError(
                 f"exploration at clip bound {self.bound} exceeded {self.budget} configurations"
             )
-        seed = np.array([(pos, *e)], dtype=np.int64)
-        hit = self.config_index.get(seed.tobytes())
-        if hit is not None:
-            return bool(self.won[hit])
         first_new = len(self.keys)
-        try:
-            region = self._explore(seed)
-        except OracleCapacityError:
-            self.poisoned = True
-            raise
-        self._propagate(first_new, *region)
-        return bool(self.won[first_new])
+        numbers, fresh = self._insert(rows)
+        if fresh.any():
+            try:
+                # level 0 holds exactly the new rows, in the order of their numbers
+                region = self._explore(rows[fresh])
+            except OracleCapacityError:
+                self.poisoned = True
+                raise
+            self._propagate(first_new, *region)
+        return self.won[numbers]
 
     def _insert(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Store the rows not stored yet and return the number of every row,
@@ -162,15 +173,15 @@ class _Arena:
             numbers[late] = first + renumber[numbers[late] - first]
         return numbers, fresh
 
-    def _explore(self, seed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Store the forward closure of ``seed`` breadth-first, a level at a
-        time, and return the new region, numbered from 0: the position of
-        each new configuration, the sources and (global) targets of the
-        edges leaving them, and the defender configurations that escape."""
+    def _explore(self, level: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Store the forward closure of ``level``, the rows stored last,
+        breadth-first, a level at a time, and return the new region,
+        numbered from 0: the position of each new configuration, the
+        sources and (global) targets of the edges leaving them, and the
+        defender configurations that escape."""
         keys, moves, hopeful, budget = self.keys, self.moves, self.hopeful, self.budget
-        first_new = len(keys)
-        self._insert(seed)
-        level, base = seed, 0
+        first_new = len(keys) - len(level)
+        base = 0
         empty = np.zeros(0, dtype=np.int64)
         positions, srcs, dsts, escapes = [], [empty], [empty], [empty]
         while len(level):
@@ -335,20 +346,51 @@ def stable_decide(
     *,
     config_budget: int = DEFAULT_CONFIG_BUDGET,
 ) -> OracleVerdict:
-    """Decide with growing clip bounds until the answer stabilises.
+    """Decide one query as ``stable_decide_many`` does."""
+    return stable_decide_many(game, [(g, e)], config_budget=config_budget)[0]
 
-    Doubles the bound until two consecutive answers agree.  Attacker
-    answers are monotone in the bound, so once one appears no further
-    bound can change it and the loop stops there; only defender answers
-    need a confirming run.  Reports the largest bound actually evaluated.
+
+def stable_decide_many(
+    game: GameGraph,
+    queries: Iterable[tuple[str, Energy]],
+    *,
+    config_budget: int = DEFAULT_CONFIG_BUDGET,
+) -> list[OracleVerdict]:
+    """Decide each ``(position, energy)`` query with growing clip bounds
+    until its answer stabilises, and report the largest bound evaluated.
+
+    A query starts at its ``starting_bound`` and doubles it until two
+    consecutive answers agree.  Attacker answers are monotone in the
+    bound, so one is final where it appears; a defender answer takes one
+    confirming run at twice the bound, whose answer is final either way.
+    No query thus runs more than two bounds, and the queries that share a
+    bound are decided in one batch on its arena.
     """
-    _check_query(game, g, e)
-    bound = max(1, starting_bound(game, e))
-    prev = attractor_decide(game, g, e, bound, config_budget=config_budget)
-    while prev is Verdict.DEFENDER:
-        bound *= 2
-        cur = attractor_decide(game, g, e, bound, config_budget=config_budget)
-        if cur is prev:
-            return OracleVerdict(winner=prev, bound=bound)
-        prev = cur
-    return OracleVerdict(winner=Verdict.ATTACKER, bound=bound)
+    queries = list(queries)
+    for g, e in queries:
+        _check_query(game, g, e)
+    verdicts: dict[int, OracleVerdict] = {}
+    first: dict[int, list[int]] = defaultdict(list)
+    for i, (_, e) in enumerate(queries):
+        first[max(1, starting_bound(game, e))].append(i)
+    confirm: dict[int, list[int]] = defaultdict(list)
+    for bound, group in sorted(first.items()):
+        decided = _decide_at(game, bound, [queries[i] for i in group], config_budget)
+        for i, won in zip(group, decided):
+            if won:
+                verdicts[i] = OracleVerdict(Verdict.ATTACKER, bound)
+            else:
+                confirm[2 * bound].append(i)
+    for bound, group in sorted(confirm.items()):
+        decided = _decide_at(game, bound, [queries[i] for i in group], config_budget)
+        for i, won in zip(group, decided):
+            verdicts[i] = OracleVerdict(Verdict.ATTACKER if won else Verdict.DEFENDER, bound)
+    return [verdicts[i] for i in range(len(queries))]
+
+
+def _decide_at(game: GameGraph, bound: int, batch: list[tuple[str, Energy]],
+               config_budget: int) -> list[bool]:
+    """Whether the attacker wins each query of ``batch`` at clip bound ``bound``."""
+    arena = _arena_for(game, bound, config_budget)
+    rows = np.array([(arena.pos_index[g], *e.components) for g, e in batch], dtype=np.int64)
+    return arena.decide_rows(rows).tolist()

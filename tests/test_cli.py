@@ -1,15 +1,17 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import espresso_with_target, grid_game
+from conftest import espresso_with_target, grid_game, random_game
 import galois_energy
 from galois_energy import fileio, solver
 from galois_energy.cli import main
+from galois_energy.lattice import Energy
 
 
 ESPRESSO = str(fileio.bundled_game_path())
@@ -135,12 +137,12 @@ def test_iteration_cap_exit_code(capsys, monkeypatch, argv):
 def test_oracle_capacity_exit_code(capsys, monkeypatch):
     from galois_energy import cli
 
-    decide = cli.oracle.stable_decide
+    decide = cli.oracle.stable_decide_many
 
-    def small_budget(game, g, e):
-        return decide(game, g, e, config_budget=30)
+    def small_budget(game, queries):
+        return decide(game, queries, config_budget=30)
 
-    monkeypatch.setattr(cli.oracle, "stable_decide", small_budget)
+    monkeypatch.setattr(cli.oracle, "stable_decide_many", small_budget)
     code, out, err = run(capsys, "check", ESPRESSO, "--samples", "1")
     assert code == 2
     assert out == ""
@@ -432,6 +434,35 @@ def test_check_corrupt_front_detected(capsys, monkeypatch):
     )
     assert code == 1
     assert "MISMATCH" in out
+
+
+def test_check_reports_mismatches_as_the_per_sample_loop(tmp_path, capsys, monkeypatch):
+    from galois_energy import cli, oracle
+
+    path = tmp_path / "small.json"
+    fileio.save_game(random_game(random.Random(5), max_positions=4, max_dim=2), path)
+    game = fileio.load_game(path).game
+    honest = solver.known_initial_credit
+    # a solver that negates every answer disagrees with the oracle on every sample
+    monkeypatch.setattr(cli.solver, "known_initial_credit", lambda r, g, e: not honest(r, g, e))
+    code, out, _ = run(capsys, "check", str(path), "--samples", "6", "--seed", "4", "--bound", "5")
+    result = solver.compute_winning_budgets(game)
+    rng = random.Random(4)
+    lines = []
+    for g in game.position_ids:
+        for _ in range(6):
+            energy = Energy(tuple(rng.randrange(5) for _ in range(game.dimension)))
+            claimed = not honest(result, g, energy)
+            actual = oracle.stable_decide(game, g, energy).attacker_wins
+            if claimed != actual:
+                lines.append(
+                    f"MISMATCH {g} {energy.render()} "
+                    f"solver={'WIN' if claimed else 'LOSE'} oracle={'WIN' if actual else 'LOSE'}"
+                )
+    lines.append(f"checked {6 * len(game.positions)} samples, {len(lines)} mismatches")
+    assert code == 1
+    assert len(lines) == 6 * len(game.positions) + 1
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_check_seed_determinism(capsys):

@@ -8,7 +8,12 @@ from galois_energy import oracle
 from galois_energy.errors import OracleCapacityError
 from galois_energy.game import GameGraph, Owner, Verdict
 from galois_energy.lattice import INF, Energy
-from galois_energy.oracle import attractor_decide, stable_decide, starting_bound
+from galois_energy.oracle import (
+    attractor_decide,
+    stable_decide,
+    stable_decide_many,
+    starting_bound,
+)
 from galois_energy.solver import compute_winning_budgets, known_initial_credit
 from galois_energy.updates import Add, MinOf, Mul, Update, UpdateAtom
 
@@ -309,3 +314,80 @@ def test_list_valued_updates_are_stored_as_tuples():
     assert game.validate() == []
     assert stable_decide(game, "a", E(1)).attacker_wins
     assert not stable_decide(game, "a", E(0)).attacker_wins
+
+
+def _doubling_reference(game, g, e):
+    """The doubling rule spelled out over single-bound decisions: double
+    the bound until two consecutive answers agree, stopping at the first
+    attacker answer."""
+    bound = max(1, starting_bound(game, e))
+    prev = attractor_decide(game, g, e, bound)
+    while prev is Verdict.DEFENDER:
+        bound *= 2
+        cur = attractor_decide(game, g, e, bound)
+        if cur is prev:
+            break
+        prev = cur
+    return oracle.OracleVerdict(prev, bound)
+
+
+def _arena_sizes(game, bounds):
+    budget = oracle.DEFAULT_CONFIG_BUDGET
+    return {b: len(oracle._arena_for(game, b, budget).keys) for b in sorted(bounds)}
+
+
+@pytest.mark.parametrize("kind", ["plain", "declining", "mul"])
+def test_stable_decide_many_matches_one_query_at_a_time(kind):
+    """A batch gives each query the verdict and bound of the doubling rule
+    run alone on a cleared cache, and of ``stable_decide``, and leaves
+    every bound's arena as large as ``stable_decide`` asked one query at a
+    time does.  Each batch holds duplicates, queries stored by an earlier
+    decision and, on most games, queries that need the confirming bound."""
+    rng = random.Random(f"many-{kind}")
+    seen = Counter()
+    for _ in range(12):
+        game = random_game(
+            rng, max_positions=4, max_dim=4, max_abs=1, declining=kind == "declining",
+            mul=kind == "mul",
+        )
+        # energies past the game's own estimate start at bounds of their own
+        top = oracle._game_bound(game)[0] + 2
+
+        def draw():
+            return (rng.choice(game.position_ids),
+                    Energy(tuple(rng.randint(0, top) for _ in range(game.dimension))))
+
+        warm = [draw() for _ in range(2)]
+        queries = [draw() for _ in range(6)] + warm
+        queries += rng.sample(queries, 3)
+        rng.shuffle(queries)
+        alone = []
+        for g, e in queries:
+            oracle._arena_for.cache_clear()
+            alone.append(_doubling_reference(game, g, e))
+        starts = [max(1, starting_bound(game, e)) for _, e in queries]
+        bounds = {v.bound for v in alone} | set(starts)
+        assert len(bounds) <= 8  # no arena leaves the cache
+        oracle._arena_for.cache_clear()
+        for g, e in warm:
+            stable_decide(game, g, e)
+        assert [stable_decide(game, g, e) for g, e in queries] == alone
+        expected = _arena_sizes(game, bounds)
+        oracle._arena_for.cache_clear()
+        for g, e in warm:
+            stable_decide(game, g, e)
+        assert stable_decide_many(game, queries) == alone
+        assert _arena_sizes(game, bounds) == expected
+        seen.update(v.winner for v in alone)
+        seen[f"dimension {game.dimension}"] += 1
+        seen["confirmed"] += any(v.bound > b for v, b in zip(alone, starts))
+        seen["several starts"] += len(set(starts)) > 1
+    assert len(seen) == 8, seen  # both winners, each dimension 1-4, both kinds of batch
+
+
+def test_stable_decide_many_is_exported():
+    import galois_energy
+    from galois_energy import stable_decide_many as exported
+
+    assert exported is stable_decide_many
+    assert "stable_decide_many" in galois_energy.__all__
