@@ -36,14 +36,15 @@ of more than ``_CHUNK`` rows goes to the minimiser on its own.
 A defender position whose successors gained rows is computed as the meet
 ``W_{k+1}[g] = min(⋂_i ↑N_i)`` of the pulled-back fronts ``N_i`` of
 ``W_k``, the antichain intersection of upward-closed sets.  All ``N_i``
-share one rank grid; each upward closure is a boolean grid, the closures
-are AND-ed, and a cell of the intersection is minimal exactly when none of
-its lower neighbours is in it.  This costs a few passes over the grid
-per successor, so it runs only when the grid has at most ``∏_i |N_i|``
-cells, the size of the full sup product.  Otherwise, with ``N_i`` split
-row by row into ``D_i`` and ``O_i``, the pulled-back rows of ``W_k`` that
-were already rows of ``W_{k-1}`` (``O_i = N_i`` where the successor
-gained no rows), the front is the telescoped fold
+share one rank grid, on which an upward closure is a threshold map: per
+line along the last axis, the least rank it holds.  The maps meet by an
+element-wise max, and a line holds a minimal cell when its threshold is
+below every lower line's.  This runs only when the full grid has at most
+``∏_i |N_i|`` cells (the sup product's size; the map has ``sizes[-1]``
+times fewer).  Otherwise, with ``N_i`` split row by row into ``D_i`` and
+``O_i``, the pulled-back rows of ``W_k`` that were already rows of
+``W_{k-1}`` (``O_i = N_i`` where the successor gained no rows), the front
+is the telescoped fold
 
 * defender: ``W_{k+1}[g] = min(W_k[g] ∪ ⋃_i N_1⊔…⊔N_{i-1}⊔D_i⊔O_{i+1}⊔…⊔O_m)``
 
@@ -59,7 +60,7 @@ masks of new rows split them.
 The minimiser returns the indices of the minimal rows: up to ``_CHUNK``
 rows (the common ``min(W_k[g] ∪ a few new rows)``) by a pairwise
 dominance sweep, ``O(m²·d)``, the one-segment case of the batch, and
-above that on a rank grid, whose cost follows its cells.  ``W_k[g]`` is
+above that against the threshold map of its rank grid.  ``W_k[g]`` is
 stacked first, so the new rows ``Δ_{k+1}[g]`` are exactly the survivors
 past it; the meet marks the rows it finds that are not rows of
 ``W_k[g]``.  A position without new rows among its successors keeps its
@@ -183,29 +184,19 @@ def _rank_grid(rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return ranks, values
 
 
-def _upward_closure(keys: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """Boolean grid of the cells at or above some cell of ``keys``.
-
-    Along the last axis only the lines holding a key are closed, by a
-    running OR; every other axis is closed by doubling: OR-ing in the grid
-    shifted by 1, 2, 4, ... cells along it.
-    """
-    last = sizes[-1]
-    line, rank = np.divmod(keys, last)
-    touched, where = np.unique(line, return_inverse=True)
-    runs = np.zeros((touched.shape[0], last), dtype=bool)
-    runs[where, rank] = True
-    np.logical_or.accumulate(runs, axis=1, out=runs)
-    grid = np.zeros((math.prod(sizes) // last, last), dtype=bool)
-    grid[touched] = runs
-    grid = grid.reshape(sizes)
+def _threshold(keys: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """The upward closure of the cells ``keys`` as a map over the first d-1
+    axes of the grid (0-d when d is 1): per line along the last axis, the
+    least rank ``least[x]`` of the closure on it, ``sizes[-1]`` where it
+    holds none, so cell ``(x, l)`` is in the closure iff ``l >= least[x]``.
+    Each line takes its least key rank, closed by a running minimum along
+    every other axis."""
+    line, rank = np.divmod(keys, sizes[-1])
+    least = np.full(sizes[:-1], sizes[-1], dtype=np.int64)
+    np.minimum.at(least.reshape(-1), line, rank)
     for axis in range(len(sizes) - 1):
-        inner = (slice(None),) * axis
-        shift = 1
-        while shift < sizes[axis]:
-            grid[(*inner, slice(shift, None))] |= grid[(*inner, slice(None, -shift))]
-            shift *= 2
-    return grid
+        np.minimum.accumulate(least, axis=axis, out=least)
+    return least
 
 
 def _minimize_rows(rows: np.ndarray) -> np.ndarray:
@@ -216,9 +207,11 @@ def _minimize_rows(rows: np.ndarray) -> np.ndarray:
     ``_minimize_segments``: a stable ``np.lexsort`` drops each row equal
     to its predecessor and the pairwise sweep takes the rest.  Above that,
     when the rank grid has at most ``_GRID_CELL_CAP`` cells, deduplication
-    runs on the cell keys, and a row is minimal exactly when none of its
-    lower neighbours (one rank less along one axis) is in the upward
-    closure of the rows.  Larger grids go to the sweep as well.
+    runs on the cell keys, and with ``least`` the ``_threshold`` of the
+    rows, a row at ``(x, l)`` is dominated exactly when ``least[x] < l`` or
+    ``least[x - e_j] <= l`` for some axis ``j``.  The cap counts the full
+    grid, not the map's cells, only to keep the routing as it was; larger
+    grids go to the sweep as well.
     """
     m = rows.shape[0]
     if m <= 1:
@@ -229,12 +222,13 @@ def _minimize_rows(rows: np.ndarray) -> np.ndarray:
         if math.prod(sizes) <= _GRID_CELL_CAP:
             keys = np.ravel_multi_index(tuple(ranks.T), sizes)
             unique_keys, first = np.unique(keys, return_index=True)
-            closure = _upward_closure(unique_keys, sizes).reshape(-1)
-            dominated = np.zeros(first.shape[0], dtype=bool)
+            least = _threshold(unique_keys, sizes).reshape(-1)
+            line, rank = np.divmod(unique_keys, sizes[-1])
+            dominated = least[line] < rank
             stride = 1
-            for c in reversed(range(len(sizes))):
-                # at rank 0 the index wraps to an unrelated cell, masked out
-                dominated |= closure[unique_keys - stride] & (ranks[first, c] > 0)
+            for c in reversed(range(len(sizes) - 1)):
+                # at rank 0 the index wraps to an unrelated line, masked out
+                dominated |= (least[line - stride] <= rank) & (ranks[first, c] > 0)
                 stride *= sizes[c]
             return first[~dominated]
     return _minimize_segments(rows, np.zeros(m, dtype=np.int64))
@@ -249,10 +243,12 @@ def _meet(
     factors has more than ``max_cells`` cells.
 
     Every minimal row of the meet is a sup of one row per factor, so it
-    lies on the grid, and a cell of the meet is minimal exactly when none
-    of its lower neighbours is in the meet.  A row of ``base`` off the
-    grid is not in the result.  One empty factor empties the meet, and so
-    ``base``.
+    lies on the grid.  The meet's ``_threshold`` map is the element-wise
+    max of the factors' maps, and its minimal cells are ``(x, least[x])``
+    for the lines with ``least[x] < sizes[-1]`` and ``least[x - e_j] >
+    least[x]`` along every axis ``j``: one per line, in lexicographic
+    order.  A row of ``base`` off the grid is not in the result.  One empty
+    factor empties the meet, and so ``base``.
     """
     if any(not f.shape[0] for f in factors):
         return base, np.zeros(base.shape[0], dtype=bool)
@@ -261,15 +257,17 @@ def _meet(
     if math.prod(sizes) > max_cells:
         return None
     keys = np.ravel_multi_index(tuple(ranks.T), sizes)
-    meet = None
+    least = None
     for part in np.split(keys, np.cumsum([f.shape[0] for f in factors[:-1]])):
-        closure = _upward_closure(part, sizes)
-        meet = closure if meet is None else np.logical_and(meet, closure, out=meet)
-    minimal = meet.copy()
-    for axis in range(len(sizes)):
+        closure = _threshold(part, sizes)
+        least = closure if least is None else np.maximum(least, closure, out=least)
+    minimal = least < sizes[-1]
+    for axis in range(len(sizes) - 1):
         inner = (slice(None),) * axis
-        minimal[(*inner, slice(1, None))] &= ~meet[(*inner, slice(None, -1))]
-    cells = np.flatnonzero(minimal)
+        lower, upper = (*inner, slice(None, -1)), (*inner, slice(1, None))
+        minimal[upper] &= least[lower] > least[upper]
+    lines = np.flatnonzero(minimal)
+    cells = lines * sizes[-1] + least.reshape(-1)[lines]
     rows = np.stack([v[r] for v, r in zip(values, np.unravel_index(cells, sizes))], axis=1)
     on = np.all([np.isin(base[:, c], v) for c, v in enumerate(values)], axis=0)
     old = np.ravel_multi_index(

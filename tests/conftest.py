@@ -283,6 +283,32 @@ def reference_meet(factors: list[list[tuple[int, ...]]]) -> list[tuple[int, ...]
     return [e.components for e in minimize(Energy(s) for s in sups)]
 
 
+def reference_closure(keys: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Boolean grid of the cells at or above some cell of ``keys`` on a
+    rank grid of shape ``sizes``.
+
+    Along the last axis only the lines holding a key are closed, by a
+    running OR; every other axis is closed by doubling: OR-ing in the grid
+    shifted by 1, 2, 4, ... cells along it.
+    """
+    last = sizes[-1]
+    line, rank = np.divmod(keys, last)
+    touched, where = np.unique(line, return_inverse=True)
+    runs = np.zeros((touched.shape[0], last), dtype=bool)
+    runs[where, rank] = True
+    np.logical_or.accumulate(runs, axis=1, out=runs)
+    grid = np.zeros((int(np.prod(sizes)) // last, last), dtype=bool)
+    grid[touched] = runs
+    grid = grid.reshape(sizes)
+    for axis in range(len(sizes) - 1):
+        inner = (slice(None),) * axis
+        shift = 1
+        while shift < sizes[axis]:
+            grid[(*inner, slice(shift, None))] |= grid[(*inner, slice(None, -shift))]
+            shift *= 2
+    return grid
+
+
 EXPECTED_CUPS_TIME = {(1, 20), (2, 10), (3, 6), (4, 4), (5, 2), (10, 1)}
 
 

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -16,6 +16,7 @@ from conftest import (
     minimize,
     plain_jacobi,
     reference_apply,
+    reference_closure,
     reference_meet,
 )
 from galois_energy import solver
@@ -82,12 +83,38 @@ def test_semi_naive_history_matches_plain_pass(game, cap):
 
 
 @st.composite
+def closure_cases(draw) -> tuple[list[int], np.ndarray]:
+    """A rank grid of 1-6 axes of 1-4 ranks each (axes of size 1 common)
+    and up to 12 sorted distinct cell keys on it, every cell on the small
+    grids."""
+    sizes = draw(st.lists(st.sampled_from([1, 1, 2, 3, 4]), min_size=1, max_size=6))
+    cells = int(np.prod(sizes))
+    keys = draw(st.sets(st.integers(0, cells - 1), max_size=min(cells, 12)))
+    return sizes, np.array(sorted(keys), dtype=np.int64)
+
+
+@SEEDED
+@given(case=closure_cases())
+@example(case=([3], np.array([1], dtype=np.int64)))
+def test_threshold_matches_reference_closure(case):
+    """Cell ``(x, l)`` is in the boolean closure of the keys exactly when
+    ``l >= least[x]`` in their threshold map, on every cell of the grid;
+    with one axis the map is 0-d."""
+    sizes, keys = case
+    least = solver._threshold(keys, sizes)
+    assert least.shape == tuple(sizes[:-1])
+    ranks = np.arange(sizes[-1])
+    assert (reference_closure(keys, sizes) == (ranks >= least[..., None])).all()
+
+
+@st.composite
 def row_sets(draw) -> tuple[int, list[list[int]]]:
     """Finite rows of one dimension, on either side of ``solver._CHUNK``:
     up to 25 rows of small values (many ties and dominations) mixed with
     values anywhere in int64, or just over ``_CHUNK`` rows of values up to
-    4, whose rank grid stays under the cell cap; some rows repeated."""
-    n = draw(st.integers(1, 4))
+    4, whose rank grid stays under the cell cap; some rows repeated.
+    Dimensions 1-6, as high as the grid games go."""
+    n = draw(st.integers(1, 6))
     if draw(st.booleans()):
         value = st.one_of(st.integers(0, 4), st.integers(0, 2**63 - 1))
         rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), max_size=25))
@@ -101,10 +128,10 @@ def row_sets(draw) -> tuple[int, list[list[int]]]:
 def test_minimize_rows_matches_reference(monkeypatch):
     """Minimal rows in lexicographic order, each by the index of its first
     occurrence in the input, through both routes of the minimiser: the
-    pairwise sweep and the rank grid (the only caller of
-    ``_upward_closure`` here)."""
+    pairwise sweep and the rank grid (the only caller of ``_threshold``
+    here)."""
     routes = {"sweep": 0, "grid": 0}
-    sweep, closure = solver._minimize_by_sweep, solver._upward_closure
+    sweep, closure = solver._minimize_by_sweep, solver._threshold
 
     def counted_sweep(unique, segments):
         routes["sweep"] += 1
@@ -115,7 +142,7 @@ def test_minimize_rows_matches_reference(monkeypatch):
         return closure(keys, sizes)
 
     monkeypatch.setattr(solver, "_minimize_by_sweep", counted_sweep)
-    monkeypatch.setattr(solver, "_upward_closure", counted_closure)
+    monkeypatch.setattr(solver, "_threshold", counted_closure)
 
     @SEEDED
     @given(data=row_sets())
@@ -133,11 +160,12 @@ def test_minimize_rows_matches_reference(monkeypatch):
 
 @st.composite
 def meet_cases(draw) -> tuple[int, list[list[tuple[int, ...]]], list[tuple[int, ...]]]:
-    """1-4 factors of 0-6 rows of one dimension, small values mixed with
-    values anywhere in int64, rows repeated within and across factors; and
-    the rows of an earlier front: some minimal rows of the meet, and rows
-    one unit above others of them (often off the factors' rank grid)."""
-    n = draw(st.integers(1, 4))
+    """1-4 factors of 0-6 rows of one dimension from 1 to 6, small values
+    mixed with values anywhere in int64, rows repeated within and across
+    factors; and the rows of an earlier front: some minimal rows of the
+    meet, and rows one unit above others of them (often off the factors'
+    rank grid)."""
+    n = draw(st.integers(1, 6))
     value = st.one_of(st.integers(0, 4), st.integers(0, 2**63 - 1))
     row = st.lists(value, min_size=n, max_size=n).map(tuple)
     factors = draw(st.lists(st.lists(row, max_size=4), min_size=1, max_size=4))
