@@ -142,6 +142,8 @@ def _load_document(path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GameFileError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise GameFileError(f"{path} nests too deeply to parse") from None
 
 
 def _list_field(doc: dict[str, Any], key: str) -> list[Any]:

@@ -30,10 +30,21 @@ its row, and whether the attacker wins it.  A batch whose configurations
 are not all stored explores the forward closure of the unstored ones
 breadth-first, a level at a time: each move of a position runs once, on
 all of the level's configurations at that position, and the successors
-are looked up and numbered in one batch.  The attractor is then settled
-over the new region alone, in rounds over a predecessor index of its
-edges: every successor of an old configuration is old, and old verdicts
-are settled, so a new win can only reach new configurations.
+are looked up and numbered in one batch.
+
+Exploration only goes where a verdict needs it (local fixed-point
+checking, Liu & Smolka, ICALP 1998).  A configuration that one of its
+moves already decides is settled on the spot and not expanded: an
+attacker configuration with a defined move into a defender deadlock wins,
+and a defender configuration with an undefined move escapes.  The
+attractor gives them these verdicts whatever their other moves reach, so
+none of those moves is kept, and any configuration that reaches their
+successors another way stores them itself.  Every stored configuration
+was therefore settled on the spot or has its full forward closure
+stored.  The attractor is then settled over the new region alone, in
+rounds over a predecessor index of its edges, from the wins settled on
+the spot: every successor of an old configuration is old, and old
+verdicts are settled, so a new win can only reach new configurations.
 
 Rows are int64, so an arena first bounds every value a move can compute
 from energies at most ``B``; when that bound leaves the int64 range the
@@ -82,11 +93,12 @@ def _move_magnitude(update: Update, bound: int) -> int:
 class _Arena:
     """Explored part of the clipped configuration graph for one (game, B).
 
-    Grows on demand: ``decide_rows`` explores the full forward closure of
-    the seed configurations not stored yet, then propagates the attractor
-    over the newly added region.  Settled verdicts never change
-    afterwards, because every stored configuration already has its
-    complete forward closure stored as well.
+    Grows on demand: ``decide_rows`` explores the forward closure of the
+    seed configurations not stored yet, expanding none that is settled on
+    the spot, then propagates the attractor over the newly added region.
+    Settled verdicts never change afterwards, because every stored
+    configuration was settled on the spot or has its full forward closure
+    stored.
     """
 
     def __init__(self, game: GameGraph, bound: int, config_budget: int):
@@ -96,7 +108,8 @@ class _Arena:
         ids = game.position_ids
         self.pos_index = {g: i for i, g in enumerate(ids)}
         self.is_defender = np.array([game.owner(g) is Owner.DEFENDER for g in ids])
-        self.is_deadlock = [game.is_deadlock(g) for g in ids]
+        # defender deadlocks: the attacker wins at every energy
+        self.sink = self.is_defender & np.array([game.is_deadlock(g) for g in ids], dtype=bool)
         worst = max((_move_magnitude(e.update, bound) for e in game.edges), default=bound)
         if worst > _INT64_MAX:
             raise OracleCapacityError(
@@ -120,7 +133,7 @@ class _Arena:
         for src, moves in enumerate(self.moves):
             for tgt, _ in moves:
                 rev[tgt].add(src)
-        frontier = [i for i in range(count) if self.is_defender[i] and self.is_deadlock[i]]
+        frontier = np.flatnonzero(self.sink).tolist()
         reach = set(frontier)
         while frontier:
             nxt = frontier.pop()
@@ -173,17 +186,18 @@ class _Arena:
             numbers[late] = first + renumber[numbers[late] - first]
         return numbers, fresh
 
-    def _explore(self, level: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _explore(self, level: np.ndarray) -> tuple[np.ndarray, ...]:
         """Store the forward closure of ``level``, the rows stored last,
         breadth-first, a level at a time, and return the new region,
         numbered from 0: the position of each new configuration, the
         sources and (global) targets of the edges leaving them, and the
-        defender configurations that escape."""
+        configurations settled on the spot, the defender escapes and the
+        attacker wins.  A settled configuration keeps none of its moves."""
         keys, moves, hopeful, budget = self.keys, self.moves, self.hopeful, self.budget
         first_new = len(keys) - len(level)
         base = 0
         empty = np.zeros(0, dtype=np.int64)
-        positions, srcs, dsts, escapes = [], [empty], [empty], [empty]
+        positions, srcs, dsts, escapes, wins = [], [empty], [empty], [empty], [empty]
         while len(level):
             # every stored configuration is in some level, so no growth escapes this check
             if len(keys) > budget:
@@ -215,30 +229,38 @@ class _Arena:
             rows = np.empty((sum(sizes), self.width), dtype=np.int64)
             rows[:, 0] = np.repeat(targets, sizes)
             rows[:, 1:] = np.concatenate(outs)
-            src = np.concatenate(sources) + base
+            src = np.concatenate(sources)
             defined = np.concatenate(defs)
-            if not defined.all():
-                undefined = src[~defined]
-                escapes.append(undefined[self.is_defender[at[undefined - base]]])
-                rows, src = rows[defined], src[defined]
+            # an undefined move lets a defender escape; a defined move into a
+            # defender deadlock wins for an attacker
+            defender = self.is_defender[at]
+            settles = np.where(defender[src], ~defined, defined & self.sink[rows[:, 0]])
+            settled = np.zeros(len(at), dtype=bool)
+            settled[src[settles]] = True
+            escapes.append(np.flatnonzero(settled & defender) + base)
+            wins.append(np.flatnonzero(settled & ~defender) + base)
+            keep = defined & ~settled[src]
+            rows, src = rows[keep], src[keep] + base
             base = len(keys) - first_new
             numbers, fresh = self._insert(rows)
             srcs.append(src)
             dsts.append(numbers)
             level = rows[fresh]
-        return tuple(map(np.concatenate, (positions, srcs, dsts, escapes)))
+        return tuple(map(np.concatenate, (positions, srcs, dsts, escapes, wins)))
 
     def _propagate(self, first_new: int, positions: np.ndarray, src: np.ndarray,
-                   dst: np.ndarray, escapes: np.ndarray) -> None:
+                   dst: np.ndarray, escapes: np.ndarray, wins: np.ndarray) -> None:
         """Settle the attractor over the new region: configurations from
         ``first_new`` on, numbered from 0 here, with every edge leaving
-        them (``src`` new, ``dst`` global)."""
+        them (``src`` new, ``dst`` global) and the configurations settled
+        on the spot."""
         size = len(positions)
         defender = self.is_defender[positions]
         old = dst < first_new
         into_win = np.zeros(len(dst), dtype=bool)
         into_win[old] = self.won[dst[old]]
         won = np.zeros(size, dtype=bool)
+        won[wins] = True
         won[src[into_win & ~defender[src]]] = True
         # an edge into an old win satisfies a defender; an old loss is final
         missing = np.bincount(src[~into_win], minlength=size)

@@ -109,13 +109,26 @@ class ReferenceArena:
     reach a defender deadlock, keeps every explored region, propagates over
     the new region only, and refuses every query once exploration has
     exceeded ``config_budget`` configurations.
+
+    With ``settle`` (the default) it also settles configurations on the
+    spot as the arena does: an attacker with a defined move into a
+    defender deadlock wins, a defender with an undefined move escapes, and
+    neither keeps any of its moves.  ``settle=False`` is the plain
+    attractor over the full forward closure, which checks the verdicts of
+    both without copying the rules.
     """
 
     def __init__(
-        self, game: GameGraph, bound: int, config_budget: int = oracle.DEFAULT_CONFIG_BUDGET
+        self,
+        game: GameGraph,
+        bound: int,
+        config_budget: int = oracle.DEFAULT_CONFIG_BUDGET,
+        *,
+        settle: bool = True,
     ):
         self.bound = bound
         self.budget = config_budget
+        self.settle = settle
         ids = game.position_ids
         self.pos_index = {g: i for i, g in enumerate(ids)}
         self.is_defender = [game.owner(g) is Owner.DEFENDER for g in ids]
@@ -123,6 +136,7 @@ class ReferenceArena:
         rev = [{s for s, moves in enumerate(self.moves) if any(t == i for t, _ in moves)}
                for i in range(len(ids))]
         frontier = [i for i, g in enumerate(ids) if self.is_defender[i] and game.is_deadlock(g)]
+        self.sink = [i in frontier for i in range(len(ids))]
         reach = set(frontier)
         while frontier:
             for p in rev[frontier.pop()] - reach:
@@ -135,6 +149,7 @@ class ReferenceArena:
         self.src: list[int] = []
         self.dst: list[int] = []
         self.escapes: set[int] = set()
+        self.wins: set[int] = set()
         self.won = bytearray()
 
     def move(self, update: Update, energy: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -169,11 +184,20 @@ class ReferenceArena:
             p, energy = keys[idx]
             if not self.hopeful[p]:
                 continue
-            for tpos, update in self.moves[p]:
-                value = self.move(update, energy)
+            values = [(tpos, self.move(update, energy)) for tpos, update in self.moves[p]]
+            if self.is_defender[p]:
+                escape = any(value is None for _, value in values)
+                if escape:
+                    self.escapes.add(idx)
+                if escape and self.settle:
+                    continue
+            elif self.settle and any(
+                value is not None and self.sink[tpos] for tpos, value in values
+            ):
+                self.wins.add(idx)
+                continue
+            for tpos, value in values:
                 if value is None:
-                    if self.is_defender[p]:
-                        self.escapes.add(idx)
                     continue
                 tkey = (tpos, value)
                 tidx = index.get(tkey)
@@ -192,7 +216,9 @@ class ReferenceArena:
         won = bytearray(len(owners))
         preds: list[list[int]] = [[] for _ in owners]
         missing = [0] * len(owners)
-        stack = []
+        stack = [s for s in range(len(owners)) if first_new + s in self.wins]
+        for s in stack:
+            won[s] = 1
         for s, t in zip(self.src[first_edge:], self.dst[first_edge:]):
             s -= first_new
             if t >= first_new:

@@ -324,6 +324,26 @@ def test_transform_parse_failure(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "FILE"],
+        ["query", "FILE", "--position", "a", "--energy", "0"],
+        ["check", "FILE"],
+        ["transform", "shortest-path", "FILE", "-o", "OUT"],
+    ],
+    ids=["solve", "query", "check", "transform"],
+)
+def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 100_000 + "]" * 100_000)
+    paths = {"FILE": str(src), "OUT": str(tmp_path / "out.json")}
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {src} nests too deeply to parse")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_transform_unwritable_output_exits_2(tmp_path, capsys):
     src = tmp_path / "graph.json"
     src.write_text(

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import ReferenceArena, random_game
@@ -217,13 +218,14 @@ def test_incremental_arena_matches_fresh_arenas(espresso):
 
 
 def test_config_budget_boundary_is_exact():
-    # 41 attacker configurations a(k, k), k <= 40, and 11 deadlocks d(k, k), k <= 10
+    # 31 attacker configurations a(k, k), k <= 30: a(30, 30) wins on the spot
+    # by its move into the deadlock d(0, 0) and stores neither successor
     game = GameGraph.build(
         2,
         [("a", Owner.ATTACKER), ("d", Owner.DEFENDER)],
         [("a", "a", delta(1, 1)), ("a", "d", delta(-30, -30))],
     )
-    needed = 52
+    needed = 31
     oracle._arena_for.cache_clear()
     assert attractor_decide(game, "a", E(0, 0), 40, config_budget=needed) is Verdict.ATTACKER
     assert len(oracle._arena_for(game, 40, needed).keys) == needed
@@ -244,9 +246,12 @@ def test_arena_matches_reference_arena(kind):
     """On random games, sequences of queries on one arena give the
     reference arena's verdict after every query, the capacity refusal
     included, and its configuration count after every answered one (a
-    refused exploration stops at a different point in each order)."""
+    refused exploration stops at a different point in each order).  The
+    answered verdicts also match the plain attractor over the full forward
+    closure, which settles nothing on the spot."""
     rng = random.Random(f"arena-{kind}")
     budget = 300  # a few plain games exceed it
+    compared = 0
     for _ in range(60):
         game = random_game(
             rng, max_positions=6, max_dim=4, declining=kind == "declining", mul=kind == "mul"
@@ -254,6 +259,7 @@ def test_arena_matches_reference_arena(kind):
         bound = rng.randint(0, 20)
         arena = oracle._Arena(game, bound, budget)
         reference = ReferenceArena(game, bound, budget)
+        unsettled = ReferenceArena(game, bound, 20 * budget, settle=False)
         for _ in range(12):
             g = rng.choice(game.position_ids)
             top = rng.choice((bound, min(bound, 2)))
@@ -262,6 +268,48 @@ def test_arena_matches_reference_arena(kind):
             assert got == _outcome(reference.decide, g, e)
             if got != "capacity":
                 assert len(arena.keys) == len(reference.keys)
+                full = _outcome(unsettled.decide, g, e)
+                if full != "capacity":
+                    assert got == full
+                    compared += 1
+    assert compared >= 700, compared
+
+
+def _stored(arena):
+    """The stored configurations as ``(position id, energy)`` pairs."""
+    rows = np.frombuffer(b"".join(arena.keys), dtype=np.int64).reshape(-1, arena.width)
+    ids = list(arena.pos_index)
+    return {(ids[row[0]], tuple(row[1:].tolist())) for row in rows}
+
+
+def test_attacker_with_a_defined_move_into_a_deadlock_wins_on_the_spot():
+    # a(1) reaches the deadlock d(0) in one move, so its move to b is never taken
+    game = GameGraph.build(
+        1,
+        [("a", Owner.ATTACKER), ("b", Owner.ATTACKER), ("d", Owner.DEFENDER)],
+        [("a", "d", delta(-1)), ("a", "b", delta(0)), ("b", "d", delta(-5))],
+    )
+    arena = oracle._Arena(game, 4, oracle.DEFAULT_CONFIG_BUDGET)
+    assert arena.decide(arena.pos_index["a"], (1,))
+    assert _stored(arena) == {("a", (1,))}
+    # at a(0) the move into the deadlock is undefined, so a(0) expands
+    assert not arena.decide(arena.pos_index["a"], (0,))
+    assert _stored(arena) == {("a", (1,)), ("a", (0,)), ("b", (0,))}
+
+
+def test_defender_with_an_undefined_move_escapes_on_the_spot():
+    # x(0) cannot pay for its move to d, so its move to b is never taken
+    game = GameGraph.build(
+        1,
+        [("x", Owner.DEFENDER), ("b", Owner.ATTACKER), ("d", Owner.DEFENDER)],
+        [("x", "d", delta(-1)), ("x", "b", delta(0)), ("b", "d", delta(0))],
+    )
+    arena = oracle._Arena(game, 4, oracle.DEFAULT_CONFIG_BUDGET)
+    assert not arena.decide(arena.pos_index["x"], (0,))
+    assert _stored(arena) == {("x", (0,))}
+    # x(1) pays for both moves, and b wins on the spot by its move into d
+    assert arena.decide(arena.pos_index["x"], (1,))
+    assert _stored(arena) == {("x", (0,)), ("x", (1,)), ("d", (0,)), ("b", (1,))}
 
 
 def test_defender_counts_every_edge_won_in_one_round():
@@ -289,8 +337,10 @@ def test_int64_safe_bound_matches_reference():
     game, bound = _doubling_game(), 2**62 - 1
     oracle._arena_for.cache_clear()
     reference = ReferenceArena(game, bound)
+    unsettled = ReferenceArena(game, bound, settle=False)
     for value in (0, 1, 2, 3, 2**61, bound):
         expected = reference.decide("a", E(value))
+        assert unsettled.decide("a", E(value)) is expected
         verdict = attractor_decide(game, "a", E(value), bound)
         assert (verdict is Verdict.ATTACKER) is expected
     assert len(oracle._arena_for(game, bound, oracle.DEFAULT_CONFIG_BUDGET).keys) == len(
