@@ -74,7 +74,7 @@ class GameGraph:
 
     @cached_property
     def _hash(self) -> int:
-        # the oracle's arena cache looks a game up on every query
+        # the oracle's cache of compiled arenas looks a game up once per clip bound
         return hash((self.dimension, self.positions, self.edges))
 
     def __getstate__(self) -> dict:

@@ -20,17 +20,17 @@ monotonicity of the updates; a defender answer may flip once ``B`` grows.
 ``stable_decide_many`` therefore decides each query at its starting bound
 and once more at twice that bound when the answer is the defender's, and
 takes the second answer: no query runs more than two bounds.  It decides
-in batches, one per bound: the queries that share a bound seed one
-exploration of that bound's arena, the multi-source form of the same
-attractor.  ``stable_decide`` is a batch of one.
+in batches, one per bound, in ascending order: the queries that start or
+confirm at a bound seed one exploration of it, the multi-source form of
+the same attractor.  ``stable_decide`` is a batch of one.
 
-An arena keeps, per ``(game, B)``, every explored configuration as an
-int64 row ``(position, energy...)``, numbered and indexed by the bytes of
-its row, and whether the attacker wins it.  A batch whose configurations
-are not all stored explores the forward closure of the unstored ones
+An arena compiles one ``(game, B)`` and holds no configurations.  Each
+batch explores from scratch the forward closure of its configurations,
+int64 rows ``(position, energy...)`` numbered by the bytes of their row,
 breadth-first, a level at a time: each move of a position runs once, on
 all of the level's configurations at that position, and the successors
-are looked up and numbered in one batch.
+are looked up and numbered in one batch.  The batch's index is dropped
+with its verdicts, so callers with many queries should batch them.
 
 Exploration only goes where a verdict needs it (local fixed-point
 checking, Liu & Smolka, ICALP 1998).  A configuration that one of its
@@ -38,18 +38,14 @@ moves already decides is settled on the spot and not expanded: an
 attacker configuration with a defined move into a defender deadlock wins,
 and a defender configuration with an undefined move escapes.  The
 attractor gives them these verdicts whatever their other moves reach, so
-none of those moves is kept, and any configuration that reaches their
-successors another way stores them itself.  Every stored configuration
-was therefore settled on the spot or has its full forward closure
-stored.  The attractor is then settled over the new region alone, in
-rounds over a predecessor index of its edges, from the wins settled on
-the spot: every successor of an old configuration is old, and old
-verdicts are settled, so a new win can only reach new configurations.
+none of those moves is kept.  The attractor is then settled over the
+explored region, in rounds over a predecessor index of its edges, from
+the wins settled on the spot and the defender deadlocks.
 
 Rows are int64, so an arena first bounds every value a move can compute
 from energies at most ``B``; when that bound leaves the int64 range the
 arena refuses with ``OracleCapacityError``, as it does when exploration
-exceeds the configuration budget.  Nothing wraps.
+exceeds the configuration budget in one batch.  Nothing wraps.
 
 No Pareto fronts and no update inverses appear here: the module shares
 nothing with the solver's backward computation and serves as its
@@ -91,15 +87,9 @@ def _move_magnitude(update: Update, bound: int) -> int:
 
 
 class _Arena:
-    """Explored part of the clipped configuration graph for one (game, B).
-
-    Grows on demand: ``decide_rows`` explores the forward closure of the
-    seed configurations not stored yet, expanding none that is settled on
-    the spot, then propagates the attractor over the newly added region.
-    Settled verdicts never change afterwards, because every stored
-    configuration was settled on the spot or has its full forward closure
-    stored.
-    """
+    """The clipped configuration graph of one (game, B), compiled but not
+    explored: ``decide_rows`` explores the forward closure of its rows from
+    scratch, settles the attractor over it and keeps nothing."""
 
     def __init__(self, game: GameGraph, bound: int, config_budget: int):
         game.require_valid()
@@ -121,12 +111,8 @@ class _Arena:
         # positions with no path to any defender deadlock can never be won,
         # whatever the energy; their configurations need no expansion
         self.hopeful = self._positions_reaching_defender_deadlocks(len(ids))
-        self.poisoned = False
         self.width = 1 + game.dimension
         self.row_key = np.dtype((np.void, 8 * self.width))  # one int64 row as bytes
-        self.config_index: dict[bytes, int] = {}
-        self.keys = self.config_index.keys()  # row bytes, in the order of their numbers
-        self.won = np.zeros(0, dtype=bool)
 
     def _positions_reaching_defender_deadlocks(self, count: int) -> np.ndarray:
         rev: list[set[int]] = [set() for _ in range(count)]
@@ -143,38 +129,22 @@ class _Arena:
                     frontier.append(p)
         return np.array([i in reach for i in range(count)], dtype=bool)
 
-    def decide(self, pos: int, e: tuple[int, ...]) -> bool:
-        return bool(self.decide_rows(np.array([(pos, *e)], dtype=np.int64))[0])
-
     def decide_rows(self, rows: np.ndarray) -> np.ndarray:
         """Whether the attacker wins each int64 row ``(position, energy...)``.
-        The rows not stored yet seed one exploration together, so their
-        closures share their levels."""
-        # a partially explored graph has unusable verdicts, so a capacity
-        # overflow permanently disables this arena
-        if self.poisoned:
-            raise OracleCapacityError(
-                f"exploration at clip bound {self.bound} exceeded {self.budget} configurations"
-            )
-        first_new = len(self.keys)
-        numbers, fresh = self._insert(rows)
-        if fresh.any():
-            try:
-                # level 0 holds exactly the new rows, in the order of their numbers
-                region = self._explore(rows[fresh])
-            except OracleCapacityError:
-                self.poisoned = True
-                raise
-            self._propagate(first_new, *region)
-        return self.won[numbers]
+        The rows seed one exploration together, so their closures share
+        their levels, and the configuration index lives for this call only."""
+        index: dict[bytes, int] = {}
+        numbers, fresh = self._insert(index, rows)
+        # level 0 holds the distinct rows, in the order of their numbers
+        return self._propagate(*self._explore(index, rows[fresh]))[numbers]
 
-    def _insert(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Store the rows not stored yet and return the number of every row,
-        with a mask of the first appearances of new rows, which get the next
-        numbers in that order.  The dictionary work runs in C: ``setdefault``
-        stores a new row under its place in ``rows`` as a provisional
-        number, and the new rows are then renumbered consecutively."""
-        index = self.config_index
+    def _insert(self, index: dict[bytes, int], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Number the rows not in ``index`` yet and return the number of
+        every row, with a mask of the first appearances of new rows, which
+        get the next numbers in that order.  The dictionary work runs in C:
+        ``setdefault`` stores a new row under its place in ``rows`` as a
+        provisional number, and the new rows are then renumbered
+        consecutively."""
         first = len(index)
         found = np.ascontiguousarray(rows).view(self.row_key).ravel().tolist()
         numbers = np.fromiter(map(index.setdefault, found, count(first)), np.int64, len(found))
@@ -186,21 +156,21 @@ class _Arena:
             numbers[late] = first + renumber[numbers[late] - first]
         return numbers, fresh
 
-    def _explore(self, level: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Store the forward closure of ``level``, the rows stored last,
-        breadth-first, a level at a time, and return the new region,
-        numbered from 0: the position of each new configuration, the
-        sources and (global) targets of the edges leaving them, and the
-        configurations settled on the spot, the defender escapes and the
-        attacker wins.  A settled configuration keeps none of its moves."""
-        keys, moves, hopeful, budget = self.keys, self.moves, self.hopeful, self.budget
-        first_new = len(keys) - len(level)
+    def _explore(self, index: dict[bytes, int], level: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Number the forward closure of ``level``, every row of ``index``
+        in the order of their numbers, breadth-first, a level at a time,
+        and return the explored region: the position of each
+        configuration, the sources and targets of the edges leaving them,
+        and the configurations settled on the spot, the defender escapes
+        and the attacker wins.  A settled configuration keeps none of its
+        moves."""
+        moves, hopeful, budget = self.moves, self.hopeful, self.budget
         base = 0
         empty = np.zeros(0, dtype=np.int64)
-        positions, srcs, dsts, escapes, wins = [], [empty], [empty], [empty], [empty]
+        positions, srcs, dsts, escapes, wins = [empty], [empty], [empty], [empty], [empty]
         while len(level):
-            # every stored configuration is in some level, so no growth escapes this check
-            if len(keys) > budget:
+            # every numbered configuration is in some level, so no growth escapes this check
+            if len(index) > budget:
                 raise OracleCapacityError(
                     f"more than {budget} configurations at clip bound {self.bound}"
                 )
@@ -241,39 +211,31 @@ class _Arena:
             wins.append(np.flatnonzero(settled & ~defender) + base)
             keep = defined & ~settled[src]
             rows, src = rows[keep], src[keep] + base
-            base = len(keys) - first_new
-            numbers, fresh = self._insert(rows)
+            base = len(index)
+            numbers, fresh = self._insert(index, rows)
             srcs.append(src)
             dsts.append(numbers)
             level = rows[fresh]
         return tuple(map(np.concatenate, (positions, srcs, dsts, escapes, wins)))
 
-    def _propagate(self, first_new: int, positions: np.ndarray, src: np.ndarray,
-                   dst: np.ndarray, escapes: np.ndarray, wins: np.ndarray) -> None:
-        """Settle the attractor over the new region: configurations from
-        ``first_new`` on, numbered from 0 here, with every edge leaving
-        them (``src`` new, ``dst`` global) and the configurations settled
-        on the spot."""
+    def _propagate(self, positions: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                   escapes: np.ndarray, wins: np.ndarray) -> np.ndarray:
+        """Whether the attacker wins each configuration of an explored
+        region, from the position of each, its edges (``src`` to ``dst``)
+        and the configurations settled on the spot."""
         size = len(positions)
         defender = self.is_defender[positions]
-        old = dst < first_new
-        into_win = np.zeros(len(dst), dtype=bool)
-        into_win[old] = self.won[dst[old]]
         won = np.zeros(size, dtype=bool)
         won[wins] = True
-        won[src[into_win & ~defender[src]]] = True
-        # an edge into an old win satisfies a defender; an old loss is final
-        missing = np.bincount(src[~into_win], minlength=size)
+        missing = np.bincount(src, minlength=size)
         never = ~self.hopeful[positions]
         never[escapes] = True
         missing[defender & never] = _NEVER
-        won |= defender & (missing == 0)  # every move lands in an old win, or a deadlock
-        # predecessors of each new configuration, one per edge, grouped by target
-        new = ~old
-        tgt = dst[new] - first_new
-        preds = src[new][np.argsort(tgt)]
+        won |= defender & (missing == 0)  # defender deadlocks
+        # predecessors of each configuration, one per edge, grouped by target
+        preds = src[np.argsort(dst)]
         ptr = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(tgt, minlength=size), out=ptr[1:])
+        np.cumsum(np.bincount(dst, minlength=size), out=ptr[1:])
         frontier = np.flatnonzero(won)
         while len(frontier):
             starts, lens = ptr[frontier], ptr[frontier + 1] - ptr[frontier]
@@ -284,7 +246,7 @@ class _Arena:
             missing[defenders] -= edges
             frontier = np.concatenate([attackers, defenders[missing[defenders] == 0]])
             won[frontier] = True
-        self.won = np.concatenate([self.won, won])
+        return won
 
 
 @lru_cache(maxsize=8)
@@ -317,9 +279,7 @@ def attractor_decide(
     _check_query(game, g, e)
     if any(c > bound for c in e.components):
         raise ValueError(f"energy {e.render()} exceeds clip bound {bound}")
-    arena = _arena_for(game, bound, config_budget)
-    raw = tuple(int(c) for c in e.components)
-    won = arena.decide(arena.pos_index[g], raw)
+    (won,) = _decide_at(game, bound, [(g, e)], config_budget)
     return Verdict.ATTACKER if won else Verdict.DEFENDER
 
 
@@ -357,7 +317,12 @@ def _game_bound(game: GameGraph) -> tuple[int, int]:
 def starting_bound(game: GameGraph, e: Energy) -> int:
     """Initial clip bound: worst backward estimate or the queried energy,
     plus headroom of one maximal step per position."""
-    worst, headroom = _game_bound(game)
+    return _start(_game_bound(game), e)
+
+
+def _start(game_bound: tuple[int, int], e: Energy) -> int:
+    """``starting_bound`` from the game's ``_game_bound``, computed once."""
+    worst, headroom = game_bound
     return max(worst, max((int(c) for c in e.components), default=0)) + headroom
 
 
@@ -385,28 +350,28 @@ def stable_decide_many(
     consecutive answers agree.  Attacker answers are monotone in the
     bound, so one is final where it appears; a defender answer takes one
     confirming run at twice the bound, whose answer is final either way.
-    No query thus runs more than two bounds, and the queries that share a
-    bound are decided in one batch on its arena.
+    No query thus runs more than two bounds.  The bounds go in ascending
+    order, each explored once by one batch of the queries that start or
+    confirm there.
     """
     queries = list(queries)
     for g, e in queries:
         _check_query(game, g, e)
+    game_bound = _game_bound(game)
+    starts = [max(1, _start(game_bound, e)) for _, e in queries]
+    pending: dict[int, list[int]] = defaultdict(list)
+    for i, bound in enumerate(starts):
+        pending[bound].append(i)
     verdicts: dict[int, OracleVerdict] = {}
-    first: dict[int, list[int]] = defaultdict(list)
-    for i, (_, e) in enumerate(queries):
-        first[max(1, starting_bound(game, e))].append(i)
-    confirm: dict[int, list[int]] = defaultdict(list)
-    for bound, group in sorted(first.items()):
+    while pending:
+        bound = min(pending)
+        group = pending.pop(bound)
         decided = _decide_at(game, bound, [queries[i] for i in group], config_budget)
         for i, won in zip(group, decided):
-            if won:
-                verdicts[i] = OracleVerdict(Verdict.ATTACKER, bound)
+            if won or bound > starts[i]:
+                verdicts[i] = OracleVerdict(Verdict.ATTACKER if won else Verdict.DEFENDER, bound)
             else:
-                confirm[2 * bound].append(i)
-    for bound, group in sorted(confirm.items()):
-        decided = _decide_at(game, bound, [queries[i] for i in group], config_budget)
-        for i, won in zip(group, decided):
-            verdicts[i] = OracleVerdict(Verdict.ATTACKER if won else Verdict.DEFENDER, bound)
+                pending[2 * bound].append(i)
     return [verdicts[i] for i in range(len(queries))]
 
 

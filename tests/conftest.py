@@ -106,9 +106,10 @@ class ReferenceArena:
 
     A move is ``reference_apply`` followed by one clip to the bound.  Like
     the oracle's arena it expands no configuration whose position cannot
-    reach a defender deadlock, keeps every explored region, propagates over
-    the new region only, and refuses every query once exploration has
-    exceeded ``config_budget`` configurations.
+    reach a defender deadlock.  Unlike it, it keeps every explored region,
+    propagates over the new region only, and refuses every query once
+    exploration has exceeded ``config_budget`` configurations, so a fresh
+    one per query explores what one ``decide_rows`` call on that query does.
 
     With ``settle`` (the default) it also settles configurations on the
     spot as the arena does: an attacker with a defined move into a

@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import Counter
 
@@ -92,12 +93,13 @@ def test_agreement_with_solver_on_random_games():
     for _ in range(20):
         game = random_game(rng, max_positions=6)
         result = compute_winning_budgets(game)
-        for g in game.position_ids:
-            for _ in range(10):
-                e = Energy(tuple(rng.randint(0, 4) for _ in range(game.dimension)))
-                assert known_initial_credit(result, g, e) == stable_decide(
-                    game, g, e
-                ).attacker_wins
+        queries = [
+            (g, Energy(tuple(rng.randint(0, 4) for _ in range(game.dimension))))
+            for g in game.position_ids
+            for _ in range(10)
+        ]
+        for (g, e), verdict in zip(queries, stable_decide_many(game, queries)):
+            assert known_initial_credit(result, g, e) == verdict.attacker_wins
 
 
 def test_agreement_on_multiplicative_updates():
@@ -178,46 +180,84 @@ def test_config_budget_enforced():
         attractor_decide(game, "a", E(0, 0), 40, config_budget=30)
 
 
-def _shared_then_fresh(game, queries, bound):
-    """Verdicts of ``queries`` on one shared arena and each on a fresh one,
-    with how many shared queries hit a stored configuration, explored an
-    isolated region, or explored a region with an edge into older ones
-    (its fresh arena holds more configurations than the shared one added)."""
-    oracle._arena_for.cache_clear()
-    arena = oracle._arena_for(game, bound, oracle.DEFAULT_CONFIG_BUDGET)
-    shared, added = [], []
-    for g, e in queries:
-        first_new = len(arena.keys)
-        shared.append(attractor_decide(game, g, e, bound))
-        added.append(len(arena.keys) - first_new)
-    fresh, kinds = [], Counter()
-    for (g, e), grown in zip(queries, added):
-        oracle._arena_for.cache_clear()
-        fresh.append(attractor_decide(game, g, e, bound))
-        closure = len(oracle._arena_for(game, bound, oracle.DEFAULT_CONFIG_BUDGET).keys)
-        kinds["hit" if not grown else "new" if closure == grown else "reaches old"] += 1
-    return shared, fresh, kinds
+def _explorations(monkeypatch):
+    """Record every exploration as its clip bound and the configuration
+    index it numbers, which the list keeps after the call."""
+    seen = []
+    explore = oracle._Arena._explore
+
+    def recorded(arena, *args):
+        seen.append((arena.bound, args[0]))
+        return explore(arena, *args)
+
+    monkeypatch.setattr(oracle._Arena, "_explore", recorded)
+    return seen
 
 
-def test_incremental_arena_matches_fresh_arenas(espresso):
-    rng = random.Random(53)
-    games = [(espresso, 8)] + [(random_game(rng, max_positions=6), 6) for _ in range(20)]
-    total = Counter()
-    for game, bound in games:
-        queries = [
-            (rng.choice(game.position_ids),
-             Energy(tuple(rng.randint(0, bound) for _ in range(game.dimension))))
-            for _ in range(12)
-        ]
-        shared, fresh, kinds = _shared_then_fresh(game, queries, bound)
-        assert shared == fresh
-        total += kinds
-        if game is espresso:
-            assert set(kinds) == {"hit", "new", "reaches old"}, kinds
-    assert min(total[k] for k in ("hit", "new", "reaches old")) > 0, total
+def _decide(arena, *queries):
+    """``decide_rows`` on ``(position id, energy)`` queries."""
+    rows = np.array([(arena.pos_index[g], *e.components) for g, e in queries], dtype=np.int64)
+    return arena.decide_rows(rows).tolist()
 
 
-def test_config_budget_boundary_is_exact():
+def _state(arena):
+    """A deep copy of the arena's attributes, arrays as lists."""
+    return copy.deepcopy(
+        {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(arena).items()}
+    )
+
+
+def test_arena_keeps_nothing_between_calls(espresso, monkeypatch):
+    explored = _explorations(monkeypatch)
+    arena = oracle._arena_for(espresso, 8, oracle.DEFAULT_CONFIG_BUDGET)
+    queries = [
+        ("Office", E(0, 0, 0, 8)), ("Office", E(0, 0, 0, 7)), ("CoffeeMaker", E(3, 1, 0, 2))
+    ]
+    before = _state(arena)
+    first = _decide(arena, *queries)
+    second = _decide(arena, *queries)
+    assert first == second
+    assert len(explored) == 2
+    assert len(explored[0][1]) == len(explored[1][1]) > len(queries)
+    assert _state(arena) == before
+
+
+def _pay_three_game():
+    return GameGraph.build(
+        1, [("a", Owner.ATTACKER), ("d", Owner.DEFENDER)], [("a", "d", delta(-3))]
+    )
+
+
+def test_confirming_and_starting_queries_share_one_exploration(monkeypatch):
+    # estimate 3, headroom 6: a(0) starts at 9 and confirms at 18, where a(12) starts
+    game = _pay_three_game()
+    assert [starting_bound(game, E(v)) for v in (0, 12)] == [9, 18]
+    explored = _explorations(monkeypatch)
+    verdicts = stable_decide_many(game, [("a", E(0)), ("a", E(12))])
+    assert verdicts == [
+        oracle.OracleVerdict(Verdict.DEFENDER, 18),
+        oracle.OracleVerdict(Verdict.ATTACKER, 18),
+    ]
+    assert [bound for bound, _ in explored] == [9, 18]
+
+
+def test_game_bound_is_computed_once_per_batch(monkeypatch):
+    queries = [(g, E(v)) for g in ("a", "d") for v in (0, 2, 12, 40)]
+    game = _pay_three_game()
+    expected = [_doubling_reference(game, g, e) for g, e in queries]
+    calls = []
+    game_bound = oracle._game_bound
+
+    def counted(game):
+        calls.append(game)
+        return game_bound(game)
+
+    monkeypatch.setattr(oracle, "_game_bound", counted)
+    assert stable_decide_many(game, queries) == expected
+    assert calls == [game]
+
+
+def test_config_budget_boundary_is_exact(monkeypatch):
     # 31 attacker configurations a(k, k), k <= 30: a(30, 30) wins on the spot
     # by its move into the deadlock d(0, 0) and stores neither successor
     game = GameGraph.build(
@@ -226,9 +266,9 @@ def test_config_budget_boundary_is_exact():
         [("a", "a", delta(1, 1)), ("a", "d", delta(-30, -30))],
     )
     needed = 31
-    oracle._arena_for.cache_clear()
+    explored = _explorations(monkeypatch)
     assert attractor_decide(game, "a", E(0, 0), 40, config_budget=needed) is Verdict.ATTACKER
-    assert len(oracle._arena_for(game, 40, needed).keys) == needed
+    assert [len(index) for _, index in explored] == [needed]
     for _ in range(2):
         with pytest.raises(OracleCapacityError):
             attractor_decide(game, "a", E(0, 0), 40, config_budget=needed - 1)
@@ -242,13 +282,14 @@ def _outcome(decide, *args):
 
 
 @pytest.mark.parametrize("kind", ["plain", "declining", "mul"])
-def test_arena_matches_reference_arena(kind):
-    """On random games, sequences of queries on one arena give the
-    reference arena's verdict after every query, the capacity refusal
-    included, and its configuration count after every answered one (a
-    refused exploration stops at a different point in each order).  The
-    answered verdicts also match the plain attractor over the full forward
-    closure, which settles nothing on the spot."""
+def test_arena_matches_reference_arena(kind, monkeypatch):
+    """On random games, queries on one arena give a fresh reference
+    arena's verdict, the capacity refusal included, and its configuration
+    count on every answered one (a refused exploration stops at a
+    different point in each order).  The answered verdicts also match the
+    plain attractor over the full forward closure, which settles nothing
+    on the spot."""
+    explored = _explorations(monkeypatch)
     rng = random.Random(f"arena-{kind}")
     budget = 300  # a few plain games exceed it
     compared = 0
@@ -258,16 +299,16 @@ def test_arena_matches_reference_arena(kind):
         )
         bound = rng.randint(0, 20)
         arena = oracle._Arena(game, bound, budget)
-        reference = ReferenceArena(game, bound, budget)
         unsettled = ReferenceArena(game, bound, 20 * budget, settle=False)
         for _ in range(12):
             g = rng.choice(game.position_ids)
             top = rng.choice((bound, min(bound, 2)))
             e = Energy(tuple(rng.randint(0, top) for _ in range(game.dimension)))
-            got = _outcome(arena.decide, arena.pos_index[g], e.components)
+            reference = ReferenceArena(game, bound, budget)
+            got = _outcome(lambda: _decide(arena, (g, e))[0])
             assert got == _outcome(reference.decide, g, e)
             if got != "capacity":
-                assert len(arena.keys) == len(reference.keys)
+                assert len(explored[-1][1]) == len(reference.keys)
                 full = _outcome(unsettled.decide, g, e)
                 if full != "capacity":
                     assert got == full
@@ -275,14 +316,14 @@ def test_arena_matches_reference_arena(kind):
     assert compared >= 700, compared
 
 
-def _stored(arena):
-    """The stored configurations as ``(position id, energy)`` pairs."""
-    rows = np.frombuffer(b"".join(arena.keys), dtype=np.int64).reshape(-1, arena.width)
+def _stored(arena, index):
+    """The configurations ``index`` numbers, as ``(position id, energy)`` pairs."""
+    rows = np.frombuffer(b"".join(index), dtype=np.int64).reshape(-1, arena.width)
     ids = list(arena.pos_index)
     return {(ids[row[0]], tuple(row[1:].tolist())) for row in rows}
 
 
-def test_attacker_with_a_defined_move_into_a_deadlock_wins_on_the_spot():
+def test_attacker_with_a_defined_move_into_a_deadlock_wins_on_the_spot(monkeypatch):
     # a(1) reaches the deadlock d(0) in one move, so its move to b is never taken
     game = GameGraph.build(
         1,
@@ -290,14 +331,15 @@ def test_attacker_with_a_defined_move_into_a_deadlock_wins_on_the_spot():
         [("a", "d", delta(-1)), ("a", "b", delta(0)), ("b", "d", delta(-5))],
     )
     arena = oracle._Arena(game, 4, oracle.DEFAULT_CONFIG_BUDGET)
-    assert arena.decide(arena.pos_index["a"], (1,))
-    assert _stored(arena) == {("a", (1,))}
+    explored = _explorations(monkeypatch)
+    assert _decide(arena, ("a", E(1))) == [True]
+    assert _stored(arena, explored[-1][1]) == {("a", (1,))}
     # at a(0) the move into the deadlock is undefined, so a(0) expands
-    assert not arena.decide(arena.pos_index["a"], (0,))
-    assert _stored(arena) == {("a", (1,)), ("a", (0,)), ("b", (0,))}
+    assert _decide(arena, ("a", E(1)), ("a", E(0))) == [True, False]
+    assert _stored(arena, explored[-1][1]) == {("a", (1,)), ("a", (0,)), ("b", (0,))}
 
 
-def test_defender_with_an_undefined_move_escapes_on_the_spot():
+def test_defender_with_an_undefined_move_escapes_on_the_spot(monkeypatch):
     # x(0) cannot pay for its move to d, so its move to b is never taken
     game = GameGraph.build(
         1,
@@ -305,11 +347,12 @@ def test_defender_with_an_undefined_move_escapes_on_the_spot():
         [("x", "d", delta(-1)), ("x", "b", delta(0)), ("b", "d", delta(0))],
     )
     arena = oracle._Arena(game, 4, oracle.DEFAULT_CONFIG_BUDGET)
-    assert not arena.decide(arena.pos_index["x"], (0,))
-    assert _stored(arena) == {("x", (0,))}
+    explored = _explorations(monkeypatch)
+    assert _decide(arena, ("x", E(0))) == [False]
+    assert _stored(arena, explored[-1][1]) == {("x", (0,))}
     # x(1) pays for both moves, and b wins on the spot by its move into d
-    assert arena.decide(arena.pos_index["x"], (1,))
-    assert _stored(arena) == {("x", (0,)), ("x", (1,)), ("d", (0,)), ("b", (1,))}
+    assert _decide(arena, ("x", E(0)), ("x", E(1))) == [False, True]
+    assert _stored(arena, explored[-1][1]) == {("x", (0,)), ("x", (1,)), ("d", (0,)), ("b", (1,))}
 
 
 def test_defender_counts_every_edge_won_in_one_round():
@@ -319,7 +362,6 @@ def test_defender_counts_every_edge_won_in_one_round():
         [("d", Owner.DEFENDER), ("x", Owner.DEFENDER), ("y", Owner.DEFENDER)],
         [("d", "x", delta(0)), ("d", "y", delta(-1))],
     )
-    oracle._arena_for.cache_clear()
     assert attractor_decide(game, "d", E(1), 4) is Verdict.ATTACKER
     assert attractor_decide(game, "d", E(0), 4) is Verdict.DEFENDER
 
@@ -332,25 +374,22 @@ def _doubling_game():
     )
 
 
-def test_int64_safe_bound_matches_reference():
+def test_int64_safe_bound_matches_reference(monkeypatch):
     # the doubling move reaches 2 * bound, the largest int64 value at most
     game, bound = _doubling_game(), 2**62 - 1
-    oracle._arena_for.cache_clear()
-    reference = ReferenceArena(game, bound)
+    explored = _explorations(monkeypatch)
     unsettled = ReferenceArena(game, bound, settle=False)
     for value in (0, 1, 2, 3, 2**61, bound):
+        reference = ReferenceArena(game, bound)
         expected = reference.decide("a", E(value))
         assert unsettled.decide("a", E(value)) is expected
         verdict = attractor_decide(game, "a", E(value), bound)
         assert (verdict is Verdict.ATTACKER) is expected
-    assert len(oracle._arena_for(game, bound, oracle.DEFAULT_CONFIG_BUDGET).keys) == len(
-        reference.keys
-    )
+        assert len(explored[-1][1]) == len(reference.keys)
 
 
 def test_int64_unsafe_bound_is_refused():
     game = _doubling_game()
-    oracle._arena_for.cache_clear()
     for _ in range(2):
         with pytest.raises(OracleCapacityError, match="int64"):
             attractor_decide(game, "a", E(1), 2**62)
@@ -381,20 +420,15 @@ def _doubling_reference(game, g, e):
     return oracle.OracleVerdict(prev, bound)
 
 
-def _arena_sizes(game, bounds):
-    budget = oracle.DEFAULT_CONFIG_BUDGET
-    return {b: len(oracle._arena_for(game, b, budget).keys) for b in sorted(bounds)}
-
-
 @pytest.mark.parametrize("kind", ["plain", "declining", "mul"])
-def test_stable_decide_many_matches_one_query_at_a_time(kind):
+def test_stable_decide_many_matches_one_query_at_a_time(kind, monkeypatch):
     """A batch gives each query the verdict and bound of the doubling rule
-    run alone on a cleared cache, and of ``stable_decide``, and leaves
-    every bound's arena as large as ``stable_decide`` asked one query at a
-    time does.  Each batch holds duplicates, queries stored by an earlier
-    decision and, on most games, queries that need the confirming bound."""
+    run alone, and of ``stable_decide``, and explores each bound at most
+    once.  Each batch holds duplicates and, on most games, queries that
+    need the confirming bound."""
     rng = random.Random(f"many-{kind}")
     seen = Counter()
+    explored = _explorations(monkeypatch)
     for _ in range(12):
         game = random_game(
             rng, max_positions=4, max_dim=4, max_abs=1, declining=kind == "declining",
@@ -407,27 +441,16 @@ def test_stable_decide_many_matches_one_query_at_a_time(kind):
             return (rng.choice(game.position_ids),
                     Energy(tuple(rng.randint(0, top) for _ in range(game.dimension))))
 
-        warm = [draw() for _ in range(2)]
-        queries = [draw() for _ in range(6)] + warm
+        queries = [draw() for _ in range(8)]
         queries += rng.sample(queries, 3)
         rng.shuffle(queries)
-        alone = []
-        for g, e in queries:
-            oracle._arena_for.cache_clear()
-            alone.append(_doubling_reference(game, g, e))
+        alone = [_doubling_reference(game, g, e) for g, e in queries]
         starts = [max(1, starting_bound(game, e)) for _, e in queries]
-        bounds = {v.bound for v in alone} | set(starts)
-        assert len(bounds) <= 8  # no arena leaves the cache
-        oracle._arena_for.cache_clear()
-        for g, e in warm:
-            stable_decide(game, g, e)
         assert [stable_decide(game, g, e) for g, e in queries] == alone
-        expected = _arena_sizes(game, bounds)
-        oracle._arena_for.cache_clear()
-        for g, e in warm:
-            stable_decide(game, g, e)
+        explored.clear()
         assert stable_decide_many(game, queries) == alone
-        assert _arena_sizes(game, bounds) == expected
+        bounds = [bound for bound, _ in explored]
+        assert len(bounds) == len(set(bounds))
         seen.update(v.winner for v in alone)
         seen[f"dimension {game.dimension}"] += 1
         seen["confirmed"] += any(v.bound > b for v, b in zip(alone, starts))
