@@ -69,18 +69,6 @@ class GameGraph:
             tuple(Edge(s, t, u) for s, t, u in edges),
         )
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # the oracle's cache of compiled arenas looks a game up once per clip bound
-        return hash((self.dimension, self.positions, self.edges))
-
-    def __getstate__(self) -> dict:
-        # string hashes differ between processes, so a pickle drops the cache
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
     @cached_property
     def _by_id(self) -> dict[str, Position]:
         return {p.id: p for p in self.positions}

@@ -37,13 +37,9 @@ def test_validate_espresso_ok(espresso):
     assert espresso.validate() == []
 
 
-def test_hash_is_cached_per_game_and_not_pickled(espresso):
-    """The hash is the field hash, computed once; a pickle leaves it out,
-    because string hashes differ between processes."""
+def test_hash_is_the_field_hash_and_survives_pickle(espresso):
     assert hash(espresso) == hash((espresso.dimension, espresso.positions, espresso.edges))
-    assert "_hash" in vars(espresso)
     copy = pickle.loads(pickle.dumps(espresso))
-    assert "_hash" not in vars(copy)
     assert copy == espresso
     assert hash(copy) == hash(espresso)
 

@@ -192,7 +192,7 @@ def test_meet_matches_reference(case):
     n, factors, base = case
     arrays = [np.array(f, dtype=np.int64).reshape(len(f), n) for f in factors]
     base_rows = np.array(sorted(set(base)), dtype=np.int64).reshape(-1, n)
-    rows, mask = solver._meet(base_rows, arrays, solver._GRID_CELL_CAP)
+    rows, mask = solver._meet(base_rows, arrays)
     expected = reference_meet(factors)
     assert list(map(tuple, rows.tolist())) == expected
     assert mask.tolist() == [r not in set(base) for r in expected]

@@ -316,6 +316,12 @@ def test_iteration_cap_raises():
     assert err.value.current == {"a": minimize([E(3)]), "d": minimize([E(0)])}
 
 
+@pytest.mark.parametrize("cap", [True, -1, 2.5, "3"])
+def test_iteration_cap_must_be_none_or_a_natural(espresso, cap):
+    with pytest.raises(ValueError, match="iteration_cap"):
+        compute_winning_budgets(espresso, iteration_cap=cap)
+
+
 def test_iteration_cap_names_the_positions_still_growing(espresso):
     """At a cap of 5 the solver stops after its sixth pass; the positions
     still growing are those with rows stamped 6 in the full solve, each
@@ -556,8 +562,8 @@ def _count_defender_paths(monkeypatch) -> dict[str, int]:
     paths = {"meet": 0, "fold": 0}
     meet, fold = solver._meet, solver._telescoped_fold
 
-    def counted_meet(base, factors, max_cells):
-        result = meet(base, factors, max_cells)
+    def counted_meet(base, factors):
+        result = meet(base, factors)
         paths["meet"] += result is not None and all(f.shape[0] for f in factors)
         return result
 
@@ -571,6 +577,8 @@ def _count_defender_paths(monkeypatch) -> dict[str, int]:
 
 
 def test_meet_and_fold_both_match_plain_pass(monkeypatch):
+    """At a cap of 2^12 cells espresso's defenders take both routes."""
+    monkeypatch.setattr(solver, "_GRID_CELL_CAP", 1 << 12)
     paths = _count_defender_paths(monkeypatch)
     rng = random.Random(31)
     games = [espresso_with_target(10)]
@@ -606,6 +614,26 @@ def test_defender_over_the_grid_cap_folds(monkeypatch):
     assert len(got) > 0
 
 
+def test_defender_under_the_grid_cap_meets(monkeypatch):
+    """Two one-row successor fronts, (1,0,0) and (0,1,0): their rank grid
+    has 4 cells, more than the one row of their sup product, but it is
+    within the cap, so the meet answers with the sup and no fold runs.
+    No defender of an espresso solve folds either."""
+    fronts = {"a": minimize([E(1, 0, 0)]), "b": minimize([E(0, 1, 0)])}
+    fronts["d"] = ParetoFront.empty()
+    game = GameGraph.build(
+        3,
+        [("d", Owner.DEFENDER), ("a", Owner.ATTACKER), ("b", Owner.ATTACKER)],
+        [("d", "a", Update.identity(3)), ("d", "b", Update.identity(3))],
+    )
+    paths = _count_defender_paths(monkeypatch)
+    assert iterate_once(game, fronts)["d"] == minimize([E(1, 1, 0)])
+    assert paths == {"meet": 1, "fold": 0}
+    compute_winning_budgets(espresso_with_target(16))
+    assert paths["meet"] > 1
+    assert paths["fold"] == 0
+
+
 def test_fold_splits_the_current_fronts_by_their_new_rows(monkeypatch):
     """Every telescoped fold of an espresso solve reads ``N_i``, the
     successor fronts of ``W_k`` pulled back, split row by row into
@@ -613,7 +641,9 @@ def test_fold_splits_the_current_fronts_by_their_new_rows(monkeypatch):
     ``W_{k-1}`` held as well.  ``O_i`` is not the whole pulled-back front
     of ``W_{k-1}``: some of its rows have left ``W_k``.  Passing ``N_i``
     for ``O_i`` keeps the answers but starts the products from whole
-    fronts, so the fold would no longer telescope."""
+    fronts, so the fold would no longer telescope.  Under the default cap
+    espresso never folds; a cap of 2^16 cells sends 37 defenders there."""
+    monkeypatch.setattr(solver, "_GRID_CELL_CAP", 1 << 16)
     calls = []
     passes = []
     delta_pass, defender_rows, fold = (
@@ -639,10 +669,13 @@ def test_fold_splits_the_current_fronts_by_their_new_rows(monkeypatch):
     monkeypatch.setattr(solver, "_telescoped_fold", recorded_fold)
     maps = history(compute_winning_budgets(espresso_with_target(16)))
     folds = [call for call in calls if len(call) > 3]
-    assert len(folds) == 19
+    assert len(folds) == 37
     shrunk = 0
+    several = 0
     for engine, k, g, deltas, after, before in folds:
-        assert sum(d.shape[0] > 0 for d in deltas) >= 2
+        nonempty = sum(d.shape[0] > 0 for d in deltas)
+        assert nonempty >= 1
+        several += nonempty >= 2
         for (t, e), d_i, n_i, o_i in zip(engine.moves[g], deltas, after, before):
             rows, previous = maps[k][t], {tuple(r) for r in maps[k - 1][t].tolist()}
             kept = np.array([tuple(r) in previous for r in rows.tolist()], dtype=bool)
@@ -650,6 +683,7 @@ def test_fold_splits_the_current_fronts_by_their_new_rows(monkeypatch):
             assert np.array_equal(d_i, engine.inverses.pull(e, rows[~kept]))
             assert np.array_equal(o_i, engine.inverses.pull(e, rows[kept]))
             shrunk += np.count_nonzero(kept) < len(previous)
+    assert several == 32
     assert shrunk >= 1
 
 
