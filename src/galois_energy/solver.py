@@ -30,8 +30,7 @@ positions: the rows of every ``Δ_k`` are stacked once and pulled back
 over all incoming attacker edges in one gather through ``_Inverses``,
 which holds every edge's undo plan as padded per-step arrays.  The
 unions ``W_k[g] ∪ ⋃_i D_i`` of every touched attacker are then minimised
-together as the segments of one sort (``_minimize_segments``); a union
-of more than ``_CHUNK`` rows goes to the minimiser on its own.
+in one call, as the segments of one batch (``_minimize_segments``).
 
 A defender position whose successors gained rows is computed as the meet
 ``W_{k+1}[g] = min(⋂_i ↑N_i)`` of the pulled-back fronts ``N_i`` of
@@ -56,19 +55,20 @@ keep nothing between passes, and a pass reads no map but ``W_k``: each
 evaluation pulls back the successor fronts of ``W_k`` once, and the
 masks of new rows split them.
 
-The minimiser returns the indices of the minimal rows: up to ``_CHUNK``
-rows (the common ``min(W_k[g] ∪ a few new rows)``) by a pairwise
-dominance sweep, ``O(m²·d)``, the one-segment case of the batch, and
-above that against the threshold map of its rank grid, or by the sweep
-when the grid is over the cap.  ``W_k[g]`` is
-stacked first, so the new rows ``Δ_{k+1}[g]`` are exactly the survivors
-past it; the meet marks the rows it finds that are not rows of
-``W_k[g]``.  A position without new rows among its successors keeps its
-array, and the loop stops once no position gained a row.  Pass 1 is
-``F(∅)``: the zero row at defender deadlocks, all of it new.  Each pass
-yields exactly the front map of the plain pass; with ``W_{k-1}`` empty
-the formulas are the plain pass itself, which is how ``iterate_once``
-(and ``compute_new_win`` through it) evaluates arbitrary maps.
+The minimiser returns the indices of the minimal rows of each segment,
+one antichain being the one-segment case: up to ``_CHUNK`` rows by a
+pairwise dominance sweep, ``O(m²·d)``, and above that on one rank grid
+with a leading segment axis, against the threshold map of each row's
+segment, or by the sweep when the grid or its map is too large.
+``W_k[g]`` is stacked first, so the new rows ``Δ_{k+1}[g]`` are exactly
+the survivors past it; the meet marks the rows it finds that are not
+rows of ``W_k[g]``.  A position without new rows among its successors
+keeps its array, and the loop stops once no position gained a row.
+Pass 1 is ``F(∅)``: the zero row at defender deadlocks, all of it new.
+Each pass yields exactly the front map of the plain pass; with
+``W_{k-1}`` empty the formulas are the plain pass itself, which is how
+``iterate_once`` (and ``compute_new_win`` through it) evaluates
+arbitrary maps.
 
 The resulting fixed point maps each position to the Pareto front of its
 winning budgets; membership of arbitrary energies follows by upward
@@ -157,88 +157,97 @@ def _minimize_by_sweep(unique: np.ndarray, segments: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+def _rank_grid(rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[int]] | None:
+    """The rank grid of ``rows``: every row's cell key (the
+    ``np.ravel_multi_index`` of its column ranks, so keys order rows
+    lexicographically), per column its distinct values in order, and the
+    axis lengths.  ``None`` once the columns span more than
+    ``_GRID_CELL_CAP`` cells (so no key outgrows int64), where both grid
+    kernels take their row-wise fallback.  The cap counts neither the
+    threshold map's ``sizes[-1]`` times fewer cells (which made a 9×9 grid
+    game of dimension 6 solve 3.5× slower) nor the segment axis (which
+    sent the attacker batch of a wide game to the sweep)."""
+    keys = np.zeros(rows.shape[0], dtype=np.int64)
+    values = []
+    for c in range(rows.shape[1]):
+        column, rank = np.unique(rows[:, c], return_inverse=True)
+        values.append(column)
+        if math.prod(len(v) for v in values) > _GRID_CELL_CAP:
+            return None
+        keys = keys * len(column) + rank
+    return keys, values, [len(v) for v in values]
+
+
+def _threshold(keys: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """The upward closure of the cells ``keys`` within each segment, as a
+    map over all axes of the grid but the last.  Axis 0 is the segment
+    axis, of length 1 for one antichain.  Per line along the last axis the
+    map holds the least rank ``least[x]`` of the closure on it,
+    ``sizes[-1]`` where it holds none, so cell ``(x, l)`` is in the
+    closure iff ``l >= least[x]``.  Each line takes its least key rank,
+    the first of its keys in sorted order, closed by a running minimum
+    along every axis but the segment axis, which no closure crosses.  The
+    map's dtype is the narrowest that holds ``sizes[-1]``."""
+    line, rank = np.divmod(np.sort(keys, kind="stable"), sizes[-1])
+    head = np.diff(line, prepend=-1) != 0
+    least = np.full(sizes[:-1], sizes[-1], dtype=np.min_scalar_type(sizes[-1]))
+    least.reshape(-1)[line[head]] = rank[head]
+    for axis in range(1, len(sizes) - 1):
+        np.minimum.accumulate(least, axis=axis, out=least)
+    return least
+
+
+def _grid_minima(keys: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Indices of the minimal rows of each segment, as
+    ``_minimize_segments`` returns them, for rows given by their cell keys
+    on a grid whose axis 0 is the segment axis.  Deduplication runs on the
+    keys, and with ``least`` the ``_threshold`` of the rows, a row at
+    ``(x, l)`` is dominated exactly when ``least[x] < l`` or ``least[x -
+    e_j] <= l`` for some axis ``j`` other than the segment axis."""
+    unique_keys, first = np.unique(keys, return_index=True)
+    least = _threshold(unique_keys, sizes).reshape(-1)
+    line, rank = np.divmod(unique_keys, sizes[-1])
+    dominated = least[line] < rank
+    stride = 1
+    for size in reversed(sizes[1:-1]):
+        # at rank 0 the index wraps to an unrelated line, masked out
+        dominated |= (least[line - stride] <= rank) & (line // stride % size > 0)
+        stride *= size
+    return first[~dominated]
+
+
 def _minimize_segments(rows: np.ndarray, segments: np.ndarray) -> np.ndarray:
     """Indices of the minimal rows of each segment (the rows sharing one
     value of ``segments``): the first occurrence of each, ordered by
     segment id and then lexicographically.
 
-    One stable ``np.lexsort`` by segment and row, each row equal to its
-    predecessor in its segment dropped, and the pairwise sweep on the rest.
-    """
-    order = np.lexsort((*rows.T[::-1], segments))
-    ordered, ids = rows[order], segments[order]
-    first = np.ones(rows.shape[0], dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(1) | (ids[1:] != ids[:-1])
-    return order[first][_minimize_by_sweep(ordered[first], ids[first])]
-
-
-def _rank_grid(rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[int]] | None:
-    """The rank grid of ``rows``: every row's rank in each column, per
-    column its distinct values in order, and the axis lengths.  A row's
-    cell key (``np.ravel_multi_index`` of its ranks) orders rows
-    lexicographically.  ``None`` when the grid has more than
-    ``_GRID_CELL_CAP`` cells, where both grid kernels take their row-wise
-    fallback.  The cap counts grid cells, not the threshold map's
-    ``sizes[-1]`` times fewer: counting map cells lets larger grids
-    through, which made a 9×9 grid game of dimension 6 solve 3.5× slower."""
-    ranks = np.empty(rows.shape, dtype=np.int64)
-    values = []
-    for c in range(rows.shape[1]):
-        column, ranks[:, c] = np.unique(rows[:, c], return_inverse=True)
-        values.append(column)
-    sizes = [len(v) for v in values]
-    if math.prod(sizes) > _GRID_CELL_CAP:
-        return None
-    return ranks, values, sizes
-
-
-def _threshold(keys: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """The upward closure of the cells ``keys`` as a map over the first d-1
-    axes of the grid (0-d when d is 1): per line along the last axis, the
-    least rank ``least[x]`` of the closure on it, ``sizes[-1]`` where it
-    holds none, so cell ``(x, l)`` is in the closure iff ``l >= least[x]``.
-    Each line takes its least key rank, closed by a running minimum along
-    every other axis."""
-    line, rank = np.divmod(keys, sizes[-1])
-    least = np.full(sizes[:-1], sizes[-1], dtype=np.int64)
-    np.minimum.at(least.reshape(-1), line, rank)
-    for axis in range(len(sizes) - 1):
-        np.minimum.accumulate(least, axis=axis, out=least)
-    return least
-
-
-def _minimize_rows(rows: np.ndarray) -> np.ndarray:
-    """Indices of the minimal rows under the component-wise order: the
-    first occurrence of each, in lexicographic row order.
-
-    Up to ``_CHUNK`` rows it is the one-segment case of
-    ``_minimize_segments``: a stable ``np.lexsort`` drops each row equal
-    to its predecessor and the pairwise sweep takes the rest.  Above that,
-    when the rank grid is within the cap (``_rank_grid``), deduplication
-    runs on the cell keys, and with ``least`` the ``_threshold`` of the
-    rows, a row at ``(x, l)`` is dominated exactly when ``least[x] < l`` or
-    ``least[x - e_j] <= l`` for some axis ``j``.  A grid over the cap goes
-    to the sweep as well.
+    Above ``_CHUNK`` rows the segments and the rows' ranks (``_rank_grid``)
+    make one grid, segment axis first (``_grid_minima``), taken when one
+    segment's grid is within the cap and the threshold map (``∏ sizes[:-1]``
+    cells) has at most ``m·_CHUNK``: the fewest pair tests the sweep makes.
+    Otherwise one stable ``np.lexsort`` by segment and row drops each row
+    equal to its predecessor in its segment, and the pairwise sweep takes
+    the rest.
     """
     m = rows.shape[0]
     if m <= 1:
         return np.arange(m)
-    if m > _CHUNK:
-        grid = _rank_grid(rows)
-        if grid is not None:
-            ranks, _, sizes = grid
-            keys = np.ravel_multi_index(tuple(ranks.T), sizes)
-            unique_keys, first = np.unique(keys, return_index=True)
-            least = _threshold(unique_keys, sizes).reshape(-1)
-            line, rank = np.divmod(unique_keys, sizes[-1])
-            dominated = least[line] < rank
-            stride = 1
-            for c in reversed(range(len(sizes) - 1)):
-                # at rank 0 the index wraps to an unrelated line, masked out
-                dominated |= (least[line - stride] <= rank) & (ranks[first, c] > 0)
-                stride *= sizes[c]
-            return first[~dominated]
-    return _minimize_segments(rows, np.zeros(m, dtype=np.int64))
+    if m > _CHUNK and (grid := _rank_grid(rows)) is not None:
+        keys, _, sizes = grid
+        labels, segment = np.unique(segments, return_inverse=True)
+        if len(labels) * math.prod(sizes[:-1]) <= m * _CHUNK:
+            return _grid_minima(segment * math.prod(sizes) + keys, [len(labels), *sizes])
+    order = np.lexsort((*rows.T[::-1], segments))
+    ordered, ids = rows[order], segments[order]
+    first = np.ones(m, dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(1) | (ids[1:] != ids[:-1])
+    return order[first][_minimize_by_sweep(ordered[first], ids[first])]
+
+
+def _minimize_rows(rows: np.ndarray) -> np.ndarray:
+    """Indices of the minimal rows, the first occurrence of each in
+    lexicographic order: the one-segment case of ``_minimize_segments``."""
+    return _minimize_segments(rows, np.zeros(rows.shape[0], dtype=np.intp))
 
 
 def _meet(base: np.ndarray, factors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
@@ -261,11 +270,10 @@ def _meet(base: np.ndarray, factors: list[np.ndarray]) -> tuple[np.ndarray, np.n
     grid = _rank_grid(np.vstack(factors))
     if grid is None:
         return None
-    ranks, values, sizes = grid
-    keys = np.ravel_multi_index(tuple(ranks.T), sizes)
+    keys, values, sizes = grid
     least = None
     for part in np.split(keys, np.cumsum([f.shape[0] for f in factors[:-1]])):
-        closure = _threshold(part, sizes)
+        closure = _threshold(part, [1, *sizes])[0, ...]
         least = closure if least is None else np.maximum(least, closure, out=least)
     minimal = least < sizes[-1]
     for axis in range(len(sizes) - 1):
@@ -456,10 +464,9 @@ class _Engine:
         every attacker with a successor that gained rows.
 
         The new rows of every position are stacked once and pulled back
-        over all their incoming attacker edges in one call.  The unions of
-        at most ``_CHUNK`` rows are minimised together, one segment per
-        attacker with all ``base`` rows stacked first; a larger union goes
-        through ``_min_union`` on its own.
+        over all their incoming attacker edges in one call.  Every union is
+        minimised in one ``_minimize_segments`` call, one segment per
+        attacker, with all ``base`` rows stacked before the pulled rows.
         """
         if not fresh:
             return {}
@@ -473,22 +480,15 @@ class _Engine:
         k = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
         delta = delta[np.repeat(np.arange(len(target)), count)]
         pulled, source = self.inverses.pull(self.pull_edge[k], delta), self.pull_source[k]
-        sources, sizes = np.unique(source, return_counts=True)
-        sizes += np.array([base[self.ids[s]].shape[0] for s in sources], dtype=np.int64)
-        result = {
-            self.ids[s]: _min_union(base[self.ids[s]], [pulled[source == s]])
-            for s in sources[sizes > _CHUNK]
-        }
-        small = sources[sizes <= _CHUNK]
-        bases = [base[self.ids[s]] for s in small]
-        mine = np.isin(source, small)
-        rows = np.vstack([*bases, pulled[mine]])
-        segments = np.concatenate([np.repeat(small, [b.shape[0] for b in bases]), source[mine]])
+        sources = np.unique(source)
+        bases = [base[self.ids[s]] for s in sources]
+        rows = np.vstack([*bases, pulled])
+        segments = np.concatenate([np.repeat(sources, [b.shape[0] for b in bases]), source])
         keep = _minimize_segments(rows, segments)
-        old = rows.shape[0] - np.count_nonzero(mine)
-        for s, part in zip(small, np.split(keep, np.searchsorted(segments[keep], small[1:]))):
-            result[self.ids[s]] = rows[part], part >= old
-        return result
+        old = rows.shape[0] - pulled.shape[0]
+        ends = np.searchsorted(segments[keep], sources, side="right").tolist()
+        parts = [keep[lo:hi] for lo, hi in zip([0, *ends], ends)]
+        return {self.ids[s]: (rows[part], part >= old) for s, part in zip(sources, parts)}
 
     def defender_rows(
         self, g: str, base: np.ndarray, cur: Mapping[str, np.ndarray], fresh: _Fresh

@@ -84,27 +84,35 @@ def test_semi_naive_history_matches_plain_pass(game, cap):
 
 @st.composite
 def closure_cases(draw) -> tuple[list[int], np.ndarray]:
-    """A rank grid of 1-6 axes of 1-4 ranks each (axes of size 1 common)
-    and up to 12 sorted distinct cell keys on it, every cell on the small
-    grids."""
+    """A rank grid of 1-3 segments and 1-6 axes of 1-4 ranks each (axes of
+    size 1 common), and up to 12 cell keys on it, unsorted and some
+    repeated, every cell on the small grids."""
     sizes = draw(st.lists(st.sampled_from([1, 1, 2, 3, 4]), min_size=1, max_size=6))
+    sizes = [draw(st.integers(1, 3)), *sizes]
     cells = int(np.prod(sizes))
-    keys = draw(st.sets(st.integers(0, cells - 1), max_size=min(cells, 12)))
-    return sizes, np.array(sorted(keys), dtype=np.int64)
+    keys = draw(st.lists(st.integers(0, cells - 1), max_size=12))
+    return sizes, np.array(keys, dtype=np.int64)
 
 
 @SEEDED
 @given(case=closure_cases())
-@example(case=([3], np.array([1], dtype=np.int64)))
+@example(case=([1, 3], np.array([1], dtype=np.int64)))
+@example(case=([2, 2, 1], np.array([0], dtype=np.int64)))
 def test_threshold_matches_reference_closure(case):
-    """Cell ``(x, l)`` is in the boolean closure of the keys exactly when
-    ``l >= least[x]`` in their threshold map, on every cell of the grid;
-    with one axis the map is 0-d."""
+    """Cell ``(x, l)`` of a segment is in the boolean closure of that
+    segment's keys exactly when ``l >= least[x]`` in their threshold map,
+    on every cell of the grid, so no closure crosses a segment: a segment
+    without keys holds no cell.  With one axis besides the segment axis
+    the map holds one value per segment."""
     sizes, keys = case
     least = solver._threshold(keys, sizes)
     assert least.shape == tuple(sizes[:-1])
+    cells = int(np.prod(sizes[1:]))
     ranks = np.arange(sizes[-1])
-    assert (reference_closure(keys, sizes) == (ranks >= least[..., None])).all()
+    for s in range(sizes[0]):
+        mine = keys[keys // cells == s] - s * cells
+        closed = ranks >= least[s, ..., None]
+        assert (reference_closure(mine, sizes[1:]) == closed).all()
 
 
 @st.composite
@@ -152,6 +160,67 @@ def test_minimize_rows_matches_reference(monkeypatch):
         expected = minimize(Energy(tuple(r)) for r in rows)
         assert [rows[i] for i in index] == [list(e.components) for e in expected]
         assert [rows.index(rows[i]) for i in index] == index.tolist()
+
+    check()
+    assert routes["sweep"] > 0
+    assert routes["grid"] > 0
+
+
+@st.composite
+def segment_batches(draw) -> tuple[int, list[int], list[list[int]]]:
+    """A batch of rows of one dimension (1-6) in 1-40 segments, as the
+    attacker pass stacks it: segment ids unsorted, rows drawn from a pool
+    so that some are shared across segments and repeated within one.  The
+    pool mixes small values with values anywhere in int64, and the batch
+    has up to 40 rows or just over ``_CHUNK``."""
+    n = draw(st.integers(1, 6))
+    value = st.one_of(st.integers(0, 4), st.integers(0, 2**63 - 1))
+    pool = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=30))
+    ids = draw(st.lists(st.integers(0, 1000), min_size=1, max_size=40, unique=True))
+    size = draw(st.one_of(st.integers(0, 40), st.integers(solver._CHUNK + 1, solver._CHUNK + 40)))
+    picks = draw(
+        st.lists(
+            st.tuples(st.sampled_from(ids), st.integers(0, len(pool) - 1)),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    return n, [s for s, _ in picks], [pool[r] for _, r in picks]
+
+
+def test_minimize_segments_matches_reference(monkeypatch):
+    """Per segment in id order, the minimal rows of the segment in
+    lexicographic order, each by the index of its first occurrence in the
+    segment, through both routes: the pairwise sweep and the segmented
+    rank grid."""
+    routes = {"sweep": 0, "grid": 0}
+    sweep, grid = solver._minimize_by_sweep, solver._grid_minima
+
+    def counted_sweep(unique, segments):
+        routes["sweep"] += 1
+        return sweep(unique, segments)
+
+    def counted_grid(keys, sizes):
+        routes["grid"] += 1
+        return grid(keys, sizes)
+
+    monkeypatch.setattr(solver, "_minimize_by_sweep", counted_sweep)
+    monkeypatch.setattr(solver, "_grid_minima", counted_grid)
+
+    @SEEDED
+    @given(batch=segment_batches())
+    def check(batch):
+        n, segments, rows = batch
+        index = solver._minimize_segments(
+            np.array(rows, dtype=np.int64).reshape(len(rows), n),
+            np.array(segments, dtype=np.intp),
+        )
+        expected = []
+        for s in sorted(set(segments)):
+            mine = [(r, i) for i, (t, r) in enumerate(zip(segments, rows)) if t == s]
+            for e in minimize(Energy(tuple(r)) for r, _ in mine):
+                expected.append(next(i for r, i in mine if tuple(r) == e.components))
+        assert index.tolist() == expected
 
     check()
     assert routes["sweep"] > 0

@@ -268,13 +268,12 @@ def test_history_matches_plain_pass_on_random_games():
 def test_history_matches_plain_pass_with_attacker_unions_on_both_sides_of_the_chunk(
     monkeypatch,
 ):
-    """A multi-reachability grid on which some passes minimise attacker
-    unions of more than ``_CHUNK`` rows on their own and smaller ones as
-    segments of one batch."""
+    """A multi-reachability grid on which some attacker passes minimise
+    unions of more than ``_CHUNK`` rows and smaller ones as segments of
+    one batch."""
     unions = []  # per attacker pass, the sizes of the unions it minimised
     inside = []
-    attacker_pass, min_union = solver._Engine.attacker_pass, solver._min_union
-    segments = solver._minimize_segments
+    attacker_pass, segments = solver._Engine.attacker_pass, solver._minimize_segments
 
     def counted_pass(self, *args):
         unions.append([])
@@ -284,23 +283,52 @@ def test_history_matches_plain_pass_with_attacker_unions_on_both_sides_of_the_ch
         finally:
             inside.pop()
 
-    def counted_union(base, terms):
-        if inside:
-            unions[-1].append(base.shape[0] + sum(t.shape[0] for t in terms))
-        return min_union(base, terms)
-
     def counted_segments(rows, ids):
         if inside:
             unions[-1].extend(np.unique(ids, return_counts=True)[1].tolist())
         return segments(rows, ids)
 
     monkeypatch.setattr(solver._Engine, "attacker_pass", counted_pass)
-    monkeypatch.setattr(solver, "_min_union", counted_union)
     monkeypatch.setattr(solver, "_minimize_segments", counted_segments)
     game = grid_game(8, 4, seed=2)
     result = compute_winning_budgets(game)
     assert any(u and max(u) > solver._CHUNK >= min(u) for u in unions)
     assert_history_matches_plain(game, result)
+
+
+@pytest.mark.parametrize("name", ["mwr-grid", "espresso"])
+def test_attacker_pass_minimises_every_union_in_one_call(name, monkeypatch):
+    """Each attacker pass of a solve minimises the unions of all touched
+    attackers in exactly one ``_minimize_segments`` call, and none through
+    ``_min_union``: on the benchmark's 16×16 multi-reachability grid and
+    on espresso with target 16."""
+    calls = []  # per attacker pass, the minimiser calls made inside it
+    inside = []
+    attacker_pass = solver._Engine.attacker_pass
+    segments, min_union = solver._minimize_segments, solver._min_union
+
+    def counted_pass(self, *args):
+        calls.append([])
+        inside.append(True)
+        try:
+            return attacker_pass(self, *args)
+        finally:
+            inside.pop()
+
+    def counted(label, minimiser):
+        def call(*args):
+            if inside:
+                calls[-1].append(label)
+            return minimiser(*args)
+
+        return call
+
+    monkeypatch.setattr(solver._Engine, "attacker_pass", counted_pass)
+    monkeypatch.setattr(solver, "_minimize_segments", counted("segments", segments))
+    monkeypatch.setattr(solver, "_min_union", counted("union", min_union))
+    compute_winning_budgets(grid_game(16, 3) if name == "mwr-grid" else espresso_with_target(16))
+    assert len(calls) > 30
+    assert all(c == ["segments"] for c in calls)
 
 
 def test_iteration_cap_raises():
@@ -534,8 +562,10 @@ def test_minimize_rows_route_at_the_chunk_boundary(extra, sweeps, monkeypatch):
 def test_minimiser_routes_agree_on_recorded_inputs(name, monkeypatch):
     """Every minimiser input of a real solve gives the same indices when
     all inputs are swept (no grid fits a cap of 0 cells) as when all go
-    to the rank grid (every input is over a chunk of 1 row, and every grid
-    fits the cap)."""
+    to the rank grid.  For the grid every input is over a chunk of 1 row,
+    every grid fits the cap, and each input is stacked on itself until its
+    threshold map has at most as many cells as rows: repeats keep the
+    first occurrences, so the indices do not change."""
     game = espresso_with_target(10) if name == "espresso" else grid_game(6, 3)
     inputs = minimiser_inputs(game)
     if name == "espresso":
@@ -550,7 +580,11 @@ def test_minimiser_routes_agree_on_recorded_inputs(name, monkeypatch):
     calls.clear()
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_CHUNK", 1)
-        gridded = [solver._minimize_rows(rows) for rows in inputs]
+        gridded = []
+        for rows in inputs:
+            cells = math.prod(len(np.unique(c)) for c in rows.T[:-1])
+            copies = -(-cells // max(rows.shape[0], 1))
+            gridded.append(solver._minimize_rows(np.tile(rows, (copies, 1))))
     assert calls == []
     for a, b in zip(swept, gridded):
         assert np.array_equal(a, b)
