@@ -50,6 +50,15 @@ CHECK_MAX_POSITIONS = 12
 CHECK_MAX_DIMENSION = 4
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, as RFC 4180 and ``csv.QUOTE_MINIMAL``
+    write it: in double quotes, each quote doubled, exactly when it holds
+    a comma, a double quote, CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _print_fronts(result: solver.SolverResult, fmt: str, stats: bool, dimension: int) -> None:
     """Print the fixed point straight from its rows, one write per
     position; each element reads as ``Energy.render`` renders it."""
@@ -58,7 +67,8 @@ def _print_fronts(result: solver.SolverResult, fmt: str, stats: bool, dimension:
         print("position," + ",".join(f"component_{i}" for i in range(dimension)))
         for g in sorted(result.rows):
             rows = result.rows[g].tolist()
-            out.write("".join(f"{g},{','.join(map(str, row))}\n" for row in rows))
+            field = _csv_field(g)
+            out.write("".join(f"{field},{','.join(map(str, row))}\n" for row in rows))
         if stats:
             print(f"# iterations={result.iterations}")
             print(f"# max_front_size={result.max_front_size}")

@@ -25,24 +25,35 @@ distributes over union, so with ``D_i`` the pulled-back ``Δ_k`` at the
 
 * attacker: ``W_{k+1}[g] = min(W_k[g] ∪ ⋃_i D_i)``
 
-The attacker side of a pass runs set-at-a-time, as one batch over all
-positions: the rows of every ``Δ_k`` are stacked once and pulled back
-over all incoming attacker edges in one gather through ``_Inverses``,
-which holds every edge's undo plan as padded per-step arrays.  The
-unions ``W_k[g] ∪ ⋃_i D_i`` of every touched attacker are then minimised
-in one call, as the segments of one batch (``_minimize_segments``).
+Each pass returns its new rows stacked in position order, with their
+position numbers.  The attacker side of the next pass runs set-at-a-time,
+as one batch over all positions: that matrix is pulled back over all
+incoming attacker edges in one gather through ``_Inverses``, which holds
+every edge's undo plan as padded per-step arrays.  The unions
+``W_k[g] ∪ ⋃_i D_i`` of every touched attacker are then minimised in one
+call, as the segments of one batch (``_minimize_segments``).
 
 A defender position whose successors gained rows is computed as the meet
 ``W_{k+1}[g] = min(⋂_i ↑N_i)`` of the pulled-back fronts ``N_i`` of
-``W_k``, the antichain intersection of upward-closed sets.  All ``N_i``
-share one rank grid, on which an upward closure is a threshold map: per
-line along the last axis, the least rank it holds.  The maps meet by an
-element-wise max, and a line holds a minimal cell when its threshold is
-below every lower line's.  Only a grid of more than ``_GRID_CELL_CAP``
-cells (the map has ``sizes[-1]`` times fewer) takes the fallback: with
-``N_i`` split row by row into ``D_i`` and ``O_i``, the pulled-back rows of
-``W_k`` that were already rows of ``W_{k-1}`` (``O_i = N_i`` where the
-successor gained no rows), the front is then the telescoped fold
+``W_k``, the antichain intersection of upward-closed sets.  The defender
+side is set-at-a-time too: the successor fronts of every such defender
+are pulled back in one gather and met in one batch
+(``_defender_batch``).  Each column is ranked per defender, on the
+defender's own values, so a defender's fronts lie on its own rank grid,
+on which an upward closure is a threshold map: per line along the last
+axis, the least rank it holds.  The maps of all factors of the batch
+share one grid with a leading factor axis, whose other axes are as long
+as the longest defender's; a defender's maps meet by an element-wise max,
+and a line holds a minimal cell when its threshold is below every lower
+line's.  The batch takes one grid when its map has at most
+``rows·_CHUNK`` cells, the minimiser's rule, since padding to the longest
+axes can make the joint map far larger than the defenders' own maps;
+otherwise each defender meets on its own grid.  Only a defender whose own
+grid has more than ``_GRID_CELL_CAP`` cells (the map has ``sizes[-1]``
+times fewer) takes the fallback: with ``N_i`` split row by row into
+``D_i`` and ``O_i``, the pulled-back rows of ``W_k`` that were already
+rows of ``W_{k-1}`` (``O_i = N_i`` where the successor gained no rows),
+the front is then the telescoped fold
 
 * defender: ``W_{k+1}[g] = min(W_k[g] ∪ ⋃_i N_1⊔…⊔N_{i-1}⊔D_i⊔O_{i+1}⊔…⊔O_m)``
 
@@ -55,20 +66,23 @@ keep nothing between passes, and a pass reads no map but ``W_k``: each
 evaluation pulls back the successor fronts of ``W_k`` once, and the
 masks of new rows split them.
 
-The minimiser returns the indices of the minimal rows of each segment,
-one antichain being the one-segment case: up to ``_CHUNK`` rows by a
-pairwise dominance sweep, ``O(m²·d)``, and above that on one rank grid
-with a leading segment axis, against the threshold map of each row's
-segment, or by the sweep when the grid or its map is too large.
-``W_k[g]`` is stacked first, so the new rows ``Δ_{k+1}[g]`` are exactly
-the survivors past it; the meet marks the rows it finds that are not
-rows of ``W_k[g]``.  A position without new rows among its successors
-keeps its array, and the loop stops once no position gained a row.
-Pass 1 is ``F(∅)``: the zero row at defender deadlocks, all of it new.
-Each pass yields exactly the front map of the plain pass; with
-``W_{k-1}`` empty the formulas are the plain pass itself, which is how
-``iterate_once`` (and ``compute_new_win`` through it) evaluates
-arbitrary maps.
+Both grid kernels rank a batch per segment (``_rank_segments``): by a
+counting table of every segment's span of values when it has at most
+``m·_CHUNK`` cells, and otherwise by one lexsort.  The minimiser returns
+the indices of the minimal rows of each segment, one antichain being the
+one-segment case: up to ``_CHUNK`` rows by a pairwise dominance sweep,
+``O(m²·d)``, and above that on one rank grid with a leading segment axis,
+against the threshold map of each row's segment, or by the sweep when
+the grid or its map is too large.  ``W_k[g]`` is stacked first, so the
+new rows ``Δ_{k+1}[g]`` are exactly the survivors past it; the meet marks
+the rows it finds that are not rows of ``W_k[g]``, by one binary search
+of the batch's earlier rows among its met rows.  A position without new
+rows among its successors keeps its array, and the loop stops once no
+position gained a row.  Pass 1 is ``F(∅)``: the zero row at defender
+deadlocks, all of it new.  Each pass yields exactly the front map of the
+plain pass; with ``W_{k-1}`` empty the formulas are the plain pass
+itself, which is how ``iterate_once`` (and ``compute_new_win`` through
+it) evaluates arbitrary maps.
 
 The resulting fixed point maps each position to the Pareto front of its
 winning budgets; membership of arbitrary energies follows by upward
@@ -80,7 +94,9 @@ back over an incoming edge keeps within int64, so no value ever wraps.
 The fixed point stays int64 rows (``SolverResult.rows``); ``ParetoFront``
 values are built on the first access to ``SolverResult.fronts``.  Every
 row that enters a front is logged once with the pass it entered at (a
-row that leaves a front is dominated from then on and never re-enters), so
+row that leaves a front is dominated from then on and never re-enters):
+the loop range-checks and logs each pass's stacked new rows in one step,
+and sorts the log by position once, after the last pass.  So
 ``↑W_k[g]`` is the upward closure of the rows stamped at most ``k``.  The
 pass at which an energy became winning is read off these stamps
 (``SolverResult.entry_pass``), and so is membership in the upward closure
@@ -93,7 +109,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -157,34 +173,74 @@ def _minimize_by_sweep(unique: np.ndarray, segments: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _rank_grid(rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[int]] | None:
-    """The rank grid of ``rows``: every row's cell key (the
-    ``np.ravel_multi_index`` of its column ranks, so keys order rows
-    lexicographically), per column its distinct values in order, and the
-    axis lengths.  ``None`` once the columns span more than
-    ``_GRID_CELL_CAP`` cells (so no key outgrows int64), where both grid
-    kernels take their row-wise fallback.  The cap counts neither the
-    threshold map's ``sizes[-1]`` times fewer cells (which made a 9×9 grid
-    game of dimension 6 solve 3.5× slower) nor the segment axis (which
-    sent the attacker batch of a wide game to the sweep)."""
-    keys = np.zeros(rows.shape[0], dtype=np.int64)
-    values = []
-    for c in range(rows.shape[1]):
-        column, rank = np.unique(rows[:, c], return_inverse=True)
-        values.append(column)
-        if math.prod(len(v) for v in values) > _GRID_CELL_CAP:
+def _rank_segments(
+    column: np.ndarray, segment: np.ndarray, nseg: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per value of ``column``, its rank among the distinct values of its
+    segment (``segment``, ids ``0`` to ``nseg - 1``); those values,
+    ascending within each segment and segments in id order; and the
+    ``nseg + 1`` offsets where each segment's values start.
+
+    When a table of every segment's span of values has at most
+    ``m·_CHUNK`` cells, a presence table ranks the values in
+    ``O(m + table)`` (counting sort; Cormen et al., *Introduction to
+    Algorithms*, §8.2), its running count held in the narrowest type that
+    holds ``m``.  Otherwise one ``np.lexsort`` by segment and value."""
+    m = column.shape[0]
+    lo = int(column.min())
+    span = int(column.max()) - lo + 1
+    if nseg * span <= m * _CHUNK:
+        cell = segment * span + (column - lo)
+        present = np.zeros(nseg * span, dtype=bool)
+        present[cell] = True
+        count = np.cumsum(present, dtype=np.min_scalar_type(m))
+        starts = np.zeros(nseg + 1, dtype=np.intp)
+        starts[1:] = count[span - 1 :: span]
+        rank = count[cell] - starts[segment] - 1
+        return rank, np.flatnonzero(present) % span + lo, starts
+    order = np.lexsort((column, segment))
+    ordered, ids = column[order], segment[order]
+    head = np.ones(m, dtype=bool)
+    head[1:] = (ordered[1:] != ordered[:-1]) | (ids[1:] != ids[:-1])
+    starts = np.searchsorted(ids[head], np.arange(nseg + 1))
+    rank = np.empty(m, dtype=np.intp)
+    rank[order] = np.cumsum(head) - starts[ids] - 1
+    return rank, ordered[head], starts
+
+
+def _segment_keys(
+    rows: np.ndarray, segment: np.ndarray, nseg: int
+) -> tuple[np.ndarray, list[int]] | None:
+    """Every row's cell key on one grid for all segments: axis 0 is the
+    segment axis, and each column is ranked within its row's segment
+    (``_rank_segments``), on an axis as long as the largest segment's.
+    Keys are ``np.ravel_multi_index`` of (segment, ranks), so they order
+    rows by segment and then lexicographically.  ``None`` once one
+    segment's grid exceeds ``_GRID_CELL_CAP`` cells or the threshold map
+    (``nseg·∏ sizes[:-1]`` cells) more than ``m·_CHUNK``, the fewest pair
+    tests the sweep makes on ``m`` rows, so no key outgrows int64.  The
+    cap counts neither the map's ``sizes[-1]`` times fewer cells (which
+    made a 9×9 grid game of dimension 6 solve 3.5× slower) nor the segment
+    axis (which sent the attacker batch of a wide game to the sweep)."""
+    m, n = rows.shape
+    keys = segment.astype(np.int64)
+    sizes: list[int] = []
+    for c in range(n):
+        rank, _, starts = _rank_segments(rows[:, c], segment, nseg)
+        sizes.append(int((starts[1:] - starts[:-1]).max()))
+        if math.prod(sizes) > _GRID_CELL_CAP or nseg * math.prod(sizes[: n - 1]) > m * _CHUNK:
             return None
-        keys = keys * len(column) + rank
-    return keys, values, [len(v) for v in values]
+        keys = keys * sizes[-1] + rank
+    return keys, [nseg, *sizes]
 
 
 def _threshold(keys: np.ndarray, sizes: list[int]) -> np.ndarray:
     """The upward closure of the cells ``keys`` within each segment, as a
     map over all axes of the grid but the last.  Axis 0 is the segment
-    axis, of length 1 for one antichain.  Per line along the last axis the
-    map holds the least rank ``least[x]`` of the closure on it,
-    ``sizes[-1]`` where it holds none, so cell ``(x, l)`` is in the
-    closure iff ``l >= least[x]``.  Each line takes its least key rank,
+    axis (a meet's factor axis), of length 1 for one antichain.  Per line
+    along the last axis the map holds the least rank ``least[x]`` of the
+    closure on it, ``sizes[-1]`` where it holds none, so cell ``(x, l)`` is
+    in the closure iff ``l >= least[x]``.  Each line takes its least key rank,
     the first of its keys in sorted order, closed by a running minimum
     along every axis but the segment axis, which no closure crosses.  The
     map's dtype is the narrowest that holds ``sizes[-1]``."""
@@ -221,22 +277,20 @@ def _minimize_segments(rows: np.ndarray, segments: np.ndarray) -> np.ndarray:
     value of ``segments``): the first occurrence of each, ordered by
     segment id and then lexicographically.
 
-    Above ``_CHUNK`` rows the segments and the rows' ranks (``_rank_grid``)
-    make one grid, segment axis first (``_grid_minima``), taken when one
-    segment's grid is within the cap and the threshold map (``∏ sizes[:-1]``
-    cells) has at most ``m·_CHUNK``: the fewest pair tests the sweep makes.
-    Otherwise one stable ``np.lexsort`` by segment and row drops each row
-    equal to its predecessor in its segment, and the pairwise sweep takes
-    the rest.
+    Above ``_CHUNK`` rows the segments and the rows' ranks within their
+    segments make one grid, segment axis first (``_segment_keys``,
+    ``_grid_minima``), when it fits.  Otherwise one stable ``np.lexsort``
+    by segment and row drops each row equal to its predecessor in its
+    segment, and the pairwise sweep takes the rest.
     """
     m = rows.shape[0]
     if m <= 1:
         return np.arange(m)
-    if m > _CHUNK and (grid := _rank_grid(rows)) is not None:
-        keys, _, sizes = grid
-        labels, segment = np.unique(segments, return_inverse=True)
-        if len(labels) * math.prod(sizes[:-1]) <= m * _CHUNK:
-            return _grid_minima(segment * math.prod(sizes) + keys, [len(labels), *sizes])
+    if m > _CHUNK:
+        # dense segment ids: the ranks of the ids among the distinct ids
+        segment, labels, _ = _rank_segments(segments, np.zeros(m, dtype=np.intp), 1)
+        if (grid := _segment_keys(rows, segment, len(labels))) is not None:
+            return _grid_minima(*grid)
     order = np.lexsort((*rows.T[::-1], segments))
     ordered, ids = rows[order], segments[order]
     first = np.ones(m, dtype=bool)
@@ -250,44 +304,38 @@ def _minimize_rows(rows: np.ndarray) -> np.ndarray:
     return _minimize_segments(rows, np.zeros(rows.shape[0], dtype=np.intp))
 
 
-def _meet(base: np.ndarray, factors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
-    """``min(⋂_i ↑N_i)`` over ``factors`` in lexicographic order, and the
-    mask of its rows that are not rows of ``base``, an antichain whose
-    upward closure lies in the meet.  ``None`` when the rank grid of the
-    factors is over the cap (``_rank_grid``); only then does a defender
-    take the telescoped fold.
+def _meet_cells(
+    keys: np.ndarray, sizes: list[int], firsts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The minimal cells of a batch of meets ``min(⋂_i ↑N_i)``.  ``keys``
+    are the cell keys of the factors' rows on a grid whose axis 0 is the
+    factor axis, and meet ``j`` intersects the factors from ``firsts[j]``
+    up to the next meet's first.  Returns per minimal cell its meet and its
+    key on the grid without the factor axis, by meet and then in
+    lexicographic order.
 
-    Every minimal row of the meet is a sup of one row per factor, so it
-    lies on the grid.  The meet's ``_threshold`` map is the element-wise
-    max of the factors' maps, and its minimal cells are ``(x, least[x])``
-    for the lines with ``least[x] < sizes[-1]`` and ``least[x - e_j] >
-    least[x]`` along every axis ``j``: one per line, in lexicographic
-    order.  A row of ``base`` off the grid is not in the result.  One empty
-    factor empties the meet, and so ``base``.
-    """
-    if any(not f.shape[0] for f in factors):
-        return base, np.zeros(base.shape[0], dtype=bool)
-    grid = _rank_grid(np.vstack(factors))
-    if grid is None:
-        return None
-    keys, values, sizes = grid
-    least = None
-    for part in np.split(keys, np.cumsum([f.shape[0] for f in factors[:-1]])):
-        closure = _threshold(part, [1, *sizes])[0, ...]
-        least = closure if least is None else np.maximum(least, closure, out=least)
+    A meet's ``_threshold`` map is the element-wise max of its factors'
+    maps, and its minimal cells are ``(x, least[x])`` for the lines with
+    ``least[x] < sizes[-1]`` and ``least[x - e_j] > least[x]`` along every
+    axis ``j`` but the meet axis: one per line.  A meet whose own values
+    span shorter axes holds no minimal cell past them, since its map
+    repeats the last line of its own grid along a padded axis."""
+    maps = _threshold(keys, sizes)
+    # per meet its j-th factor, the last one repeated (max is idempotent)
+    degree = np.subtract([*firsts[1:], sizes[0]], firsts)
+    factor = firsts[:, None] + np.minimum(np.arange(degree.max()), degree[:, None] - 1)
+    least = maps[factor[:, 0]]
+    for j in range(1, factor.shape[1]):
+        np.maximum(least, maps[factor[:, j]], out=least)
+    del maps
     minimal = least < sizes[-1]
-    for axis in range(len(sizes) - 1):
+    for axis in range(1, least.ndim):
         inner = (slice(None),) * axis
         lower, upper = (*inner, slice(None, -1)), (*inner, slice(1, None))
         minimal[upper] &= least[lower] > least[upper]
     lines = np.flatnonzero(minimal)
     cells = lines * sizes[-1] + least.reshape(-1)[lines]
-    rows = np.stack([v[r] for v, r in zip(values, np.unravel_index(cells, sizes))], axis=1)
-    on = np.all([np.isin(base[:, c], v) for c, v in enumerate(values)], axis=0)
-    old = np.ravel_multi_index(
-        tuple(np.searchsorted(v, base[on, c]) for c, v in enumerate(values)), sizes
-    )
-    return rows, ~np.isin(cells, old)
+    return np.divmod(cells, math.prod(sizes[1:]))
 
 
 class _Inverses:
@@ -344,18 +392,20 @@ class _Inverses:
                 out *= self.keep[s, updates]
                 drain = self.drain[s, updates]
                 for j in self.drained[s]:
-                    np.maximum(out, rows[:, j : j + 1] * drain[..., j], out=out)
+                    np.maximum(out, rows[:, j : j + 1], out=out, where=drain[..., j])
             rows = out
         return rows
 
 
-# Per position, a mask of the rows that are new since the previous map; a
-# position without new rows has no entry.
-_Fresh = dict[str, np.ndarray]
+class _Fresh(NamedTuple):
+    """The rows of a map that are new since the previous map: per position
+    that gained rows, in position order, the mask of its new rows
+    (``masks``); and those rows stacked in position order (``rows``), with
+    their position numbers (``pos``)."""
 
-
-def _every_row(rows: Mapping[str, np.ndarray]) -> _Fresh:
-    return {g: np.ones(r.shape[0], dtype=bool) for g, r in rows.items() if r.shape[0]}
+    masks: dict[str, np.ndarray]
+    rows: np.ndarray
+    pos: np.ndarray
 
 
 def _to_fronts(rows: Mapping[str, np.ndarray]) -> FrontMap:
@@ -398,11 +448,106 @@ def _telescoped_fold(
     return _min_union(base, terms)
 
 
+def _row_keys(ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row of non-negative values: the big-endian bytes
+    of its id and its row, which compare bytewise as ``(id, *row)`` does
+    numerically, in lexicographic order."""
+    keys = np.empty((rows.shape[0], rows.shape[1] + 1), dtype=">i8")
+    keys[:, 0] = ids
+    keys[:, 1:] = rows
+    return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).reshape(-1)
+
+
+def _defender_batch(
+    pulled: np.ndarray,
+    counts: list[int],
+    degree: list[int],
+    bases: list[np.ndarray],
+    new: list[np.ndarray | None],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``min(⋂_i ↑N_i)`` for each of a batch of defenders, and the mask of
+    its rows absent from the defender's antichain in ``bases``, whose
+    upward closure lies in the meet.  ``pulled`` stacks the pulled-back
+    successor fronts ``N_i`` of all of them: ``counts`` rows per factor,
+    ``degree`` factors per defender, in order.  ``new`` holds per factor
+    the mask of its new rows (``None`` for none), read by the fold only.
+
+    A defender with an empty factor keeps its base.  Each column is ranked
+    per defender, on the defender's own values (``_rank_segments``), and a
+    defender whose own grid has more than ``_GRID_CELL_CAP`` cells takes
+    the telescoped fold.  The rest meet on one grid with a leading factor
+    axis whose other axes are as long as their longest (``_meet_cells``),
+    when its map has at most ``rows·_CHUNK`` cells, the minimiser's rule;
+    otherwise each meets on its own grid, as a batch of one.  A met row is
+    old where one ``np.searchsorted`` of the bases' rows among the met rows,
+    keyed by defender and row (``_row_keys``), finds it.
+    """
+    fronts = [(base, np.zeros(base.shape[0], dtype=bool)) for base in bases]
+    first = np.cumsum([0, *degree[:-1]])
+    nonempty = np.minimum.reduceat(counts, first) > 0
+    if not nonempty.any():
+        return fronts
+    size = np.add.reduceat(counts, first)
+    segment = np.repeat(np.arange(len(degree)), size)
+    ranked = [_rank_segments(column, segment, len(degree)) for column in pulled.T]
+    own = np.stack([s[1:] - s[:-1] for _, _, s in ranked], axis=1)
+    # in floats, so that no product of many long axes wraps around
+    fits = np.prod(own, axis=1, dtype=float) <= _GRID_CELL_CAP
+    ends = np.cumsum(counts)
+    for b in np.flatnonzero(nonempty & ~fits):
+        moves = range(first[b], first[b] + degree[b])
+        after = [pulled[ends[f] - counts[f] : ends[f]] for f in moves]
+        marks = [np.zeros(counts[f], bool) if new[f] is None else new[f] for f in moves]
+        deltas = [f[m] for f, m in zip(after, marks)]
+        before = [f[~m] for f, m in zip(after, marks)]
+        fronts[b] = _telescoped_fold(bases[b], deltas, after, before)
+    # each array goes as soon as it is used: a late batch can set the
+    # peak memory of a solve
+    del pulled
+    met = np.flatnonzero(nonempty & fits)
+    if not met.size:
+        return fronts
+    joint = sum(degree[b] for b in met) * math.prod(own[met].max(0)[:-1].tolist())
+    groups = [met] if joint <= int(size[met].sum()) * _CHUNK else met[:, None]
+    factor = np.repeat(np.arange(len(counts)), counts)
+    found, owner = [], []
+    for group in groups:
+        chosen = np.zeros(len(degree), dtype=bool)
+        chosen[group] = True
+        take = chosen[segment]
+        dense = np.cumsum(np.repeat(chosen, degree)) - 1
+        grid = own[group].max(0).tolist()
+        keys = dense[factor[take]]
+        for (rank, _, _), length in zip(ranked, grid):
+            keys = keys * length + rank[take]
+        which, cells = _meet_cells(keys, [int(dense[-1]) + 1, *grid], dense[first[group]])
+        del keys, take
+        of = group[which]
+        digits = np.unravel_index(cells, grid)
+        found.append(np.stack([v[s[of] + d] for (_, v, s), d in zip(ranked, digits)], axis=1))
+        owner.append(of)
+    del ranked, segment, factor
+    met_rows, owner = np.vstack(found), np.concatenate(owner)
+    del found
+    # met rows come by defender and then in lexicographic order, as keys do
+    keys = _row_keys(owner, met_rows)
+    olds = [bases[b] for b in met]
+    old = _row_keys(np.repeat(met, [o.shape[0] for o in olds]), np.vstack(olds))
+    at = np.minimum(np.searchsorted(keys, old), keys.size - 1)
+    fresh = np.ones(keys.size, dtype=bool)
+    fresh[at[keys[at] == old]] = False
+    del keys, old, at
+    ends = np.searchsorted(owner, met, side="right")[:-1]
+    for b, r, m in zip(met, np.split(met_rows, ends), np.split(fresh, ends)):
+        fronts[b] = (r.copy(), m)
+    return fronts
+
+
 class _Engine:
     """Array-based semi-naive pass evaluator for one game.
 
-    A pass computes ``F(cur)`` from ``base = F(old)`` and the masks of the
-    rows of ``cur`` that are not in ``old``, for maps whose upward
+    A pass computes ``F(cur)`` from ``base = F(old)`` and the rows of
+    ``cur`` that are not in ``old`` (``_Fresh``), for maps whose upward
     closures grow from ``old`` to ``cur``; ``old`` itself is not needed.
     With every row marked new (``old`` empty) it is the plain pass over
     the full fronts.  Edges are numbered in position order; ``moves``
@@ -457,85 +602,108 @@ class _Engine:
             for g in self.ids
         }
 
-    def attacker_pass(
-        self, cur: Mapping[str, np.ndarray], fresh: _Fresh, base: Mapping[str, np.ndarray]
-    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """``min(base ∪ ⋃_t inv_t(Δ_t))`` and the mask of its new rows, for
-        every attacker with a successor that gained rows.
+    def every_row(self, rows: Mapping[str, np.ndarray]) -> _Fresh:
+        """Every row of the map ``rows`` marked new."""
+        grown = [g for g in self.ids if rows[g].shape[0]]
+        return _Fresh(
+            {g: np.ones(rows[g].shape[0], dtype=bool) for g in grown},
+            np.vstack([self._empty(), *(rows[g] for g in grown)]),
+            np.repeat(
+                np.array([self.index[g] for g in grown], dtype=np.intp),
+                [rows[g].shape[0] for g in grown],
+            ),
+        )
 
-        The new rows of every position are stacked once and pulled back
-        over all their incoming attacker edges in one call.  Every union is
+    def attacker_pass(
+        self, fresh: _Fresh, base: Mapping[str, np.ndarray]
+    ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
+        """``min(base ∪ ⋃_t inv_t(Δ_t))`` and the mask of its new rows, for
+        every attacker with a successor that gained rows; and those new rows
+        stacked in position order, with their position numbers.
+
+        The stacked new rows of the previous pass are pulled back over all
+        their incoming attacker edges in one call.  Every union is
         minimised in one ``_minimize_segments`` call, one segment per
         attacker, with all ``base`` rows stacked before the pulled rows.
         """
-        if not fresh:
-            return {}
-        delta = np.vstack([cur[t][mask] for t, mask in fresh.items()])
-        target = np.repeat(
-            [self.index[t] for t in fresh], [np.count_nonzero(m) for m in fresh.values()]
-        )
         # each new row once per attacker edge into its position
-        lo = self.pull_start[target]
-        count = self.pull_start[target + 1] - lo
+        lo = self.pull_start[fresh.pos]
+        count = self.pull_start[fresh.pos + 1] - lo
         k = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-        delta = delta[np.repeat(np.arange(len(target)), count)]
+        delta = fresh.rows[np.repeat(np.arange(fresh.pos.size), count)]
         pulled, source = self.inverses.pull(self.pull_edge[k], delta), self.pull_source[k]
-        sources = np.unique(source)
+        sources = np.flatnonzero(np.bincount(source, minlength=len(self.ids)))
         bases = [base[self.ids[s]] for s in sources]
         rows = np.vstack([*bases, pulled])
         segments = np.concatenate([np.repeat(sources, [b.shape[0] for b in bases]), source])
         keep = _minimize_segments(rows, segments)
-        old = rows.shape[0] - pulled.shape[0]
+        grown = keep >= rows.shape[0] - pulled.shape[0]
         ends = np.searchsorted(segments[keep], sources, side="right").tolist()
-        parts = [keep[lo:hi] for lo, hi in zip([0, *ends], ends)]
-        return {self.ids[s]: (rows[part], part >= old) for s, part in zip(sources, parts)}
+        fronts = rows[keep]
+        # each front its own copy: a view would keep the whole batch alive
+        found = {
+            self.ids[s]: (fronts[a:b].copy(), grown[a:b])
+            for s, a, b in zip(sources, [0, *ends], ends)
+        }
+        return found, fronts[grown], segments[keep[grown]]
 
-    def defender_rows(
-        self, g: str, base: np.ndarray, cur: Mapping[str, np.ndarray], fresh: _Fresh
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def defender_pass(
+        self, cur: Mapping[str, np.ndarray], fresh: _Fresh, base: Mapping[str, np.ndarray]
+    ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
         """``min(⋂_i ↑N_i)`` over the pulled-back successor fronts N of
-        ``cur``, and the mask of its rows absent from ``base``.
+        ``cur`` and the mask of its rows absent from ``base``, for every
+        defender with a successor that gained rows; and those new rows
+        stacked in position order, with their position numbers.
 
-        Every successor front is pulled back on each call; a defender keeps
-        nothing between passes.  The front is the meet of the N on their
-        rank grid (``_meet``); only when that grid is over the cap is it the
-        telescoped fold (``_telescoped_fold``), whose products start from
-        the few new rows.  The fold splits each N_i by ``fresh``: D_i are
-        the pulled-back new rows, and O_i the pulled-back rows that the
-        previous map held as well.
+        The successor fronts of all these defenders are pulled back in one
+        call, and a defender keeps nothing between passes.  The fronts are
+        met in one batch (``_defender_batch``); a defender over the cap
+        takes the telescoped fold, which splits each N_i by ``fresh``:
+        D_i are the pulled-back new rows, and O_i the pulled-back rows that
+        the previous map held as well.
         """
-        after = [self.inverses.pull(e, cur[target]) for target, e in self.moves[g]]
-        met = _meet(base, after)
-        if met is None:
-            deltas, before = [], []
-            for (target, _), rows in zip(self.moves[g], after):
-                new = fresh.get(target, np.zeros(rows.shape[0], dtype=bool))
-                deltas.append(rows[new])
-                before.append(rows[~new])
-            met = _telescoped_fold(base, deltas, after, before)
-        return met
+        names = sorted({d for t in fresh.masks for d in self.defenders_of[t]})
+        if not names:
+            return {}, self._empty(), np.empty(0, dtype=np.intp)
+        moves = [move for g in names for move in self.moves[g]]
+        counts = [cur[t].shape[0] for t, _ in moves]
+        fronts = _defender_batch(
+            self.inverses.pull(
+                np.repeat([e for _, e in moves], counts), np.vstack([cur[t] for t, _ in moves])
+            ),
+            counts,
+            [len(self.moves[g]) for g in names],
+            [base[g] for g in names],
+            [fresh.masks.get(t) for t, _ in moves],
+        )
+        new = [rows[mask] for rows, mask in fronts]
+        return (
+            dict(zip(names, fronts)),
+            np.vstack(new),
+            np.repeat([self.index[g] for g in names], [rows.shape[0] for rows in new]),
+        )
 
     def delta_pass(
         self, cur: Mapping[str, np.ndarray], fresh: _Fresh, base: Mapping[str, np.ndarray]
     ) -> tuple[dict[str, np.ndarray], _Fresh]:
-        """``F(cur)`` and the masks of its rows absent from ``base``, for
-        the positions that gained a row, in position order.
+        """``F(cur)`` and its new rows: those absent from ``base``.
 
-        ``fresh`` marks the rows of ``cur`` absent from the previous map
+        ``fresh`` holds the rows of ``cur`` absent from the previous map
         ``old``, and ``base`` is ``F(old)``; ``old`` itself is never read.
         A position with no new rows among its successors keeps its array;
         no other state passes from one pass to the next.
         """
+        found, rows, pos = self.attacker_pass(fresh, base)
+        defended, more_rows, more_pos = self.defender_pass(cur, fresh, base)
+        found.update(defended)
         new = dict(base)
-        grown: _Fresh = {}
-        found = self.attacker_pass(cur, fresh, base)
-        for g in sorted({d for t in fresh for d in self.defenders_of[t]}):
-            found[g] = self.defender_rows(g, base[g], cur, fresh)
-        for g, (rows, mask) in found.items():
-            new[g] = rows
-            if mask.any():
-                grown[g] = mask
-        return new, dict(sorted(grown.items()))
+        new.update((g, front) for g, (front, _) in found.items())
+        pos = np.concatenate([pos, more_pos])
+        order = np.argsort(pos, kind="stable")
+        pos = pos[order]
+        grown = [self.ids[k] for k in np.unique(pos)]
+        masks = {g: found[g][1] for g in grown}
+        return new, _Fresh(masks, np.vstack([rows, more_rows])[order], pos)
 
 
 @dataclass(frozen=True, eq=False)
@@ -597,8 +765,41 @@ def iterate_once(game: GameGraph, old_win: Mapping[str, ParetoFront]) -> FrontMa
     """One full pass over all positions, reading only the old snapshot."""
     engine = _Engine(game)
     cur = engine.from_fronts(old_win)
-    new, _ = engine.delta_pass(cur, _every_row(cur), engine.start())
+    new, _ = engine.delta_pass(cur, engine.every_row(cur), engine.start())
     return _to_fronts(new)
+
+
+def _entry_log(
+    ids: tuple[str, ...], n: int, log: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> EntryLog:
+    """Per position, every row that entered its front and the pass it
+    entered at, in pass order, from the log of passes 1, 2, ...: per pass
+    its new rows stacked by position, the positions, and where each
+    position's rows start.  Each pass's rows of one position are a block;
+    the blocks go to one matrix by position and then by pass, and each pass
+    leaves ``log`` as soon as its blocks are copied, so that the log and
+    the matrix are never held twice."""
+    pos = np.concatenate([np.empty(0, np.intp), *(p for _, p, _ in log)])
+    stamp = np.repeat(np.arange(1, len(log) + 1), [p.size for _, p, _ in log])
+    size = np.concatenate(
+        [np.empty(0, np.intp), *(np.diff(f, append=rows.shape[0]) for rows, _, f in log)]
+    )
+    order = np.argsort(pos, kind="stable")
+    end = np.cumsum(size[order])
+    start = np.empty_like(size)
+    start[order] = end - size[order]
+    entries = np.empty((int(size.sum()), n), dtype=np.int64)
+    lo = 0
+    while log:
+        rows, _, firsts = log.pop(0)
+        hi = lo + firsts.size
+        entries[np.repeat(start[lo:hi] - firsts, size[lo:hi]) + np.arange(rows.shape[0])] = rows
+        lo = hi
+    stamps = np.repeat(stamp[order], size[order])
+    cuts = np.concatenate([[0], end])[
+        np.searchsorted(pos[order], np.arange(len(ids) - 1), side="right")
+    ]
+    return dict(zip(ids, zip(np.split(entries, cuts), np.split(stamps, cuts))))
 
 
 def _solve_jacobi(
@@ -607,38 +808,31 @@ def _solve_jacobi(
     """Passes, fixed point, largest front and entry log of one solve."""
     prev = engine.empty_map()
     win = engine.start()
-    fresh = _every_row(win)
-    entered: dict[str, list[tuple[int, np.ndarray]]] = {g: [] for g in engine.ids}
+    fresh = engine.every_row(win)
+    # a limit below 0 refuses every row as well as a more negative one
+    limits = np.array([max(engine.limit[g], -1) for g in engine.ids], dtype=np.int64)
+    log: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     max_front = 0
     passes = 1
-    while fresh:
-        for g, mask in fresh.items():
-            rows = win[g][mask]
-            top = int(rows.max())
-            if top > engine.limit[g]:
-                raise MagnitudeOverflow(
-                    f"front of {g!r} reaches {top}; pulling it back over an "
-                    "incoming edge could exceed int64"
-                )
-            entered[g].append((passes, rows))
-            max_front = max(max_front, win[g].shape[0])
+    while fresh.masks:
+        top = fresh.rows.max(1)
+        over = top > limits[fresh.pos]
+        if over.any():
+            k = fresh.pos[over.argmax()]
+            raise MagnitudeOverflow(
+                f"front of {engine.ids[k]!r} reaches {int(top[fresh.pos == k].max())}; "
+                "pulling it back over an incoming edge could exceed int64"
+            )
+        firsts = np.flatnonzero(np.diff(fresh.pos, prepend=-1))
+        log.append((fresh.rows, fresh.pos[firsts], firsts))
+        max_front = max(max_front, *(win[g].shape[0] for g in fresh.masks))
         if cap is not None and passes > cap:
-            growing = {g: int(np.count_nonzero(mask)) for g, mask in fresh.items()}
+            growing = {g: int(np.count_nonzero(mask)) for g, mask in fresh.masks.items()}
             raise IterationCapExceeded(cap, _to_fronts(prev), _to_fronts(win), growing)
         new, fresh = engine.delta_pass(win, fresh, win)
         passes += 1
         prev, win = win, new
-    entries = {
-        g: (
-            np.vstack([engine._empty(), *(rows for _, rows in log)]),
-            np.repeat(
-                np.array([k for k, _ in log], dtype=np.int64),
-                [rows.shape[0] for _, rows in log],
-            ),
-        )
-        for g, log in entered.items()
-    }
-    return passes, win, max_front, entries
+    return passes, win, max_front, _entry_log(engine.ids, engine.n, log)
 
 
 def compute_winning_budgets(game: GameGraph, *, iteration_cap: int | None = None) -> SolverResult:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import random
@@ -43,6 +45,26 @@ def test_solve_csv_output(capsys):
     assert "Office,0,0,0,10" in lines
     assert "Office,0,0,1,9" in lines
     assert "Energized,0,0,0,0" in lines
+
+
+def test_solve_csv_quotes_ids_that_need_it(tmp_path, capsys):
+    """Position ids holding a comma, a double quote, CR or LF are quoted
+    as RFC 4180 quotes them, so ``csv.reader`` reads every id and value
+    back; other ids are written as they are."""
+    ids = ["a,b", 'say "hi"', "two\nlines", "cr\rid", "plain"]
+    doc = {
+        "schema": "galois-energy/1",
+        "dimension": 1,
+        "positions": [{"id": g, "owner": "defender"} for g in ids],
+        "edges": [],
+    }
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "solve", str(path), "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert rows == [["position", "component_0"], *([g, "0"] for g in sorted(ids))]
+    assert "\nplain,0\n" in out
 
 
 def test_solve_stats(capsys):

@@ -228,20 +228,51 @@ def test_minimize_segments_matches_reference(monkeypatch):
 
 
 @st.composite
-def meet_cases(draw) -> tuple[int, list[list[tuple[int, ...]]], list[tuple[int, ...]]]:
-    """1-4 factors of 0-6 rows of one dimension from 1 to 6, small values
-    mixed with values anywhere in int64, rows repeated within and across
-    factors; and the rows of an earlier front: some minimal rows of the
-    meet, and rows one unit above others of them (often off the factors'
-    rank grid)."""
-    n = draw(st.integers(1, 6))
-    value = st.one_of(st.integers(0, 4), st.integers(0, 2**63 - 1))
-    row = st.lists(value, min_size=n, max_size=n).map(tuple)
-    factors = draw(st.lists(st.lists(row, max_size=4), min_size=1, max_size=4))
-    pool = [r for f in factors for r in f]
-    if pool:
-        factors = [f + draw(st.lists(st.sampled_from(pool), max_size=2)) for f in factors]
-    minimal = reference_meet(factors)
+def ranked_columns(draw) -> tuple[int, np.ndarray, np.ndarray]:
+    """One column of 1-60 values in segments ``0`` to ``nseg - 1`` (1-8
+    of them), ids unsorted, some segments of one row and some of none.
+    Values are small, anywhere in int64, or within 40 of 2^63 - 1, so that
+    both a counting table fits and it does not."""
+    nseg = draw(st.integers(1, 8))
+    value = draw(
+        st.sampled_from(
+            [st.integers(0, 20), st.integers(0, 2**63 - 1), st.integers(2**63 - 40, 2**63 - 1)]
+        )
+    )
+    rows = draw(st.lists(st.tuples(st.integers(0, nseg - 1), value), min_size=1, max_size=60))
+    segment = np.array([s for s, _ in rows], dtype=np.intp)
+    return nseg, segment, np.array([v for _, v in rows], dtype=np.int64)
+
+
+def test_rank_segments_matches_unique():
+    """Per segment, the kernel's values are the segment's distinct values
+    in order and its ranks index them, as ``np.unique`` gives them, on
+    both sides of the rule that picks a counting table over a lexsort."""
+    counted = set()  # whether the counting table was taken
+
+    @SEEDED
+    @given(case=ranked_columns())
+    @example(case=(3, np.array([2, 0, 2]), np.array([2**63 - 1, 5, 0], dtype=np.int64)))
+    @example(case=(4, np.array([3, 1]), np.array([7, 7], dtype=np.int64)))
+    def check(case):
+        nseg, segment, column = case
+        rank, values, starts = solver._rank_segments(column, segment, nseg)
+        span = int(column.max()) - int(column.min()) + 1
+        counted.add(nseg * span <= column.size * solver._CHUNK)
+        assert starts[0] == 0 and starts[-1] == values.size
+        for s in range(nseg):
+            mine = segment == s
+            expected, inverse = np.unique(column[mine], return_inverse=True)
+            assert values[starts[s] : starts[s + 1]].tolist() == expected.tolist()
+            assert rank[mine].tolist() == inverse.tolist()
+
+    check()
+    assert counted == {True, False}
+
+
+def _earlier_front(draw, minimal: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """Rows of an earlier front below ``minimal``: some of its rows, and
+    rows one unit above others of them (often off the factors' rank grid)."""
     base = []
     for r in minimal:
         kind = draw(st.sampled_from(["skip", "keep", "above"]))
@@ -250,23 +281,93 @@ def meet_cases(draw) -> tuple[int, list[list[tuple[int, ...]]], list[tuple[int, 
         elif kind == "above":
             c = draw(st.integers(0, n - 1))
             base.append(r[:c] + (min(r[c] + 1, 2**63 - 1),) + r[c + 1 :])
-    return n, factors, base
+    return base
 
 
-@SEEDED
-@given(case=meet_cases())
-def test_meet_matches_reference(case):
-    """The meet's rows are the minimal sups of one row per factor, in
-    lexicographic order, and its mask marks those not in ``base``."""
-    n, factors, base = case
-    arrays = [np.array(f, dtype=np.int64).reshape(len(f), n) for f in factors]
-    base_rows = np.array(sorted(set(base)), dtype=np.int64).reshape(-1, n)
-    rows, mask = solver._meet(base_rows, arrays)
-    expected = reference_meet(factors)
-    assert list(map(tuple, rows.tolist())) == expected
-    assert mask.tolist() == [r not in set(base) for r in expected]
-    if not all(factors):
-        assert rows.shape[0] == 0
+@st.composite
+def meet_batches(draw) -> tuple[int, list[list[list[tuple[int, ...]]]], list, list]:
+    """1-5 defenders of one dimension from 1 to 6, each with 1-4 factors of
+    0-6 rows: small values mixed with values anywhere in int64, rows
+    repeated within and across factors, and the small values shifted per
+    defender, by an offset shared with others (overlapping ranges) or its
+    own (disjoint ranges).  Each defender has an earlier front
+    (``_earlier_front``).  Sometimes, at dimension 5 or 6, one more
+    defender of two factors of 12 rows of values below 2^40, almost surely
+    distinct, whose rank grid of at least 24^5 cells is over the cap; all
+    its rows are marked new, so the fold's last term is the whole product.
+    Returns the dimension, the factors and earlier front per defender, and
+    the new-row mask per factor (``None`` for none)."""
+    over = draw(st.booleans())
+    n = draw(st.integers(5 if over else 1, 6))
+    value = st.one_of(st.integers(0, 4), st.integers(0, 2**63 - 1))
+    defenders = []
+    for b in range(draw(st.integers(1, 5))):
+        shift = draw(st.sampled_from([0, 8 * (b + 1), 2**40 * (b + 1)]))
+        row = st.lists(value, min_size=n, max_size=n).map(
+            lambda r, shift=shift: tuple(v + shift if v <= 4 else v for v in r)
+        )
+        factors = draw(st.lists(st.lists(row, max_size=6), min_size=1, max_size=4))
+        pool = [r for f in factors for r in f]
+        if pool:
+            factors = [f + draw(st.lists(st.sampled_from(pool), max_size=2)) for f in factors]
+        defenders.append(factors)
+    new = [[None] * len(factors) for factors in defenders]
+    if over:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        wide = [list(map(tuple, rng.integers(0, 2**40, size=(12, n)).tolist())) for _ in "ab"]
+        at = draw(st.integers(0, len(defenders)))
+        defenders.insert(at, wide)
+        new.insert(at, [np.ones(12, dtype=bool)] * 2)
+    bases = [_earlier_front(draw, reference_meet(factors), n) for factors in defenders]
+    return n, defenders, bases, [m for masks in new for m in masks]
+
+
+def test_meet_matches_reference(monkeypatch):
+    """Per defender of a batch, the meet's rows are the minimal sups of one
+    row per factor, in lexicographic order, and its mask marks those not
+    in its earlier front; a defender with an empty factor keeps its front,
+    which is then empty.  Every route is taken: defenders met on one
+    shared grid, defenders met each on its own grid, and the fold."""
+    routes = {"shared": 0, "own": 0, "fold": 0}
+    meets: list[int] = []  # meets per grid, in the current batch
+    meet_cells, fold = solver._meet_cells, solver._telescoped_fold
+
+    def counted_meet(keys, sizes, firsts):
+        meets.append(len(firsts))
+        return meet_cells(keys, sizes, firsts)
+
+    def counted_fold(*args):
+        routes["fold"] += 1
+        return fold(*args)
+
+    monkeypatch.setattr(solver, "_meet_cells", counted_meet)
+    monkeypatch.setattr(solver, "_telescoped_fold", counted_fold)
+
+    @SEEDED
+    @given(batch=meet_batches())
+    def check(batch):
+        n, defenders, bases, new = batch
+        factors = [np.array(f, dtype=np.int64).reshape(len(f), n) for fs in defenders for f in fs]
+        meets.clear()
+        fronts = solver._defender_batch(
+            np.vstack(factors),
+            [f.shape[0] for f in factors],
+            [len(fs) for fs in defenders],
+            [np.array(sorted(set(b)), dtype=np.int64).reshape(-1, n) for b in bases],
+            new,
+        )
+        routes["shared"] += any(m > 1 for m in meets)
+        routes["own"] += len(meets) > 1
+        assert len(fronts) == len(defenders)
+        for fs, base, (rows, mask) in zip(defenders, bases, fronts):
+            expected = reference_meet(fs)
+            assert list(map(tuple, rows.tolist())) == expected
+            assert mask.tolist() == [r not in set(base) for r in expected]
+            if not all(fs):
+                assert rows.shape[0] == 0
+
+    check()
+    assert all(routes.values()), routes
 
 
 @st.composite

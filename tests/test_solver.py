@@ -331,6 +331,58 @@ def test_attacker_pass_minimises_every_union_in_one_call(name, monkeypatch):
     assert all(c == ["segments"] for c in calls)
 
 
+def test_each_pass_pulls_and_meets_its_defenders_in_one_batch(monkeypatch):
+    """On the benchmark's 16×16 multi-reachability grid, where a pass often
+    changes several defenders, each defender pass pulls all their
+    successor fronts back in one ``_Inverses.pull`` call and meets them on
+    one grid in one ``_meet_cells`` call (its map always fits here).  Each
+    attacker pass reads the new rows of the pass before only as one stacked
+    matrix: it runs without the per-position masks, and the solve keeps
+    its answers."""
+    calls = []  # per defender pass: its defenders, pulls and meets per grid
+    inside = []
+    defender_pass, attacker_pass = solver._Engine.defender_pass, solver._Engine.attacker_pass
+    pull, meet_cells = solver._Inverses.pull, solver._meet_cells
+
+    def counted_pass(self, cur, fresh, base):
+        changed = {d for t in fresh.masks for d in self.defenders_of[t]}
+        calls.append({"defenders": len(changed), "pulls": 0, "meets": []})
+        inside.append(True)
+        try:
+            return defender_pass(self, cur, fresh, base)
+        finally:
+            inside.pop()
+
+    def counted_pull(self, *args):
+        if inside:
+            calls[-1]["pulls"] += 1
+        return pull(self, *args)
+
+    def counted_meet(keys, sizes, firsts):
+        if inside:
+            calls[-1]["meets"].append(len(firsts))
+        return meet_cells(keys, sizes, firsts)
+
+    def maskless_pass(self, fresh, base):
+        return attacker_pass(self, fresh._replace(masks=None), base)
+
+    game = grid_game(16, 3)
+    expected = compute_winning_budgets(game)
+    monkeypatch.setattr(solver._Engine, "defender_pass", counted_pass)
+    monkeypatch.setattr(solver._Inverses, "pull", counted_pull)
+    monkeypatch.setattr(solver, "_meet_cells", counted_meet)
+    monkeypatch.setattr(solver._Engine, "attacker_pass", maskless_pass)
+    result = compute_winning_budgets(game)
+    assert len(calls) > 30
+    assert all(c["pulls"] == (c["defenders"] > 0) for c in calls)
+    assert all(len(c["meets"]) <= 1 for c in calls)
+    assert sum(c["meets"] != [] and c["meets"][0] >= 2 for c in calls) >= 10
+    for g in expected.rows:
+        assert np.array_equal(result.rows[g], expected.rows[g])
+        for a, b in zip(result.entries[g], expected.entries[g]):
+            assert np.array_equal(a, b)
+
+
 def test_iteration_cap_raises():
     game = GameGraph.build(
         1,
@@ -594,18 +646,17 @@ def _count_defender_paths(monkeypatch) -> dict[str, int]:
     """Counts of defender fronts answered by the meet (with every factor
     nonempty) and by the telescoped fold, from now on."""
     paths = {"meet": 0, "fold": 0}
-    meet, fold = solver._meet, solver._telescoped_fold
+    meet, fold = solver._meet_cells, solver._telescoped_fold
 
-    def counted_meet(base, factors):
-        result = meet(base, factors)
-        paths["meet"] += result is not None and all(f.shape[0] for f in factors)
-        return result
+    def counted_meet(keys, sizes, firsts):
+        paths["meet"] += len(firsts)
+        return meet(keys, sizes, firsts)
 
     def counted_fold(*args):
         paths["fold"] += 1
         return fold(*args)
 
-    monkeypatch.setattr(solver, "_meet", counted_meet)
+    monkeypatch.setattr(solver, "_meet_cells", counted_meet)
     monkeypatch.setattr(solver, "_telescoped_fold", counted_fold)
     return paths
 
@@ -678,11 +729,11 @@ def test_fold_splits_the_current_fronts_by_their_new_rows(monkeypatch):
     fronts, so the fold would no longer telescope.  Under the default cap
     espresso never folds; a cap of 2^16 cells sends 37 defenders there."""
     monkeypatch.setattr(solver, "_GRID_CELL_CAP", 1 << 16)
-    calls = []
+    calls = []  # per defender pass: engine, pass, defenders, then its folds
     passes = []
-    delta_pass, defender_rows, fold = (
+    delta_pass, defender_pass, fold = (
         solver._Engine.delta_pass,
-        solver._Engine.defender_rows,
+        solver._Engine.defender_pass,
         solver._telescoped_fold,
     )
 
@@ -690,26 +741,37 @@ def test_fold_splits_the_current_fronts_by_their_new_rows(monkeypatch):
         passes.append(None)
         return delta_pass(self, *args)
 
-    def named_defender(self, g, *args):
-        calls.append([self, len(passes), g])
-        return defender_rows(self, g, *args)
+    def named_defenders(self, cur, fresh, base):
+        names = sorted({d for t in fresh.masks for d in self.defenders_of[t]})
+        calls.append([self, len(passes), names])
+        return defender_pass(self, cur, fresh, base)
 
     def recorded_fold(base, deltas, after, before):
-        calls[-1] += [deltas, after, before]
+        calls[-1].append((deltas, after, before))
         return fold(base, deltas, after, before)
 
     monkeypatch.setattr(solver._Engine, "delta_pass", counted_pass)
-    monkeypatch.setattr(solver._Engine, "defender_rows", named_defender)
+    monkeypatch.setattr(solver._Engine, "defender_pass", named_defenders)
     monkeypatch.setattr(solver, "_telescoped_fold", recorded_fold)
     maps = history(compute_winning_budgets(espresso_with_target(16)))
-    folds = [call for call in calls if len(call) > 3]
+    folds = [(engine, k, names, *f) for engine, k, names, *fs in calls for f in fs]
     assert len(folds) == 37
     shrunk = 0
     several = 0
-    for engine, k, g, deltas, after, before in folds:
+    for engine, k, names, deltas, after, before in folds:
         nonempty = sum(d.shape[0] > 0 for d in deltas)
         assert nonempty >= 1
         several += nonempty >= 2
+        # the defender whose pulled-back successor fronts the fold read
+        (g,) = [
+            g
+            for g in names
+            if len(engine.moves[g]) == len(after)
+            and all(
+                np.array_equal(n_i, engine.inverses.pull(e, maps[k][t]))
+                for (t, e), n_i in zip(engine.moves[g], after)
+            )
+        ][:1]
         for (t, e), d_i, n_i, o_i in zip(engine.moves[g], deltas, after, before):
             rows, previous = maps[k][t], {tuple(r) for r in maps[k - 1][t].tolist()}
             kept = np.array([tuple(r) in previous for r in rows.tolist()], dtype=bool)
