@@ -24,10 +24,10 @@ class IterationCapExceeded(RuntimeError):
     """The solver hit its safety cap before reaching a fixed point.
 
     Keeps the last two front maps (``ParetoFront`` per position) so the
-    divergence can be inspected; ``previous`` is empty when the cap fired
-    before the first pass.  ``growing`` maps each position whose front
-    gained rows in the last pass to the number of rows it gained; the
-    message names them.
+    divergence can be inspected; when the cap fired before the first pass
+    (a cap of 0), ``previous`` maps every position to the empty front.
+    ``growing`` maps each position whose front gained rows in the last
+    pass to the number of rows it gained; the message names them.
     """
 
     def __init__(self, cap: int, previous, current, growing):

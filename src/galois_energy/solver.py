@@ -25,6 +25,11 @@ distributes over union, so with ``D_i`` the pulled-back ``Δ_k`` at the
 
 * attacker: ``W_{k+1}[g] = min(W_k[g] ∪ ⋃_i D_i)``
 
+Inside the passes a position is named by its number alone, its index in
+the sorted position ids: a map is a list of row matrices by position
+number, position ``k`` owns a contiguous range of the edge arrays, and a
+pass writes the fronts it computes into a copy of the list.  Ids appear
+only in the results and in the maps ``iterate_once`` takes and returns.
 Each pass returns its new rows stacked in position order, with their
 position numbers.  The attacker side of the next pass runs set-at-a-time,
 as one batch over all positions: that matrix is pulled back over all
@@ -74,15 +79,16 @@ one-segment case: up to ``_CHUNK`` rows by a pairwise dominance sweep,
 ``O(m²·d)``, and above that on one rank grid with a leading segment axis,
 against the threshold map of each row's segment, or by the sweep when
 the grid or its map is too large.  ``W_k[g]`` is stacked first, so the
-new rows ``Δ_{k+1}[g]`` are exactly the survivors past it; the meet marks
-the rows it finds that are not rows of ``W_k[g]``, by one binary search
-of the batch's earlier rows among its met rows.  A position without new
-rows among its successors keeps its array, and the loop stops once no
-position gained a row.  Pass 1 is ``F(∅)``: the zero row at defender
-deadlocks, all of it new.  Each pass yields exactly the front map of the
-plain pass; with ``W_{k-1}`` empty the formulas are the plain pass
-itself, which is how ``iterate_once`` (and ``compute_new_win`` through
-it) evaluates arbitrary maps.
+new rows ``Δ_{k+1}[g]`` are exactly the survivors past it.  The defender
+batch stacks its met and folded fronts by defender, and marks the rows
+that are not rows of ``W_k[g]`` by one binary search of the batch's
+earlier rows among them.  A position without new rows among its
+successors keeps its array, and the loop stops once no position gained a
+row.  Pass 1 is ``F(∅)``: the zero row at defender deadlocks, all of it
+new.  Each pass yields exactly the front map of the plain pass; with
+``W_{k-1}`` empty the formulas are the plain pass itself, which is how
+``iterate_once`` (and ``compute_new_win`` through it) evaluates arbitrary
+maps.
 
 The resulting fixed point maps each position to the Pareto front of its
 winning budgets; membership of arbitrary energies follows by upward
@@ -107,9 +113,10 @@ below it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -128,9 +135,11 @@ _CHUNK = 128
 _GRID_CELL_CAP = 1 << 22
 
 
-def _front_to_rows(front: ParetoFront, dimension: int, limit: int) -> np.ndarray:
+def _front_to_rows(g: str, front: ParetoFront, dimension: int, limit: int) -> np.ndarray:
     rows = np.empty((len(front), dimension), dtype=np.int64)
     for r, e in enumerate(front):
+        if e.dimension != dimension:
+            raise DimensionMismatch(f"front of {g!r} has dimension {e.dimension}, not {dimension}")
         if not e.is_finite:
             raise ValueError("iteration handles finite fronts only")
         if max(e.components, default=0) > limit:
@@ -399,41 +408,35 @@ class _Inverses:
 
 class _Fresh(NamedTuple):
     """The rows of a map that are new since the previous map: per position
-    that gained rows, in position order, the mask of its new rows
-    (``masks``); and those rows stacked in position order (``rows``), with
-    their position numbers (``pos``)."""
+    number, the mask of the new rows among its front, ``None`` where it
+    gained none (``masks``); and those rows stacked in position order
+    (``rows``), with their position numbers (``pos``)."""
 
-    masks: dict[str, np.ndarray]
+    masks: list[np.ndarray | None]
     rows: np.ndarray
     pos: np.ndarray
 
 
-def _to_fronts(rows: Mapping[str, np.ndarray]) -> FrontMap:
-    return {g: _rows_to_front(r) for g, r in rows.items()}
+def _to_fronts(ids: Iterable[str], rows: Iterable[np.ndarray]) -> FrontMap:
+    return {g: _rows_to_front(r) for g, r in zip(ids, rows)}
 
 
-def _min_union(base: np.ndarray, terms: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``min(base ∪ terms)`` for an antichain ``base``, and the mask of its
-    rows that are not rows of ``base``: ``base`` is stacked first, so those
-    are exactly the kept indices past it."""
-    rows = np.vstack([base, *terms])
-    keep = _minimize_rows(rows)
-    return rows[keep], keep >= base.shape[0]
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The concatenated ``np.arange(lo[i], hi[i])``, in one gather."""
+    count = hi - lo
+    return np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
 def _telescoped_fold(
-    base: np.ndarray,
-    deltas: list[np.ndarray],
-    after: list[np.ndarray],
-    before: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """``min(base ∪ ⋃_i N_1⊔…⊔N_{i-1}⊔D_i⊔O_{i+1}⊔…⊔O_k)`` and the mask of
-    its new rows, where ``after`` holds the N, ``deltas`` the D and
-    ``before`` the O.  Each term is a fold of pairwise sup products
-    through the minimiser, starting from its small delta factor; a term
-    with an empty factor (an empty D_i above all) is empty and skipped.
+    base: np.ndarray, deltas: list[np.ndarray], after: list[np.ndarray], before: list[np.ndarray]
+) -> np.ndarray:
+    """``min(base ∪ ⋃_i N_1⊔…⊔N_{i-1}⊔D_i⊔O_{i+1}⊔…⊔O_k)`` in lexicographic
+    order, where ``after`` holds the N, ``deltas`` the D and ``before`` the
+    O.  Each term is a fold of pairwise sup products through the
+    minimiser, starting from its small delta factor; a term with an empty
+    factor (an empty D_i above all) is empty and skipped.
     """
-    terms = []
+    terms = [base]
     for i, delta in enumerate(deltas):
         factors = [delta, *after[:i], *before[i + 1 :]]
         if any(not f.shape[0] for f in factors):
@@ -443,9 +446,8 @@ def _telescoped_fold(
             sups = np.maximum(acc[:, None, :], f[None, :, :]).reshape(-1, acc.shape[1])
             acc = sups[_minimize_rows(sups)]
         terms.append(acc)
-    if not terms:
-        return base, np.zeros(base.shape[0], dtype=bool)
-    return _min_union(base, terms)
+    rows = np.vstack(terms)
+    return rows[_minimize_rows(rows)]
 
 
 def _row_keys(ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -464,29 +466,31 @@ def _defender_batch(
     degree: list[int],
     bases: list[np.ndarray],
     new: list[np.ndarray | None],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``min(⋂_i ↑N_i)`` for each of a batch of defenders, and the mask of
-    its rows absent from the defender's antichain in ``bases``, whose
-    upward closure lies in the meet.  ``pulled`` stacks the pulled-back
-    successor fronts ``N_i`` of all of them: ``counts`` rows per factor,
-    ``degree`` factors per defender, in order.  ``new`` holds per factor
-    the mask of its new rows (``None`` for none), read by the fold only.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``min(⋂_i ↑N_i)`` for each of a batch of defenders, stacked by
+    defender and then in lexicographic order (``rows``), with the number of
+    its defender in the batch (``owner``) and whether it is absent from the
+    defender's antichain in ``bases``, whose upward closure lies in the meet
+    (``fresh``).  ``pulled`` stacks the pulled-back successor fronts ``N_i``
+    of all of them: ``counts`` rows per factor, ``degree`` factors per
+    defender, in order.  ``new`` holds per factor the mask of its new rows
+    (``None`` for none), read by the fold only.
 
-    A defender with an empty factor keeps its base.  Each column is ranked
-    per defender, on the defender's own values (``_rank_segments``), and a
-    defender whose own grid has more than ``_GRID_CELL_CAP`` cells takes
-    the telescoped fold.  The rest meet on one grid with a leading factor
-    axis whose other axes are as long as their longest (``_meet_cells``),
-    when its map has at most ``rows·_CHUNK`` cells, the minimiser's rule;
-    otherwise each meets on its own grid, as a batch of one.  A met row is
-    old where one ``np.searchsorted`` of the bases' rows among the met rows,
-    keyed by defender and row (``_row_keys``), finds it.
+    A defender with an empty factor contributes no rows.  Each column is
+    ranked per defender, on the defender's own values (``_rank_segments``),
+    and a defender whose own grid has more than ``_GRID_CELL_CAP`` cells
+    takes the telescoped fold.  The rest meet on one grid with a leading
+    factor axis whose other axes are as long as their longest
+    (``_meet_cells``), when its map has at most ``rows·_CHUNK`` cells, the
+    minimiser's rule; otherwise each meets on its own grid, as a batch of
+    one.  A row, met or folded, is old where one ``np.searchsorted`` of the
+    bases' rows among the stacked rows, keyed by defender and row
+    (``_row_keys``), finds it.
     """
-    fronts = [(base, np.zeros(base.shape[0], dtype=bool)) for base in bases]
     first = np.cumsum([0, *degree[:-1]])
     nonempty = np.minimum.reduceat(counts, first) > 0
     if not nonempty.any():
-        return fronts
+        return pulled[:0], np.empty(0, dtype=np.intp), np.empty(0, dtype=bool)
     size = np.add.reduceat(counts, first)
     segment = np.repeat(np.arange(len(degree)), size)
     ranked = [_rank_segments(column, segment, len(degree)) for column in pulled.T]
@@ -494,53 +498,51 @@ def _defender_batch(
     # in floats, so that no product of many long axes wraps around
     fits = np.prod(own, axis=1, dtype=float) <= _GRID_CELL_CAP
     ends = np.cumsum(counts)
-    for b in np.flatnonzero(nonempty & ~fits):
+    found, owner = [], []
+    folded = np.flatnonzero(nonempty & ~fits)
+    for b in folded:
         moves = range(first[b], first[b] + degree[b])
         after = [pulled[ends[f] - counts[f] : ends[f]] for f in moves]
         marks = [np.zeros(counts[f], bool) if new[f] is None else new[f] for f in moves]
         deltas = [f[m] for f, m in zip(after, marks)]
         before = [f[~m] for f, m in zip(after, marks)]
-        fronts[b] = _telescoped_fold(bases[b], deltas, after, before)
+        found.append(_telescoped_fold(bases[b], deltas, after, before))
+        owner.append(np.full(found[-1].shape[0], b))
     # each array goes as soon as it is used: a late batch can set the
     # peak memory of a solve
     del pulled
     met = np.flatnonzero(nonempty & fits)
-    if not met.size:
-        return fronts
-    joint = sum(degree[b] for b in met) * math.prod(own[met].max(0)[:-1].tolist())
-    groups = [met] if joint <= int(size[met].sum()) * _CHUNK else met[:, None]
-    factor = np.repeat(np.arange(len(counts)), counts)
-    found, owner = [], []
-    for group in groups:
-        chosen = np.zeros(len(degree), dtype=bool)
-        chosen[group] = True
-        take = chosen[segment]
-        dense = np.cumsum(np.repeat(chosen, degree)) - 1
-        grid = own[group].max(0).tolist()
-        keys = dense[factor[take]]
-        for (rank, _, _), length in zip(ranked, grid):
-            keys = keys * length + rank[take]
-        which, cells = _meet_cells(keys, [int(dense[-1]) + 1, *grid], dense[first[group]])
-        del keys, take
-        of = group[which]
-        digits = np.unravel_index(cells, grid)
-        found.append(np.stack([v[s[of] + d] for (_, v, s), d in zip(ranked, digits)], axis=1))
-        owner.append(of)
-    del ranked, segment, factor
-    met_rows, owner = np.vstack(found), np.concatenate(owner)
+    if met.size:
+        joint = sum(degree[b] for b in met) * math.prod(own[met].max(0)[:-1].tolist())
+        groups = [met] if joint <= int(size[met].sum()) * _CHUNK else met[:, None]
+        factor = np.repeat(np.arange(len(counts)), counts)
+        for group in groups:
+            chosen = np.zeros(len(degree), dtype=bool)
+            chosen[group] = True
+            take = chosen[segment]
+            dense = np.cumsum(np.repeat(chosen, degree)) - 1
+            grid = own[group].max(0).tolist()
+            keys = dense[factor[take]]
+            for (rank, _, _), length in zip(ranked, grid):
+                keys = keys * length + rank[take]
+            which, cells = _meet_cells(keys, [int(dense[-1]) + 1, *grid], dense[first[group]])
+            del keys, take
+            of = group[which]
+            digits = np.unravel_index(cells, grid)
+            found.append(np.stack([v[s[of] + d] for (_, v, s), d in zip(ranked, digits)], axis=1))
+            owner.append(of)
+    del ranked, segment
+    rows, owner = np.vstack(found), np.concatenate(owner)
     del found
-    # met rows come by defender and then in lexicographic order, as keys do
-    keys = _row_keys(owner, met_rows)
-    olds = [bases[b] for b in met]
-    old = _row_keys(np.repeat(met, [o.shape[0] for o in olds]), np.vstack(olds))
+    if folded.size and met.size:  # the folded fronts came first
+        order = np.argsort(owner, kind="stable")
+        rows, owner = rows[order], owner[order]
+    keys = _row_keys(owner, rows)
+    old = _row_keys(np.repeat(np.arange(len(bases)), [b.shape[0] for b in bases]), np.vstack(bases))
     at = np.minimum(np.searchsorted(keys, old), keys.size - 1)
     fresh = np.ones(keys.size, dtype=bool)
     fresh[at[keys[at] == old]] = False
-    del keys, old, at
-    ends = np.searchsorted(owner, met, side="right")[:-1]
-    for b, r, m in zip(met, np.split(met_rows, ends), np.split(fresh, ends)):
-        fronts[b] = (r.copy(), m)
-    return fronts
+    return rows, owner, fresh
 
 
 class _Engine:
@@ -550,76 +552,65 @@ class _Engine:
     ``cur`` that are not in ``old`` (``_Fresh``), for maps whose upward
     closures grow from ``old`` to ``cur``; ``old`` itself is not needed.
     With every row marked new (``old`` empty) it is the plain pass over
-    the full fronts.  Edges are numbered in position order; ``moves``
-    lists each position's successors with their edge numbers.
+    the full fronts.  Positions are numbered in the order of ``ids``, and a
+    map is a list of row matrices indexed by position number.  Edges are
+    numbered in position order: position ``k`` owns the edges
+    ``out_start[k]:out_start[k + 1]``, each leading to ``target``.
     """
 
     def __init__(self, game: GameGraph):
         self.n = game.dimension
         self.ids = game.position_ids
-        self.index = {g: k for k, g in enumerate(self.ids)}
-        self.is_attacker = {g: game.owner(g) is Owner.ATTACKER for g in self.ids}
-        edges = [(g, target, update) for g in self.ids for target, update in game.successors(g)]
-        self.inverses = _Inverses([update for _, _, update in edges], self.n)
-        self.moves: dict[str, list[tuple[str, int]]] = {g: [] for g in self.ids}
-        self.defenders_of: dict[str, list[str]] = {g: [] for g in self.ids}
-        # per position, the largest front value that every pull-back over
-        # an incoming edge keeps within int64
-        growth = dict.fromkeys(self.ids, 0)
-        for e, (g, target, _) in enumerate(edges):
-            self.moves[g].append((target, e))
-            if not self.is_attacker[g]:
-                self.defenders_of[target].append(g)
-            growth[target] = max(growth[target], self.inverses.growth[e])
-        self.limit = {g: _INT64_MAX - growth[g] for g in self.ids}
+        moves = [game.successors(g) for g in self.ids]
+        self.attacker = np.array([game.owner(g) is Owner.ATTACKER for g in self.ids], dtype=bool)
+        self.out_start = np.cumsum([0, *map(len, moves)])
+        # the ids are sorted, so a bisection numbers each target
+        self.target = np.array([bisect_left(self.ids, t) for m in moves for t, _ in m], np.intp)
+        self.inverses = _Inverses([update for m in moves for _, update in m], self.n)
+        source = np.repeat(np.arange(len(self.ids)), np.diff(self.out_start))
+        defended = ~self.attacker[source]
+        self.defender_source, self.defender_target = source[defended], self.target[defended]
+        # per position, the largest front value that every pull-back over an
+        # incoming edge keeps within int64; -1 refuses every row
+        edge_limit = [max(_INT64_MAX - growth, -1) for growth in self.inverses.growth]
+        self.limit = np.full(len(self.ids), _INT64_MAX)
+        np.minimum.at(self.limit, self.target, edge_limit)
         # the attacker edges by target position: those into position k are
         # pull_edge[pull_start[k]:pull_start[k + 1]], from pull_source
-        into = sorted(
-            (self.index[target], e, self.index[g])
-            for e, (g, target, _) in enumerate(edges)
-            if self.is_attacker[g]
-        )
-        self.pull_edge = np.array([e for _, e, _ in into], dtype=np.intp)
-        self.pull_source = np.array([g for _, _, g in into], dtype=np.intp)
-        self.pull_start = np.searchsorted([k for k, _, _ in into], np.arange(len(self.ids) + 1))
+        edges = np.flatnonzero(~defended)
+        self.pull_edge = edges[np.argsort(self.target[edges], kind="stable")]
+        self.pull_source = source[self.pull_edge]
+        self.pull_start = np.searchsorted(self.target[self.pull_edge], np.arange(len(self.ids) + 1))
 
-    def _empty(self) -> np.ndarray:
-        return np.empty((0, self.n), dtype=np.int64)
+    def from_fronts(self, fronts: Mapping[str, ParetoFront]) -> list[np.ndarray]:
+        """The row map of ``fronts``, which names every position once."""
+        if unknown := set(fronts) - set(self.ids):
+            raise KeyError(f"unknown position {min(unknown)!r}")
+        if missing := [g for g in self.ids if g not in fronts]:
+            raise KeyError(f"no front given for position {missing[0]!r}")
+        limits = self.limit.tolist()
+        return [_front_to_rows(g, fronts[g], self.n, limits[k]) for k, g in enumerate(self.ids)]
 
-    def empty_map(self) -> dict[str, np.ndarray]:
-        return {g: self._empty() for g in self.ids}
-
-    def from_fronts(self, fronts: Mapping[str, ParetoFront]) -> dict[str, np.ndarray]:
-        return {g: _front_to_rows(fronts[g], self.n, self.limit[g]) for g in self.ids}
-
-    def start(self) -> dict[str, np.ndarray]:
+    def start(self) -> list[np.ndarray]:
         """``F`` of the empty map: the zero row at defender deadlocks, empty
         elsewhere.  Nothing else is carried into the passes."""
-        return {
-            g: np.zeros((1, self.n), dtype=np.int64)
-            if not self.is_attacker[g] and not self.moves[g]
-            else self._empty()
-            for g in self.ids
-        }
+        deadlock = ~self.attacker & (np.diff(self.out_start) == 0)
+        return [np.zeros((int(d), self.n), dtype=np.int64) for d in deadlock]
 
-    def every_row(self, rows: Mapping[str, np.ndarray]) -> _Fresh:
+    def every_row(self, rows: list[np.ndarray]) -> _Fresh:
         """Every row of the map ``rows`` marked new."""
-        grown = [g for g in self.ids if rows[g].shape[0]]
-        return _Fresh(
-            {g: np.ones(rows[g].shape[0], dtype=bool) for g in grown},
-            np.vstack([self._empty(), *(rows[g] for g in grown)]),
-            np.repeat(
-                np.array([self.index[g] for g in grown], dtype=np.intp),
-                [rows[g].shape[0] for g in grown],
-            ),
-        )
+        sizes = [r.shape[0] for r in rows]
+        masks = [np.ones(size, dtype=bool) if size else None for size in sizes]
+        pos = np.repeat(np.arange(len(rows)), sizes)
+        return _Fresh(masks, np.vstack([np.empty((0, self.n), dtype=np.int64), *rows]), pos)
 
     def attacker_pass(
-        self, fresh: _Fresh, base: Mapping[str, np.ndarray]
-    ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
-        """``min(base ∪ ⋃_t inv_t(Δ_t))`` and the mask of its new rows, for
-        every attacker with a successor that gained rows; and those new rows
-        stacked in position order, with their position numbers.
+        self, fresh: _Fresh, base: list[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``min(base ∪ ⋃_t inv_t(Δ_t))`` for every attacker with a successor
+        that gained rows, stacked by position and then in lexicographic
+        order; their position numbers; and the mask of the rows absent from
+        ``base``.
 
         The stacked new rows of the previous pass are pulled back over all
         their incoming attacker edges in one call.  Every union is
@@ -627,33 +618,24 @@ class _Engine:
         attacker, with all ``base`` rows stacked before the pulled rows.
         """
         # each new row once per attacker edge into its position
-        lo = self.pull_start[fresh.pos]
-        count = self.pull_start[fresh.pos + 1] - lo
-        k = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-        delta = fresh.rows[np.repeat(np.arange(fresh.pos.size), count)]
+        lo, hi = self.pull_start[fresh.pos], self.pull_start[fresh.pos + 1]
+        k = _ranges(lo, hi)
+        delta = fresh.rows[np.repeat(np.arange(fresh.pos.size), hi - lo)]
         pulled, source = self.inverses.pull(self.pull_edge[k], delta), self.pull_source[k]
         sources = np.flatnonzero(np.bincount(source, minlength=len(self.ids)))
-        bases = [base[self.ids[s]] for s in sources]
+        bases = [base[s] for s in sources.tolist()]
         rows = np.vstack([*bases, pulled])
         segments = np.concatenate([np.repeat(sources, [b.shape[0] for b in bases]), source])
         keep = _minimize_segments(rows, segments)
-        grown = keep >= rows.shape[0] - pulled.shape[0]
-        ends = np.searchsorted(segments[keep], sources, side="right").tolist()
-        fronts = rows[keep]
-        # each front its own copy: a view would keep the whole batch alive
-        found = {
-            self.ids[s]: (fronts[a:b].copy(), grown[a:b])
-            for s, a, b in zip(sources, [0, *ends], ends)
-        }
-        return found, fronts[grown], segments[keep[grown]]
+        return rows[keep], segments[keep], keep >= rows.shape[0] - pulled.shape[0]
 
     def defender_pass(
-        self, cur: Mapping[str, np.ndarray], fresh: _Fresh, base: Mapping[str, np.ndarray]
-    ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
+        self, cur: list[np.ndarray], fresh: _Fresh, base: list[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``min(⋂_i ↑N_i)`` over the pulled-back successor fronts N of
-        ``cur`` and the mask of its rows absent from ``base``, for every
-        defender with a successor that gained rows; and those new rows
-        stacked in position order, with their position numbers.
+        ``cur``, for every defender with a successor that gained rows,
+        stacked by position and then in lexicographic order; their position
+        numbers; and the mask of the rows absent from ``base``.
 
         The successor fronts of all these defenders are pulled back in one
         call, and a defender keeps nothing between passes.  The fronts are
@@ -662,48 +644,51 @@ class _Engine:
         D_i are the pulled-back new rows, and O_i the pulled-back rows that
         the previous map held as well.
         """
-        names = sorted({d for t in fresh.masks for d in self.defenders_of[t]})
-        if not names:
-            return {}, self._empty(), np.empty(0, dtype=np.intp)
-        moves = [move for g in names for move in self.moves[g]]
-        counts = [cur[t].shape[0] for t, _ in moves]
-        fronts = _defender_batch(
-            self.inverses.pull(
-                np.repeat([e for _, e in moves], counts), np.vstack([cur[t] for t, _ in moves])
-            ),
+        changed = np.bincount(fresh.pos, minlength=len(self.ids)) > 0
+        names = np.unique(self.defender_source[changed[self.defender_target]])
+        if not names.size:
+            return np.empty((0, self.n), dtype=np.int64), names, np.empty(0, dtype=bool)
+        lo, hi = self.out_start[names], self.out_start[names + 1]
+        edges = _ranges(lo, hi)
+        targets = self.target[edges].tolist()
+        counts = [cur[t].shape[0] for t in targets]
+        rows, owner, grown = _defender_batch(
+            self.inverses.pull(np.repeat(edges, counts), np.vstack([cur[t] for t in targets])),
             counts,
-            [len(self.moves[g]) for g in names],
-            [base[g] for g in names],
-            [fresh.masks.get(t) for t, _ in moves],
+            (hi - lo).tolist(),
+            [base[d] for d in names.tolist()],
+            [fresh.masks[t] for t in targets],
         )
-        new = [rows[mask] for rows, mask in fronts]
-        return (
-            dict(zip(names, fronts)),
-            np.vstack(new),
-            np.repeat([self.index[g] for g in names], [rows.shape[0] for rows in new]),
-        )
+        return rows, names[owner], grown
 
     def delta_pass(
-        self, cur: Mapping[str, np.ndarray], fresh: _Fresh, base: Mapping[str, np.ndarray]
-    ) -> tuple[dict[str, np.ndarray], _Fresh]:
+        self, cur: list[np.ndarray], fresh: _Fresh, base: list[np.ndarray]
+    ) -> tuple[list[np.ndarray], _Fresh]:
         """``F(cur)`` and its new rows: those absent from ``base``.
 
         ``fresh`` holds the rows of ``cur`` absent from the previous map
         ``old``, and ``base`` is ``F(old)``; ``old`` itself is never read.
-        A position with no new rows among its successors keeps its array;
-        no other state passes from one pass to the next.
+        The map starts as a copy of ``base``, and each side's pass writes
+        its fronts into it: a position with no new rows among its
+        successors keeps its array.  No other state passes from one pass to
+        the next.
         """
-        found, rows, pos = self.attacker_pass(fresh, base)
-        defended, more_rows, more_pos = self.defender_pass(cur, fresh, base)
-        found.update(defended)
-        new = dict(base)
-        new.update((g, front) for g, (front, _) in found.items())
-        pos = np.concatenate([pos, more_pos])
+        new, masks, rows, pos = list(base), [None] * len(self.ids), [], []
+        sides = self.attacker_pass(fresh, base), self.defender_pass(cur, fresh, base)
+        for fronts, owner, grown in sides:
+            touched = np.flatnonzero(np.bincount(owner, minlength=len(self.ids)))
+            firsts = np.searchsorted(owner, touched).tolist()
+            gained = np.bincount(owner[grown], minlength=len(self.ids)).tolist()
+            for k, a, b in zip(touched.tolist(), firsts, [*firsts[1:], owner.size]):
+                # each front its own copy: a view would keep the whole stack alive
+                new[k] = fronts[a:b].copy()
+                if gained[k]:
+                    masks[k] = grown[a:b]
+            rows.append(fronts[grown])
+            pos.append(owner[grown])
+        pos = np.concatenate(pos)
         order = np.argsort(pos, kind="stable")
-        pos = pos[order]
-        grown = [self.ids[k] for k in np.unique(pos)]
-        masks = {g: found[g][1] for g in grown}
-        return new, _Fresh(masks, np.vstack([rows, more_rows])[order], pos)
+        return new, _Fresh(masks, np.vstack(rows)[order], pos[order])
 
 
 @dataclass(frozen=True, eq=False)
@@ -729,7 +714,7 @@ class SolverResult:
 
     @cached_property
     def fronts(self) -> FrontMap:
-        return _to_fronts(self.rows)
+        return _to_fronts(self.rows, self.rows.values())
 
     def entry_pass(self, g: str, e: Energy) -> int | None:
         """First pass after which ``e`` is winning at ``g``, or ``None``
@@ -762,11 +747,17 @@ def compute_new_win(game: GameGraph, old_win: Mapping[str, ParetoFront], g: str)
 
 
 def iterate_once(game: GameGraph, old_win: Mapping[str, ParetoFront]) -> FrontMap:
-    """One full pass over all positions, reading only the old snapshot."""
-    engine = _Engine(game)
+    """One full pass over all positions, reading only the old snapshot.
+
+    ``old_win`` names every position once: a key that is not a position,
+    or a position without a front, raises ``KeyError`` naming it, and a
+    front of the wrong dimension ``DimensionMismatch`` naming its position.
+    Raises ``InvalidGameError`` for a game that fails ``GameGraph.validate``.
+    """
+    engine = _Engine(game.require_valid())
     cur = engine.from_fronts(old_win)
     new, _ = engine.delta_pass(cur, engine.every_row(cur), engine.start())
-    return _to_fronts(new)
+    return _to_fronts(engine.ids, new)
 
 
 def _entry_log(
@@ -793,7 +784,7 @@ def _entry_log(
     while log:
         rows, _, firsts = log.pop(0)
         hi = lo + firsts.size
-        entries[np.repeat(start[lo:hi] - firsts, size[lo:hi]) + np.arange(rows.shape[0])] = rows
+        entries[_ranges(start[lo:hi], start[lo:hi] + size[lo:hi])] = rows
         lo = hi
     stamps = np.repeat(stamp[order], size[order])
     cuts = np.concatenate([[0], end])[
@@ -806,33 +797,34 @@ def _solve_jacobi(
     engine: _Engine, cap: int | None
 ) -> tuple[int, dict[str, np.ndarray], int, EntryLog]:
     """Passes, fixed point, largest front and entry log of one solve."""
-    prev = engine.empty_map()
+    ids = engine.ids
     win = engine.start()
+    prev = [rows[:0] for rows in win]
     fresh = engine.every_row(win)
-    # a limit below 0 refuses every row as well as a more negative one
-    limits = np.array([max(engine.limit[g], -1) for g in engine.ids], dtype=np.int64)
     log: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     max_front = 0
     passes = 1
-    while fresh.masks:
+    while fresh.pos.size:
         top = fresh.rows.max(1)
-        over = top > limits[fresh.pos]
+        over = top > engine.limit[fresh.pos]
         if over.any():
             k = fresh.pos[over.argmax()]
             raise MagnitudeOverflow(
-                f"front of {engine.ids[k]!r} reaches {int(top[fresh.pos == k].max())}; "
+                f"front of {ids[k]!r} reaches {int(top[fresh.pos == k].max())}; "
                 "pulling it back over an incoming edge could exceed int64"
             )
         firsts = np.flatnonzero(np.diff(fresh.pos, prepend=-1))
+        grown = fresh.pos[firsts].tolist()
         log.append((fresh.rows, fresh.pos[firsts], firsts))
-        max_front = max(max_front, *(win[g].shape[0] for g in fresh.masks))
+        max_front = max(max_front, *(win[k].shape[0] for k in grown))
         if cap is not None and passes > cap:
-            growing = {g: int(np.count_nonzero(mask)) for g, mask in fresh.masks.items()}
-            raise IterationCapExceeded(cap, _to_fronts(prev), _to_fronts(win), growing)
+            gained = np.diff(firsts, append=fresh.pos.size).tolist()
+            growing = {ids[k]: count for k, count in zip(grown, gained)}
+            raise IterationCapExceeded(cap, _to_fronts(ids, prev), _to_fronts(ids, win), growing)
         new, fresh = engine.delta_pass(win, fresh, win)
         passes += 1
         prev, win = win, new
-    return passes, win, max_front, _entry_log(engine.ids, engine.n, log)
+    return passes, dict(zip(ids, win)), max_front, _entry_log(ids, engine.n, log)
 
 
 def compute_winning_budgets(game: GameGraph, *, iteration_cap: int | None = None) -> SolverResult:

@@ -456,24 +456,25 @@ def minimiser_inputs(game: GameGraph) -> list[np.ndarray]:
     return inputs
 
 
-def plain_pass(engine: solver._Engine, old: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+def plain_pass(game: GameGraph, old: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Reference pass: every position from the full fronts of ``old``.
 
     Attackers minimise all pulled-back successor fronts; defenders fold
-    the full pairwise sup-product, starting from the zero row.
+    the full pairwise sup-product, starting from the zero row.  Each edge
+    pulls its successor's front back through an ``_Inverses`` of its own
+    update alone, read off the game graph.
     """
-    n = engine.n
+    n = game.dimension
     new = {}
-    for g in engine.ids:
-        if engine.is_attacker[g]:
-            pulled = [engine.inverses.pull(e, old[t]) for t, e in engine.moves[g]]
+    for g in game.position_ids:
+        pulled = [solver._Inverses([u], n).pull(0, old[t]) for t, u in game.successors(g)]
+        if game.owner(g) is Owner.ATTACKER:
             rows = np.vstack([np.empty((0, n), np.int64), *pulled])
             rows = rows[solver._minimize_rows(rows)]
         else:
             rows = np.zeros((1, n), dtype=np.int64)
-            for t, e in engine.moves[g]:
-                pulled = engine.inverses.pull(e, old[t])
-                sups = np.maximum(rows[:, None, :], pulled[None, :, :]).reshape(-1, n)
+            for front in pulled:
+                sups = np.maximum(rows[:, None, :], front[None, :, :]).reshape(-1, n)
                 rows = sups[solver._minimize_rows(sups)]
         new[g] = rows
     return new
@@ -485,19 +486,19 @@ def plain_jacobi(game: GameGraph, cap: int | None = None) -> list[dict[str, np.n
     cap check does, with the row maps of the last two passes and the
     number of rows each position gained in the last one; ``cap=None``
     means no cap, as in the solver."""
-    engine = solver._Engine(game)
-    history = [engine.empty_map()]
+    ids = game.position_ids
+    history = [{g: np.empty((0, game.dimension), dtype=np.int64) for g in ids}]
     while True:
         if cap is not None and len(history) - 1 > cap:
             previous, current = history[-2], history[-1]
             gained = {
                 g: len(set(map(tuple, current[g].tolist())) - set(map(tuple, previous[g].tolist())))
-                for g in engine.ids
+                for g in ids
             }
             growing = {g: count for g, count in gained.items() if count}
             raise IterationCapExceeded(cap, previous, current, growing)
-        history.append(plain_pass(engine, history[-1]))
-        if all(np.array_equal(history[-1][g], history[-2][g]) for g in engine.ids):
+        history.append(plain_pass(game, history[-1]))
+        if all(np.array_equal(history[-1][g], history[-2][g]) for g in ids):
             return history
 
 

@@ -323,11 +323,12 @@ def meet_batches(draw) -> tuple[int, list[list[list[tuple[int, ...]]]], list, li
 
 
 def test_meet_matches_reference(monkeypatch):
-    """Per defender of a batch, the meet's rows are the minimal sups of one
-    row per factor, in lexicographic order, and its mask marks those not
-    in its earlier front; a defender with an empty factor keeps its front,
-    which is then empty.  Every route is taken: defenders met on one
-    shared grid, defenders met each on its own grid, and the fold."""
+    """The batch stacks its rows by defender.  Per defender, the meet's
+    rows are the minimal sups of one row per factor, in lexicographic
+    order, and its mask marks those not in its earlier front; a defender
+    with an empty factor contributes no rows.  Every route is taken:
+    defenders met on one shared grid, defenders met each on its own grid,
+    and the fold."""
     routes = {"shared": 0, "own": 0, "fold": 0}
     meets: list[int] = []  # meets per grid, in the current batch
     meet_cells, fold = solver._meet_cells, solver._telescoped_fold
@@ -349,7 +350,7 @@ def test_meet_matches_reference(monkeypatch):
         n, defenders, bases, new = batch
         factors = [np.array(f, dtype=np.int64).reshape(len(f), n) for fs in defenders for f in fs]
         meets.clear()
-        fronts = solver._defender_batch(
+        stack, owner, fresh = solver._defender_batch(
             np.vstack(factors),
             [f.shape[0] for f in factors],
             [len(fs) for fs in defenders],
@@ -358,8 +359,11 @@ def test_meet_matches_reference(monkeypatch):
         )
         routes["shared"] += any(m > 1 for m in meets)
         routes["own"] += len(meets) > 1
-        assert len(fronts) == len(defenders)
-        for fs, base, (rows, mask) in zip(defenders, bases, fronts):
+        assert stack.shape[0] == owner.size == fresh.size
+        assert all(0 <= b < len(defenders) for b in owner.tolist())
+        assert owner.tolist() == sorted(owner.tolist())
+        for b, (fs, base) in enumerate(zip(defenders, bases)):
+            rows, mask = stack[owner == b], fresh[owner == b]
             expected = reference_meet(fs)
             assert list(map(tuple, rows.tolist())) == expected
             assert mask.tolist() == [r not in set(base) for r in expected]

@@ -24,6 +24,7 @@ from conftest import (
 from galois_energy import solver
 from galois_energy.errors import (
     DimensionMismatch,
+    InvalidGameError,
     IterationCapExceeded,
     MagnitudeOverflow,
     StrategyError,
@@ -106,6 +107,56 @@ def test_compute_new_win_empty_successor_front():
 def test_compute_new_win_rejects_attacker_position(espresso):
     with pytest.raises(ValueError):
         compute_new_win(espresso, empty_map(espresso), "Office")
+
+
+def _fork() -> GameGraph:
+    return GameGraph.build(
+        2,
+        [("d", Owner.DEFENDER), ("x", Owner.ATTACKER)],
+        [("d", "x", delta(0, 0)), ("x", "d", delta(-1, 0))],
+    )
+
+
+def test_iterate_once_names_a_front_of_the_wrong_dimension():
+    fronts = {"d": ParetoFront.empty(), "x": minimize([E(1, 2, 3)])}
+    with pytest.raises(DimensionMismatch, match="'x'"):
+        iterate_once(_fork(), fronts)
+    with pytest.raises(DimensionMismatch, match="'x'"):
+        compute_new_win(_fork(), fronts, "d")
+
+
+def test_iterate_once_names_a_missing_position():
+    with pytest.raises(KeyError, match="no front given for position 'd'"):
+        iterate_once(_fork(), {"x": minimize([E(1, 0)])})
+    with pytest.raises(KeyError, match="no front given for position 'x'"):
+        compute_new_win(_fork(), {"d": ParetoFront.empty()}, "d")
+
+
+def test_iterate_once_refuses_a_key_that_is_not_a_position():
+    fronts = {"d": ParetoFront.empty(), "x": minimize([E(1, 0)]), "y": ParetoFront.empty()}
+    with pytest.raises(KeyError, match="unknown position 'y'"):
+        iterate_once(_fork(), fronts)
+    with pytest.raises(KeyError, match="unknown position 'y'"):
+        compute_new_win(_fork(), fronts, "d")
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ([], []),
+        ([3, 5, 5, 0, 9, 2], [7, 5, 5, 4, 9, 3]),
+        ([0, 4, 4], [0, 4, 6]),
+        ([11], [5011]),
+    ],
+)
+def test_ranges_concatenates_aranges(bounds):
+    """No ranges, empty ranges in the middle and at either end, and one
+    long range."""
+    lo, hi = (np.array(b, dtype=np.intp) for b in bounds)
+    expected = np.concatenate([np.empty(0, np.intp), *map(np.arange, lo, hi)])
+    got = solver._ranges(lo, hi)
+    assert got.dtype.kind == "i"
+    assert got.tolist() == expected.tolist()
 
 
 def test_single_attacker_deadlock_loses():
@@ -299,13 +350,13 @@ def test_history_matches_plain_pass_with_attacker_unions_on_both_sides_of_the_ch
 @pytest.mark.parametrize("name", ["mwr-grid", "espresso"])
 def test_attacker_pass_minimises_every_union_in_one_call(name, monkeypatch):
     """Each attacker pass of a solve minimises the unions of all touched
-    attackers in exactly one ``_minimize_segments`` call, and none through
-    ``_min_union``: on the benchmark's 16×16 multi-reachability grid and
-    on espresso with target 16."""
+    attackers in exactly one ``_minimize_segments`` call, and makes no
+    ``_minimize_rows`` call: on the benchmark's 16×16 multi-reachability
+    grid and on espresso with target 16."""
     calls = []  # per attacker pass, the minimiser calls made inside it
     inside = []
     attacker_pass = solver._Engine.attacker_pass
-    segments, min_union = solver._minimize_segments, solver._min_union
+    segments, minimize_rows = solver._minimize_segments, solver._minimize_rows
 
     def counted_pass(self, *args):
         calls.append([])
@@ -325,10 +376,21 @@ def test_attacker_pass_minimises_every_union_in_one_call(name, monkeypatch):
 
     monkeypatch.setattr(solver._Engine, "attacker_pass", counted_pass)
     monkeypatch.setattr(solver, "_minimize_segments", counted("segments", segments))
-    monkeypatch.setattr(solver, "_min_union", counted("union", min_union))
+    monkeypatch.setattr(solver, "_minimize_rows", counted("rows", minimize_rows))
     compute_winning_budgets(grid_game(16, 3) if name == "mwr-grid" else espresso_with_target(16))
     assert len(calls) > 30
     assert all(c == ["segments"] for c in calls)
+
+
+def _changed_defenders(game: GameGraph, fresh) -> list[str]:
+    """The defenders of ``game`` with a successor among the positions that
+    gained rows, named by ``fresh.pos``, in id order."""
+    grown = {game.position_ids[k] for k in fresh.pos.tolist()}
+    return [
+        g
+        for g in game.position_ids
+        if game.owner(g) is Owner.DEFENDER and any(t in grown for t, _ in game.successors(g))
+    ]
 
 
 def test_each_pass_pulls_and_meets_its_defenders_in_one_batch(monkeypatch):
@@ -339,13 +401,14 @@ def test_each_pass_pulls_and_meets_its_defenders_in_one_batch(monkeypatch):
     attacker pass reads the new rows of the pass before only as one stacked
     matrix: it runs without the per-position masks, and the solve keeps
     its answers."""
+    game = grid_game(16, 3)
     calls = []  # per defender pass: its defenders, pulls and meets per grid
     inside = []
     defender_pass, attacker_pass = solver._Engine.defender_pass, solver._Engine.attacker_pass
     pull, meet_cells = solver._Inverses.pull, solver._meet_cells
 
     def counted_pass(self, cur, fresh, base):
-        changed = {d for t in fresh.masks for d in self.defenders_of[t]}
+        changed = _changed_defenders(game, fresh)
         calls.append({"defenders": len(changed), "pulls": 0, "meets": []})
         inside.append(True)
         try:
@@ -366,7 +429,6 @@ def test_each_pass_pulls_and_meets_its_defenders_in_one_batch(monkeypatch):
     def maskless_pass(self, fresh, base):
         return attacker_pass(self, fresh._replace(masks=None), base)
 
-    game = grid_game(16, 3)
     expected = compute_winning_budgets(game)
     monkeypatch.setattr(solver._Engine, "defender_pass", counted_pass)
     monkeypatch.setattr(solver._Inverses, "pull", counted_pull)
@@ -692,8 +754,11 @@ def test_defender_over_the_grid_cap_folds(monkeypatch):
     assert math.prod(len(np.unique(c)) for c in union.T) > solver._GRID_CELL_CAP
     paths = _count_defender_paths(monkeypatch)
     got = iterate_once(game, fronts)["d"]
-    engine = solver._Engine(game)
-    expected = plain_pass(engine, engine.from_fronts(fronts))["d"]
+    rows = {
+        g: np.array([e.components for e in f], dtype=np.int64).reshape(-1, 5)
+        for g, f in fronts.items()
+    }
+    expected = plain_pass(game, rows)["d"]
     assert paths == {"meet": 0, "fold": 1}
     assert [e.components for e in got] == list(map(tuple, expected.tolist()))
     assert len(got) > 0
@@ -729,8 +794,13 @@ def test_fold_splits_the_current_fronts_by_their_new_rows(monkeypatch):
     fronts, so the fold would no longer telescope.  Under the default cap
     espresso never folds; a cap of 2^16 cells sends 37 defenders there."""
     monkeypatch.setattr(solver, "_GRID_CELL_CAP", 1 << 16)
-    calls = []  # per defender pass: engine, pass, defenders, then its folds
+    game = espresso_with_target(16)
+    calls = []  # per defender pass: pass, defenders, then its folds
     passes = []
+
+    def pull(update, rows):
+        return solver._Inverses([update], game.dimension).pull(0, rows)
+
     delta_pass, defender_pass, fold = (
         solver._Engine.delta_pass,
         solver._Engine.defender_pass,
@@ -742,8 +812,7 @@ def test_fold_splits_the_current_fronts_by_their_new_rows(monkeypatch):
         return delta_pass(self, *args)
 
     def named_defenders(self, cur, fresh, base):
-        names = sorted({d for t in fresh.masks for d in self.defenders_of[t]})
-        calls.append([self, len(passes), names])
+        calls.append([len(passes), _changed_defenders(game, fresh)])
         return defender_pass(self, cur, fresh, base)
 
     def recorded_fold(base, deltas, after, before):
@@ -753,12 +822,12 @@ def test_fold_splits_the_current_fronts_by_their_new_rows(monkeypatch):
     monkeypatch.setattr(solver._Engine, "delta_pass", counted_pass)
     monkeypatch.setattr(solver._Engine, "defender_pass", named_defenders)
     monkeypatch.setattr(solver, "_telescoped_fold", recorded_fold)
-    maps = history(compute_winning_budgets(espresso_with_target(16)))
-    folds = [(engine, k, names, *f) for engine, k, names, *fs in calls for f in fs]
+    maps = history(compute_winning_budgets(game))
+    folds = [(k, names, *f) for k, names, *fs in calls for f in fs]
     assert len(folds) == 37
     shrunk = 0
     several = 0
-    for engine, k, names, deltas, after, before in folds:
+    for k, names, deltas, after, before in folds:
         nonempty = sum(d.shape[0] > 0 for d in deltas)
         assert nonempty >= 1
         several += nonempty >= 2
@@ -766,18 +835,18 @@ def test_fold_splits_the_current_fronts_by_their_new_rows(monkeypatch):
         (g,) = [
             g
             for g in names
-            if len(engine.moves[g]) == len(after)
+            if len(game.successors(g)) == len(after)
             and all(
-                np.array_equal(n_i, engine.inverses.pull(e, maps[k][t]))
-                for (t, e), n_i in zip(engine.moves[g], after)
+                np.array_equal(n_i, pull(u, maps[k][t]))
+                for (t, u), n_i in zip(game.successors(g), after)
             )
         ][:1]
-        for (t, e), d_i, n_i, o_i in zip(engine.moves[g], deltas, after, before):
+        for (t, u), d_i, n_i, o_i in zip(game.successors(g), deltas, after, before):
             rows, previous = maps[k][t], {tuple(r) for r in maps[k - 1][t].tolist()}
             kept = np.array([tuple(r) in previous for r in rows.tolist()], dtype=bool)
-            assert np.array_equal(n_i, engine.inverses.pull(e, rows))
-            assert np.array_equal(d_i, engine.inverses.pull(e, rows[~kept]))
-            assert np.array_equal(o_i, engine.inverses.pull(e, rows[kept]))
+            assert np.array_equal(n_i, pull(u, rows))
+            assert np.array_equal(d_i, pull(u, rows[~kept]))
+            assert np.array_equal(o_i, pull(u, rows[kept]))
             shrunk += np.count_nonzero(kept) < len(previous)
     assert several == 32
     assert shrunk >= 1
@@ -787,3 +856,14 @@ def test_invalid_game_rejected():
     game = GameGraph.build(1, [("a", Owner.ATTACKER)], [("a", "ghost", delta(0))])
     with pytest.raises(Exception):
         compute_winning_budgets(game)
+
+
+def test_iterate_once_rejects_an_edge_to_an_unknown_position():
+    """The engine numbers edge targets among the sorted position ids, so
+    an edge to a position the game lacks is refused before numbering."""
+    game = GameGraph.build(
+        1, [("a", Owner.ATTACKER), ("z", Owner.DEFENDER)], [("a", "ghost", delta(0))]
+    )
+    fronts = {"a": ParetoFront.empty(), "z": ParetoFront.empty()}
+    with pytest.raises(InvalidGameError, match="edge to unknown position 'ghost'"):
+        iterate_once(game, fronts)
