@@ -20,6 +20,12 @@ An update is a list of steps; a step lists one spec per component:
 ``{"op": "mul", "m": nat}``.  Parallel edges in a file are legal and get
 rerouted through fresh auxiliary positions on load; the load report
 records every insertion.
+
+Game files label many edges with few distinct updates, so each distinct
+update is parsed once: edges whose update JSON is equal share one
+``Update`` object, and the solver and the oracle compile one plan per
+object.  A shared update accepts and rejects exactly what a parse per
+edge would (``_json_key``).
 """
 
 from __future__ import annotations
@@ -129,6 +135,17 @@ def _update_from_json(raw: Any, dimension: int) -> Update:
     return Update(tuple(steps))
 
 
+def _json_key(raw: Any) -> str | int:
+    """The key under which equal update JSON shares one parse: ``repr(raw)``,
+    which tells ``1``, ``1.0`` and ``true`` apart (a key on values would
+    not, as ``True == 1``); for a value ``repr`` refuses, an integer past
+    Python's digit limit, the id of ``raw``."""
+    try:
+        return repr(raw)
+    except ValueError:
+        return id(raw)
+
+
 def _update_to_json(update: Update) -> list[list[dict[str, Any]]]:
     return [[_spec_to_json(s) for s in atom.specs] for atom in update.steps]
 
@@ -162,11 +179,15 @@ def game_from_dict(doc: Any) -> LoadedGame:
         raise GameFileError(f"dimension must be at least 1, got {dimension}")
     positions = [_position(p) for p in _list_field(doc, "positions")]
     edges: list[tuple[str, str, Update]] = []
+    parsed: dict[str | int, Update] = {}
     for e in _list_field(doc, "edges"):
         if not isinstance(e, dict) or "from" not in e or "to" not in e or "update" not in e:
             raise GameFileError(f"bad edge entry {e!r}")
         source, target = _id(e["from"], "an edge end"), _id(e["to"], "an edge end")
-        edges.append((source, target, _update_from_json(e["update"], dimension)))
+        key = _json_key(e["update"])
+        if key not in parsed:
+            parsed[key] = _update_from_json(e["update"], dimension)
+        edges.append((source, target, parsed[key]))
     positions, edges, insertions = split_parallel_edges(positions, edges)
     game = GameGraph.build(dimension, positions, edges)
     try:

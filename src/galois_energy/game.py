@@ -47,7 +47,8 @@ class Edge:
 class GameGraph:
     """Positions plus at most one update-labelled edge per ordered pair.
 
-    Immutable after construction; derived lookup tables are cached.  Use
+    Immutable after construction; derived lookup tables and the list of
+    violations are computed once and cached.  Use
     :meth:`validate` for diagnostics and :meth:`require_valid` to fail
     fast before handing the graph to the solver or the oracle.
     """
@@ -111,7 +112,12 @@ class GameGraph:
         return not self.successors(g)
 
     def validate(self) -> list[str]:
-        """All structural violations; an empty list means the graph is well formed."""
+        """All structural violations; an empty list means the graph is well
+        formed.  The graph is walked once; each call returns a fresh list."""
+        return list(self._violations)
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
         violations: list[str] = []
         if not is_int(self.dimension):
             violations.append(f"dimension must be an integer, got {self.dimension!r}")
@@ -137,7 +143,7 @@ class GameGraph:
                     f"edge {e.source!r} -> {e.target!r} has update dimension "
                     f"{e.update.dimension}, game has {self.dimension}"
                 )
-        return violations
+        return tuple(violations)
 
     def require_valid(self) -> GameGraph:
         violations = self.validate()
@@ -173,13 +179,15 @@ def split_parallel_edges(
     Each extra edge ``s -u-> t`` becomes ``s -u-> aux -identity-> t`` with
     ``aux`` a fresh attacker position.  The auxiliary has exactly one
     outgoing edge, so it adds no choice and cannot deadlock; attacker
-    ownership is an arbitrary, recorded convention.
+    ownership is an arbitrary, recorded convention.  The identity edges
+    of one dimension share one ``Update``.
     """
     out_positions = list(positions)
     taken = {pid for pid, _ in positions}
     seen: set[tuple[str, str]] = set()
     out_edges: list[tuple[str, str, Update]] = []
     report: list[AuxiliaryInsertion] = []
+    identity: dict[int, Update] = {}
     for source, target, update in edges:
         if (source, target) not in seen:
             seen.add((source, target))
@@ -189,7 +197,9 @@ def split_parallel_edges(
         taken.add(aux)
         out_positions.append((aux, Owner.ATTACKER))
         out_edges.append((source, aux, update))
-        out_edges.append((aux, target, Update.identity(update.dimension)))
+        if update.dimension not in identity:
+            identity[update.dimension] = Update.identity(update.dimension)
+        out_edges.append((aux, target, identity[update.dimension]))
         seen.add((source, aux))
         seen.add((aux, target))
         report.append(AuxiliaryInsertion(auxiliary=aux, source=source, target=target))

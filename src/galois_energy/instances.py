@@ -10,6 +10,7 @@ several target sets in one play.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .errors import DimensionMismatch
 from .game import GameGraph, Owner, Position, fresh_id, split_parallel_edges
@@ -103,8 +104,19 @@ class MultiReachabilityGame:
             raise ValueError(f"target positions {sorted(unknown)} do not exist")
 
 
-def _subtract(weight: tuple[int, ...]) -> Update:
-    return Update.single(*(Add(-c) for c in weight))
+def _adds() -> Callable[[Iterable[int]], Update]:
+    """A maker of one-step Add updates that returns one shared ``Update``
+    per distinct vector of amounts, so that edges with equal weights share
+    one object and the solver compiles one undo plan for them."""
+    made: dict[tuple[int, ...], Update] = {}
+
+    def add(amounts: Iterable[int]) -> Update:
+        key = tuple(amounts)
+        if key not in made:
+            made[key] = Update.single(*map(Add, key))
+        return made[key]
+
+    return add
 
 
 def from_shortest_path(graph: WeightedGraph) -> tuple[GameGraph, str]:
@@ -131,9 +143,10 @@ def from_vass_coverability(vass: Vass) -> tuple[GameGraph, str, Energy]:
     n = vass.dimension
     sink = fresh_id("__sink", set(vass.states))
     positions = [(q, Owner.ATTACKER) for q in vass.states] + [(sink, Owner.DEFENDER)]
-    edges = [(q, q2, Update.single(*(Add(c) for c in w))) for q, w, q2 in vass.transitions]
+    add = _adds()
+    edges = [(q, q2, add(w)) for q, w, q2 in vass.transitions]
     target_state, target_energy = vass.target
-    edges.append((target_state, sink, _subtract(tuple(int(c) for c in target_energy.components))))
+    edges.append((target_state, sink, add(-int(c) for c in target_energy.components)))
     positions, edges, _ = split_parallel_edges(positions, edges)
     game = GameGraph.build(n, positions, edges).require_valid()
     return game, vass.initial[0], vass.initial[1]
@@ -151,18 +164,21 @@ def from_multi_reachability(m: MultiReachabilityGame) -> GameGraph:
     owner = {p.id: p.owner for p in m.positions}
     goal = fresh_id("__goal", set(owner))
     positions = [(p.id, p.owner) for p in m.positions] + [(goal, Owner.DEFENDER)]
+    add = _adds()
     edges = [
-        (s, t, _subtract(w))
+        (s, t, add(-c for c in w))
         for s, t, w in m.edges
         if not (s in m.targets and owner[s] is Owner.DEFENDER)
     ]
     has_out = {s for s, _, _ in edges}
+    # the identity is the zero weight's update
+    identity = add((0,) * m.dimension)
     for p in m.positions:
         if p.owner is Owner.DEFENDER and p.id not in m.targets and p.id not in has_out:
-            edges.append((p.id, p.id, Update.identity(m.dimension)))
+            edges.append((p.id, p.id, identity))
     for p in m.positions:
         if p.owner is Owner.ATTACKER and p.id in m.targets:
-            edges.append((p.id, goal, Update.identity(m.dimension)))
+            edges.append((p.id, goal, identity))
     positions_out, edges_out, _ = split_parallel_edges(positions, edges)
     return GameGraph.build(m.dimension, positions_out, edges_out).require_valid()
 

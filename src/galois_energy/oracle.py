@@ -100,13 +100,16 @@ class _Arena:
         self.is_defender = np.array([game.owner(g) is Owner.DEFENDER for g in ids])
         # defender deadlocks: the attacker wins at every energy
         self.sink = self.is_defender & np.array([game.is_deadlock(g) for g in ids], dtype=bool)
-        worst = max((_move_magnitude(e.update, bound) for e in game.edges), default=bound)
+        # one compiled move per distinct update object, shared by its edges
+        updates = {id(e.update): e.update for e in game.edges}
+        worst = max((_move_magnitude(u, bound) for u in updates.values()), default=bound)
         if worst > _INT64_MAX:
             raise OracleCapacityError(
                 f"clip bound {bound} lets a move reach {worst}, past the int64 range"
             )
+        compiled = {key: forward(u, bound) for key, u in updates.items()}
         self.moves = [
-            [(self.pos_index[t], forward(u, bound)) for t, u in game.successors(g)] for g in ids
+            [(self.pos_index[t], compiled[id(u)]) for t, u in game.successors(g)] for g in ids
         ]
         # positions with no path to any defender deadlock can never be won,
         # whatever the energy; their configurations need no expansion

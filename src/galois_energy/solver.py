@@ -34,9 +34,9 @@ Each pass returns its new rows stacked in position order, with their
 position numbers.  The attacker side of the next pass runs set-at-a-time,
 as one batch over all positions: that matrix is pulled back over all
 incoming attacker edges in one gather through ``_Inverses``, which holds
-every edge's undo plan as padded per-step arrays.  The unions
-``W_k[g] ∪ ⋃_i D_i`` of every touched attacker are then minimised in one
-call, as the segments of one batch (``_minimize_segments``).
+the undo plan of every distinct update as padded per-step arrays.  The
+unions ``W_k[g] ∪ ⋃_i D_i`` of every touched attacker are then minimised
+in one call, as the segments of one batch (``_minimize_segments``).
 
 A defender position whose successors gained rows is computed as the meet
 ``W_{k+1}[g] = min(⋂_i ↑N_i)`` of the pulled-back fronts ``N_i`` of
@@ -349,7 +349,8 @@ def _meet_cells(
 
 class _Inverses:
     """Batched inverse evaluator: the undo plans of a list of updates,
-    applied to rows that each name their update.
+    applied to rows that each name their update.  ``_Engine`` passes each
+    distinct update once and maps edges to plans itself.
 
     Plans are padded per-step arrays, indexed ``[step, update, component]``;
     step ``s`` undoes an update's ``s``-th last atom, and a shorter plan is
@@ -555,7 +556,11 @@ class _Engine:
     the full fronts.  Positions are numbered in the order of ``ids``, and a
     map is a list of row matrices indexed by position number.  Edges are
     numbered in position order: position ``k`` owns the edges
-    ``out_start[k]:out_start[k + 1]``, each leading to ``target``.
+    ``out_start[k]:out_start[k + 1]``, each leading to ``target``.  Many
+    edges carry the same update object (file loads and transforms share
+    one per distinct update), so ``inverses`` compiles one undo plan per
+    distinct object and ``edge_plan`` names each edge's plan; both pulls
+    read the plans through it.
     """
 
     def __init__(self, game: GameGraph):
@@ -566,21 +571,27 @@ class _Engine:
         self.out_start = np.cumsum([0, *map(len, moves)])
         # the ids are sorted, so a bisection numbers each target
         self.target = np.array([bisect_left(self.ids, t) for m in moves for t, _ in m], np.intp)
-        self.inverses = _Inverses([update for m in moves for _, update in m], self.n)
+        # one undo plan per distinct update object, numbered by first edge;
+        # the game holds the objects, so their ids stay distinct
+        updates = [u for m in moves for _, u in m]
+        distinct = {id(u): u for u in updates}
+        plan = {key: k for k, key in enumerate(distinct)}
+        self.edge_plan = np.array([plan[id(u)] for u in updates], np.intp)
+        self.inverses = _Inverses(list(distinct.values()), self.n)
         source = np.repeat(np.arange(len(self.ids)), np.diff(self.out_start))
         defended = ~self.attacker[source]
         self.defender_source, self.defender_target = source[defended], self.target[defended]
         # per position, the largest front value that every pull-back over an
         # incoming edge keeps within int64; -1 refuses every row
-        edge_limit = [max(_INT64_MAX - growth, -1) for growth in self.inverses.growth]
+        plan_limit = np.array([max(_INT64_MAX - g, -1) for g in self.inverses.growth], np.int64)
         self.limit = np.full(len(self.ids), _INT64_MAX)
-        np.minimum.at(self.limit, self.target, edge_limit)
+        np.minimum.at(self.limit, self.target, plan_limit[self.edge_plan])
         # the attacker edges by target position: those into position k are
-        # pull_edge[pull_start[k]:pull_start[k + 1]], from pull_source
+        # pull_start[k]:pull_start[k + 1], from pull_source through pull_plan
         edges = np.flatnonzero(~defended)
-        self.pull_edge = edges[np.argsort(self.target[edges], kind="stable")]
-        self.pull_source = source[self.pull_edge]
-        self.pull_start = np.searchsorted(self.target[self.pull_edge], np.arange(len(self.ids) + 1))
+        edges = edges[np.argsort(self.target[edges], kind="stable")]
+        self.pull_plan, self.pull_source = self.edge_plan[edges], source[edges]
+        self.pull_start = np.searchsorted(self.target[edges], np.arange(len(self.ids) + 1))
 
     def from_fronts(self, fronts: Mapping[str, ParetoFront]) -> list[np.ndarray]:
         """The row map of ``fronts``, which names every position once."""
@@ -621,7 +632,7 @@ class _Engine:
         lo, hi = self.pull_start[fresh.pos], self.pull_start[fresh.pos + 1]
         k = _ranges(lo, hi)
         delta = fresh.rows[np.repeat(np.arange(fresh.pos.size), hi - lo)]
-        pulled, source = self.inverses.pull(self.pull_edge[k], delta), self.pull_source[k]
+        pulled, source = self.inverses.pull(self.pull_plan[k], delta), self.pull_source[k]
         sources = np.flatnonzero(np.bincount(source, minlength=len(self.ids)))
         bases = [base[s] for s in sources.tolist()]
         rows = np.vstack([*bases, pulled])
@@ -653,7 +664,9 @@ class _Engine:
         targets = self.target[edges].tolist()
         counts = [cur[t].shape[0] for t in targets]
         rows, owner, grown = _defender_batch(
-            self.inverses.pull(np.repeat(edges, counts), np.vstack([cur[t] for t in targets])),
+            self.inverses.pull(
+                np.repeat(self.edge_plan[edges], counts), np.vstack([cur[t] for t in targets])
+            ),
             counts,
             (hi - lo).tolist(),
             [base[d] for d in names.tolist()],

@@ -1,10 +1,12 @@
+import copy
 import json
+import re
 
 import pytest
 
 from galois_energy import fileio
 from galois_energy.errors import GameFileError
-from galois_energy.game import Owner
+from galois_energy.game import GameGraph, Owner
 from galois_energy.lattice import Energy
 from galois_energy.updates import Add, MinOf, Mul
 
@@ -195,6 +197,61 @@ def test_instance_loaders(tmp_path):
 def test_game_file_rejects_non_integers(tmp_path, spec, bad):
     with pytest.raises(GameFileError, match="must be an integer"):
         fileio.load_game(_write(tmp_path, spec(bad)))
+
+
+def _three_edges(*updates):
+    """A one-dimensional game whose attacker ``a`` has one edge, labelled
+    in turn by each of ``updates``, to each of three defender deadlocks."""
+    targets = ["b", "c", "d"]
+    return _doc(
+        positions=[{"id": "a", "owner": "attacker"}]
+        + [{"id": t, "owner": "defender"} for t in targets],
+        edges=[{"from": "a", "to": t, "update": u} for t, u in zip(targets, updates)],
+    )
+
+
+@pytest.mark.parametrize(
+    "zs, bad",
+    [((1, True, 1.0), "True"), ((True, 1.0, 1), "True"), ((1.0, True, 1), "1.0")],
+    ids=["valid-first", "bool-first", "float-first"],
+)
+def test_shared_updates_reject_what_a_parse_per_edge_rejects(tmp_path, zs, bad):
+    """``1``, ``true`` and ``1.0`` are equal in Python, but only ``1`` is an
+    integer: an update parsed once for ``1`` is not handed to the others,
+    and the first bad one is reported, wherever the good one stands."""
+    doc = _three_edges(*([[{"op": "add", "z": z}]] for z in zs))
+    message = f"bad component spec {{'op': 'add', 'z': {bad}}}: 'z' must be an integer, got {bad}"
+    with pytest.raises(GameFileError, match=f"^{re.escape(message)}$"):
+        fileio.load_game(_write(tmp_path, doc))
+
+
+def test_edges_with_equal_update_json_share_one_update(tmp_path):
+    """Equal update JSON gives one ``Update`` object, and the game equals
+    one built from an update per edge and saves to the same bytes."""
+    minus = [[{"op": "add", "z": -1}], [{"op": "min", "of": [0]}]]
+    doc = _three_edges(minus, [[{"op": "mul", "m": 2}]], json.loads(json.dumps(minus)))
+    game = fileio.load_game(_write(tmp_path, doc)).game
+    b, c, d = (game.update_between("a", t) for t in "bcd")
+    assert b is d
+    assert c is not b
+    unshared = GameGraph.build(
+        1,
+        [(p.id, p.owner) for p in game.positions],
+        [(e.source, e.target, copy.deepcopy(e.update)) for e in game.edges],
+    )
+    assert unshared.update_between("a", "b") is not unshared.update_between("a", "d")
+    assert game == unshared
+    fileio.save_game(game, tmp_path / "shared.json")
+    fileio.save_game(unshared, tmp_path / "unshared.json")
+    assert (tmp_path / "shared.json").read_bytes() == (tmp_path / "unshared.json").read_bytes()
+
+
+def test_update_past_the_digit_limit_loads_unshared():
+    """``repr`` refuses an integer past Python's digit limit, which a dict
+    built in code can hold; such an update is still parsed and loaded."""
+    huge = [[{"op": "add", "z": 10**5000}]]
+    game = fileio.game_from_dict(_three_edges(huge, copy.deepcopy(huge), huge)).game
+    assert {game.update_between("a", t).steps[0].specs[0] for t in "bcd"} == {Add(10**5000)}
 
 
 def _multi_reachability(dimension=1, weight=(2,)):

@@ -87,6 +87,22 @@ def test_validate_reports_duplicates():
     assert any("parallel" in v for v in violations)
 
 
+def test_validate_returns_a_fresh_list_each_call():
+    """The violations are found once per graph, but no caller can change
+    what a later call sees by mutating the list it got."""
+    game = GameGraph.build(1, [("a", Owner.ATTACKER)], [("a", "ghost", delta(0))])
+    first = game.validate()
+    assert first == ["edge to unknown position 'ghost'"]
+    first.clear()
+    assert game.validate() == ["edge to unknown position 'ghost'"]
+    with pytest.raises(InvalidGameError, match="ghost"):
+        game.require_valid()
+    valid = GameGraph.build(1, [("a", Owner.ATTACKER)], [("a", "a", delta(0))])
+    valid.validate().append("edge to nowhere")
+    assert valid.validate() == []
+    assert valid.require_valid() is valid
+
+
 def test_successors_of_deadlock_and_fanout(espresso):
     assert espresso.successors("Energized") == ()
     assert [t for t, _ in espresso.successors("Office")] == [
@@ -164,6 +180,17 @@ def test_split_parallel_edges_inserts_attacker_relay():
     game = GameGraph.build(2, out_positions, out_edges)
     assert game.validate() == []
     assert len(game.successors(aux)) == 1
+
+
+def test_split_parallel_edges_share_one_identity():
+    """Every relay's identity edge carries the same ``Update`` object."""
+    positions = [("a", Owner.ATTACKER), ("b", Owner.DEFENDER)]
+    edges = [("a", "b", delta(-k)) for k in range(4)]
+    _, out_edges, report = split_parallel_edges(positions, edges)
+    relays = {r.auxiliary for r in report}
+    identities = {id(u) for s, _, u in out_edges if s in relays}
+    assert len(relays) == 3
+    assert len(identities) == 1
 
 
 def test_split_preserves_single_self_loops():

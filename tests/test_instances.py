@@ -191,6 +191,35 @@ def test_vass_random_agreement_with_bruteforce():
         )
 
 
+def test_transforms_share_one_update_per_distinct_weight():
+    """Edges with equal weights carry one ``Update`` object, so the solver
+    compiles one undo plan for them.  The identity edges of a
+    multi-reachability game share the zero weight's update, and the VASS
+    sink edge shares the update of a transition with the same vector."""
+    rng = random.Random(5)
+    ids = [f"p{i}" for i in range(10)]
+    positions = tuple(Position(g, rng.choice(list(Owner))) for g in ids)
+    weights = [
+        (s, t, (rng.randint(0, 1), rng.randint(0, 2))) for s in ids for t in rng.sample(ids, 3)
+    ]
+    m = MultiReachabilityGame(2, positions, tuple(weights), frozenset(ids[:3]))
+    game = from_multi_reachability(m)
+    owner = {p.id: p.owner for p in positions}
+    kept = {w for s, _, w in weights if not (s in m.targets and owner[s] is Owner.DEFENDER)}
+    given = {(s, t) for s, t, _ in weights}
+    if any((e.source, e.target) not in given for e in game.edges):
+        kept.add((0, 0))
+    assert len({id(e.update) for e in game.edges}) == len({e.update for e in game.edges})
+    assert len({e.update for e in game.edges}) == len(kept)
+
+    transitions = tuple((s, tuple(-c for c in w), t) for s, t, w in weights)
+    vass = Vass(tuple(ids), transitions, ("p0", E(0, 0)), ("p1", E(1, 2)))
+    game, _, _ = from_vass_coverability(vass)
+    vectors = {w for _, w, _ in transitions}
+    assert (-1, -2) in vectors
+    assert len({id(e.update) for e in game.edges}) == len(vectors)
+
+
 def test_multi_reachability_all_targets_trivial():
     m = MultiReachabilityGame(
         dimension=1,

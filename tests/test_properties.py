@@ -2,6 +2,7 @@
 implementations in ``conftest``, and the semi-naive solver against the
 plain reference pass."""
 
+import copy
 import itertools
 
 import numpy as np
@@ -80,6 +81,71 @@ def test_semi_naive_history_matches_plain_pass(game, cap):
             assert [e.components for e in err.current[g]] == list(map(tuple, rows.tolist()))
         return
     assert_history_matches_plain(game, result, cap)
+
+
+@st.composite
+def shared_update_games(draw) -> GameGraph:
+    """Small games whose edges draw their labels from a pool of 1-3 update
+    objects (some equal in value), so that most objects label several
+    edges; ``p0`` is a defender deadlock and ``p1`` has an edge."""
+    n = draw(st.integers(1, 3))
+    pool = draw(st.lists(_updates(n, 2), min_size=1, max_size=3))
+    count = draw(st.integers(2, 6))
+    ids = [f"p{i}" for i in range(count)]
+    positions = [("p0", Owner.DEFENDER)] + [(g, draw(st.sampled_from(Owner))) for g in ids[1:]]
+    edges = []
+    for g in ids[1:]:
+        targets = draw(st.sets(st.sampled_from(ids), min_size=int(g == "p1"), max_size=3))
+        edges += [(g, t, draw(st.sampled_from(pool))) for t in sorted(targets)]
+    return GameGraph.build(n, positions, edges)
+
+
+@SEEDED
+@given(game=shared_update_games(), data=st.data())
+def test_edge_plans_pull_like_plans_per_edge(game, data):
+    """The engine compiles one plan per distinct update object, and rows
+    pulled back through ``edge_plan`` equal rows pulled back through one
+    plan per edge, as do the overflow limits."""
+    engine = solver._Engine(game)
+    labels = [u for g in engine.ids for _, u in game.successors(g)]
+    per_edge = solver._Inverses(labels, game.dimension)
+    assert engine.inverses.sub.shape[1] == len({id(u) for u in labels})
+    edges = np.array(data.draw(st.lists(st.integers(0, len(labels) - 1), max_size=12)), np.intp)
+    value = st.one_of(st.integers(0, 12), st.integers(0, 2**60))
+    rows = data.draw(st.lists(st.lists(value, min_size=game.dimension, max_size=game.dimension),
+                              min_size=edges.size, max_size=edges.size))
+    rows = np.array(rows, dtype=np.int64).reshape(-1, game.dimension)
+    got = engine.inverses.pull(engine.edge_plan[edges], rows)
+    assert got.tolist() == per_edge.pull(edges, rows).tolist()
+    top = int(np.iinfo(np.int64).max)
+    limit = np.full(len(engine.ids), top)
+    np.minimum.at(limit, engine.target, [max(top - g, -1) for g in per_edge.growth])
+    assert engine.limit.tolist() == limit.tolist()
+
+
+@SEEDED
+@given(game=shared_update_games())
+def test_shared_updates_solve_like_an_update_per_edge(game):
+    """A solve on the game equals, row for row, a solve on the game whose
+    every edge carries its own deep copy of its update."""
+    unshared = GameGraph.build(
+        game.dimension,
+        [(p.id, p.owner) for p in game.positions],
+        [(e.source, e.target, copy.deepcopy(e.update)) for e in game.edges],
+    )
+    assert len({id(e.update) for e in unshared.edges}) == len(game.edges)
+    try:
+        shared = compute_winning_budgets(game, iteration_cap=40)
+    except IterationCapExceeded:
+        with pytest.raises(IterationCapExceeded):
+            compute_winning_budgets(unshared, iteration_cap=40)
+        return
+    alone = compute_winning_budgets(unshared, iteration_cap=40)
+    assert (shared.iterations, shared.max_front_size) == (alone.iterations, alone.max_front_size)
+    for g in game.position_ids:
+        assert shared.rows[g].tolist() == alone.rows[g].tolist()
+        for a, b in zip(shared.entries[g], alone.entries[g]):
+            assert a.tolist() == b.tolist()
 
 
 @st.composite
