@@ -24,6 +24,7 @@ value or edge parameter outside the solver's int64 range.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from typing import Sequence
@@ -168,7 +169,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if mismatches == 0 else EXIT_LOSE_OR_MISMATCH
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each ``parse_args``
+    returns a fresh namespace, and building it anew would leave its
+    reference cycles to the garbage collector on every call."""
     parser = argparse.ArgumentParser(
         prog="galois-energy",
         description="Solve energy games over vectors of extended naturals.",

@@ -17,12 +17,20 @@ Everything that never joins, including all infinite-play behaviour, is a
 defender win.  Clipping keeps the graph finite and only ever lowers
 energies, so an attacker win here transfers to the unclipped game by
 monotonicity of the updates; a defender answer may flip once ``B`` grows.
-``stable_decide_many`` therefore decides each query at its starting bound
-and once more at twice that bound when the answer is the defender's, and
-takes the second answer: no query runs more than two bounds.  It decides
-in batches, one per bound, in ascending order: the queries that start or
-confirm at a bound seed one exploration of it, the multi-source form of
-the same attractor.  ``stable_decide`` is a batch of one.
+``stable_decide_many`` therefore decides each query by the doubling rule:
+at its starting bound and, when the answer is the defender's, once more
+at twice that bound, taking the second answer, so no query runs more than
+two bounds.  While a batch's largest starting bound ``top`` is at most
+twice its smallest, ``low``, the batch is first explored once at ``top``,
+every query seeding one exploration, the multi-source form of the same
+attractor.  When every configuration it numbers keeps its components
+below ``low``, the clip at ``top >= low`` changed none of the moves it
+kept, so the explored region is the same graph at every bound from ``low``
+up, and that one exploration answers every query at both of its bounds.
+Otherwise the rule runs in batches, one per bound, in ascending order:
+the queries that start or confirm at a bound seed one exploration of it,
+and ``top`` reuses the first exploration's answers.  ``stable_decide`` is
+a batch of one.
 
 An arena compiles one ``(game, B)`` and holds no configurations.  Each
 batch explores from scratch the forward closure of its configurations,
@@ -45,7 +53,8 @@ the wins settled on the spot and the defender deadlocks.
 Rows are int64, so an arena first bounds every value a move can compute
 from energies at most ``B``; when that bound leaves the int64 range the
 arena refuses with ``OracleCapacityError``, as it does when exploration
-exceeds the configuration budget in one batch.  Nothing wraps.
+exceeds the configuration budget in one batch.  Nothing wraps.  A batch
+meets the refusals the bound-by-bound rule meets, and in the same order.
 
 No Pareto fronts and no update inverses appear here: the module shares
 nothing with the solver's backward computation and serves as its
@@ -86,6 +95,15 @@ def _move_magnitude(update: Update, bound: int) -> int:
     return total * factor
 
 
+def _distinct_updates(game: GameGraph) -> dict[int, Update]:
+    return {id(e.update): e.update for e in game.edges}
+
+
+def _worst_move(updates: Iterable[Update], bound: int) -> int:
+    """The largest value any of ``updates`` computes from rows in ``[0, bound]``."""
+    return max((_move_magnitude(u, bound) for u in updates), default=bound)
+
+
 class _Arena:
     """The clipped configuration graph of one (game, B), compiled but not
     explored: ``decide_rows`` explores the forward closure of its rows from
@@ -101,8 +119,8 @@ class _Arena:
         # defender deadlocks: the attacker wins at every energy
         self.sink = self.is_defender & np.array([game.is_deadlock(g) for g in ids], dtype=bool)
         # one compiled move per distinct update object, shared by its edges
-        updates = {id(e.update): e.update for e in game.edges}
-        worst = max((_move_magnitude(u, bound) for u in updates.values()), default=bound)
+        updates = _distinct_updates(game)
+        worst = _worst_move(updates.values(), bound)
         if worst > _INT64_MAX:
             raise OracleCapacityError(
                 f"clip bound {bound} lets a move reach {worst}, past the int64 range"
@@ -132,14 +150,17 @@ class _Arena:
                     frontier.append(p)
         return np.array([i in reach for i in range(count)], dtype=bool)
 
-    def decide_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Whether the attacker wins each int64 row ``(position, energy...)``.
-        The rows seed one exploration together, so their closures share
-        their levels, and the configuration index lives for this call only."""
+    def decide_rows(self, rows: np.ndarray) -> tuple[np.ndarray, int]:
+        """Whether the attacker wins each int64 row ``(position, energy...)``,
+        and the largest energy component of a configuration the
+        exploration numbered.  The rows seed one exploration together, so
+        their closures share their levels, and the configuration index
+        lives for this call only."""
         index: dict[bytes, int] = {}
         numbers, fresh = self._insert(index, rows)
         # level 0 holds the distinct rows, in the order of their numbers
-        return self._propagate(*self._explore(index, rows[fresh]))[numbers]
+        region, peak = self._explore(index, rows[fresh])
+        return self._propagate(*region)[numbers], peak
 
     def _insert(self, index: dict[bytes, int], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Number the rows not in ``index`` yet and return the number of
@@ -159,18 +180,21 @@ class _Arena:
             numbers[late] = first + renumber[numbers[late] - first]
         return numbers, fresh
 
-    def _explore(self, index: dict[bytes, int], level: np.ndarray) -> tuple[np.ndarray, ...]:
+    def _explore(self, index: dict[bytes, int],
+                 level: np.ndarray) -> tuple[tuple[np.ndarray, ...], int]:
         """Number the forward closure of ``level``, every row of ``index``
         in the order of their numbers, breadth-first, a level at a time,
         and return the explored region: the position of each
         configuration, the sources and targets of the edges leaving them,
         and the configurations settled on the spot, the defender escapes
         and the attacker wins.  A settled configuration keeps none of its
-        moves."""
+        moves.  Also return the largest energy component of a numbered
+        configuration."""
         moves, hopeful, budget = self.moves, self.hopeful, self.budget
         base = 0
         empty = np.zeros(0, dtype=np.int64)
         positions, srcs, dsts, escapes, wins = [empty], [empty], [empty], [empty], [empty]
+        peak = 0
         while len(level):
             # every numbered configuration is in some level, so no growth escapes this check
             if len(index) > budget:
@@ -179,6 +203,7 @@ class _Arena:
                 )
             at = level[:, 0]
             positions.append(at)
+            peak = max(peak, int(level[:, 1:].max(initial=0)))
             # each move of a position runs once, on all of its configurations in the level
             order = np.argsort(at)
             ranked = at[order]
@@ -219,7 +244,7 @@ class _Arena:
             srcs.append(src)
             dsts.append(numbers)
             level = rows[fresh]
-        return tuple(map(np.concatenate, (positions, srcs, dsts, escapes, wins)))
+        return tuple(map(np.concatenate, (positions, srcs, dsts, escapes, wins))), peak
 
     def _propagate(self, positions: np.ndarray, src: np.ndarray, dst: np.ndarray,
                    escapes: np.ndarray, wins: np.ndarray) -> np.ndarray:
@@ -282,7 +307,7 @@ def attractor_decide(
     _check_query(game, g, e)
     if any(c > bound for c in e.components):
         raise ValueError(f"energy {e.render()} exceeds clip bound {bound}")
-    (won,) = _decide_at(game, bound, [(g, e)], config_budget)
+    (won,), _ = _decide_at(game, bound, [(g, e)], config_budget)
     return Verdict.ATTACKER if won else Verdict.DEFENDER
 
 
@@ -349,19 +374,61 @@ def stable_decide_many(
     """Decide each ``(position, energy)`` query with growing clip bounds
     until its answer stabilises, and report the largest bound evaluated.
 
-    A query starts at its ``starting_bound`` and doubles it until two
-    consecutive answers agree.  Attacker answers are monotone in the
-    bound, so one is final where it appears; a defender answer takes one
-    confirming run at twice the bound, whose answer is final either way.
-    No query thus runs more than two bounds.  The bounds go in ascending
-    order, each explored once by one batch of the queries that start or
-    confirm there.
+    The doubling rule: a query starts at its ``starting_bound`` and
+    doubles it until two consecutive answers agree.  Attacker answers are
+    monotone in the bound, so one is final where it appears; a defender
+    answer takes one confirming run at twice the bound, whose answer is
+    final either way.  No query thus runs more than two bounds.
+
+    While the batch's largest starting bound ``top`` is at most twice
+    its smallest, ``low``, the batch is first explored once at ``top``,
+    seeded with every query; the rule explores ``top`` anyway.  When no
+    configuration that exploration numbers has a component at least
+    ``low``, it gives every query the rule's result: ATTACKER at the
+    starting bound if won there, else DEFENDER at twice it.  A clip at
+    ``top`` writes ``top >= low``, so each move kept in the region gave
+    its unclipped result, which a clip at ``low`` or above leaves alone
+    too; the moves left out (undefined ones, those of a position that
+    reaches no defender deadlock, and all moves of a configuration
+    settled on the spot) depend on no bound.  The region is thus the
+    same graph at every starting bound and at twice it, and so is each
+    query's answer.  Otherwise the rule runs bound by bound, in
+    ascending order, each bound explored once by one batch of the
+    queries that start or confirm there, and ``top`` reusing the first
+    exploration's answers.
+
+    Refusals are the rule's own, met in its order.  A refused first
+    exploration leaves the batch to the rule.  An exploration the rule
+    would make and the batch skips covers part of a region the batch
+    explored under the budget: at ``top`` from fewer seeds, or, after one
+    exploration decided the batch, in the same graph.  So only the int64
+    guard can refuse a skipped bound; when it would refuse the largest
+    confirming bound, the batch runs the rule, which meets that refusal.
     """
     queries = list(queries)
     for g, e in queries:
         _check_query(game, g, e)
+    if not queries:
+        return []
     game_bound = _game_bound(game)
     starts = [max(1, _start(game_bound, e)) for _, e in queries]
+    top, low = max(starts), min(starts)
+    at_top = None
+    # the rule explores top anyway; seeded with every query it costs about
+    # what the rule's own bounds cost only while the starts stay close
+    if top <= 2 * low:
+        try:
+            at_top, peak = _decide_at(game, top, queries, config_budget)
+        except OracleCapacityError:
+            pass
+        else:
+            confirm = 2 * max((b for b, won in zip(starts, at_top) if not won), default=0)
+            if peak < low and _worst_move(_distinct_updates(game).values(), confirm) <= _INT64_MAX:
+                return [
+                    OracleVerdict(Verdict.ATTACKER, b) if won
+                    else OracleVerdict(Verdict.DEFENDER, 2 * b)
+                    for b, won in zip(starts, at_top)
+                ]
     pending: dict[int, list[int]] = defaultdict(list)
     for i, bound in enumerate(starts):
         pending[bound].append(i)
@@ -369,7 +436,10 @@ def stable_decide_many(
     while pending:
         bound = min(pending)
         group = pending.pop(bound)
-        decided = _decide_at(game, bound, [queries[i] for i in group], config_budget)
+        if bound == top and at_top is not None:
+            decided = [at_top[i] for i in group]
+        else:
+            decided, _ = _decide_at(game, bound, [queries[i] for i in group], config_budget)
         for i, won in zip(group, decided):
             if won or bound > starts[i]:
                 verdicts[i] = OracleVerdict(Verdict.ATTACKER if won else Verdict.DEFENDER, bound)
@@ -379,8 +449,11 @@ def stable_decide_many(
 
 
 def _decide_at(game: GameGraph, bound: int, batch: list[tuple[str, Energy]],
-               config_budget: int) -> list[bool]:
-    """Whether the attacker wins each query of ``batch`` at clip bound ``bound``."""
+               config_budget: int) -> tuple[list[bool], int]:
+    """Whether the attacker wins each query of ``batch`` at clip bound
+    ``bound``, as a list, and the largest energy component of a
+    configuration the exploration numbered."""
     arena = _arena_for(game, bound, config_budget)
     rows = np.array([(arena.pos_index[g], *e.components) for g, e in batch], dtype=np.int64)
-    return arena.decide_rows(rows).tolist()
+    won, peak = arena.decide_rows(rows)
+    return won.tolist(), peak

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -212,6 +213,23 @@ def test_oracle_int64_refusal_exit_code(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "int64" in err
+
+
+def test_main_parses_every_call_with_one_parser(capsys, monkeypatch):
+    parsers = []
+    parse = argparse.ArgumentParser.parse_args
+
+    def recorded(parser, *args, **kwargs):
+        parsers.append(parser)
+        return parse(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+    _, with_stats, _ = run(capsys, "solve", ESPRESSO, "--stats")
+    code, plain, _ = run(capsys, "solve", ESPRESSO)
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    assert "\niterations: " in with_stats
+    assert code == 0 and with_stats.startswith(plain)
+    assert not any(line.startswith(("iterations", "max_front_size")) for line in plain.splitlines())
 
 
 def test_solve_deterministic(capsys):
@@ -505,6 +523,27 @@ def test_check_reports_mismatches_as_the_per_sample_loop(tmp_path, capsys, monke
     assert code == 1
     assert len(lines) == 6 * len(game.positions) + 1
     assert out == "\n".join(lines) + "\n"
+
+
+def test_check_on_the_small_grid_explores_once(tmp_path, capsys, monkeypatch):
+    """No configuration the grid's samples reach has a component at the
+    smallest starting bound, so one exploration at the largest decides
+    every sample."""
+    from galois_energy import oracle
+
+    path = tmp_path / "grid.json"
+    fileio.save_game(grid_game(3, 3), path)
+    bounds = []
+    explore = oracle._Arena._explore
+
+    def recorded(arena, *args):
+        bounds.append(arena.bound)
+        return explore(arena, *args)
+
+    monkeypatch.setattr(oracle._Arena, "_explore", recorded)
+    code, out, _ = run(capsys, "check", str(path), "--samples", "10", "--bound", "40")
+    assert (code, out) == (0, "checked 100 samples, 0 mismatches\n")
+    assert len(bounds) == 1
 
 
 def test_check_seed_determinism(capsys):

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import ReferenceArena, random_game
 from galois_energy import oracle
@@ -197,7 +199,7 @@ def _explorations(monkeypatch):
 def _decide(arena, *queries):
     """``decide_rows`` on ``(position id, energy)`` queries."""
     rows = np.array([(arena.pos_index[g], *e.components) for g, e in queries], dtype=np.int64)
-    return arena.decide_rows(rows).tolist()
+    return arena.decide_rows(rows)[0].tolist()
 
 
 def _state(arena):
@@ -228,17 +230,118 @@ def _pay_three_game():
     )
 
 
-def test_confirming_and_starting_queries_share_one_exploration(monkeypatch):
-    # estimate 3, headroom 6: a(0) starts at 9 and confirms at 18, where a(12) starts
+def test_a_region_below_every_start_is_decided_by_one_exploration(monkeypatch):
+    # estimate 3, headroom 6: a(0) starts at 9 and a(8) at 14; a(0) has no
+    # defined move and a(8) wins on the spot, so the region {a(0), a(8)}
+    # stays below 9 at every bound, and 14 decides both
     game = _pay_three_game()
-    assert [starting_bound(game, E(v)) for v in (0, 12)] == [9, 18]
+    assert [starting_bound(game, E(v)) for v in (0, 8)] == [9, 14]
     explored = _explorations(monkeypatch)
-    verdicts = stable_decide_many(game, [("a", E(0)), ("a", E(12))])
+    assert stable_decide_many(game, [("a", E(0)), ("a", E(8))]) == [
+        oracle.OracleVerdict(Verdict.DEFENDER, 18),
+        oracle.OracleVerdict(Verdict.ATTACKER, 14),
+    ]
+    assert [bound for bound, _ in explored] == [14]
+    # a(12), starting at 18, is itself past 9: that batch runs the rule,
+    # which reuses the first exploration's answers at 18
+    explored.clear()
+    assert stable_decide_many(game, [("a", E(0)), ("a", E(12))]) == [
+        oracle.OracleVerdict(Verdict.DEFENDER, 18),
+        oracle.OracleVerdict(Verdict.ATTACKER, 18),
+    ]
+    assert [bound for bound, _ in explored] == [18, 9]
+
+
+def _climbing_game():
+    """An attacker that climbs its first component up to the clip bound
+    and wins by paying 3 of its second."""
+    return GameGraph.build(
+        2,
+        [("a", Owner.ATTACKER), ("d", Owner.DEFENDER)],
+        [("a", "a", delta(1, 0)), ("a", "d", delta(0, -3))],
+    )
+
+
+def test_confirming_and_starting_queries_share_one_exploration(monkeypatch):
+    # estimate 3, headroom 6: a(0, 0) starts at 9 and confirms at 18, where
+    # a(0, 12) starts; a(0, 0) climbs to each bound, so 18 cannot decide it alone
+    game = _climbing_game()
+    assert [starting_bound(game, E(0, v)) for v in (0, 12)] == [9, 18]
+    explored = _explorations(monkeypatch)
+    verdicts = stable_decide_many(game, [("a", E(0, 0)), ("a", E(0, 12))])
     assert verdicts == [
         oracle.OracleVerdict(Verdict.DEFENDER, 18),
         oracle.OracleVerdict(Verdict.ATTACKER, 18),
     ]
-    assert [bound for bound, _ in explored] == [9, 18]
+    assert [bound for bound, _ in explored] == [18, 9]
+    assert _stored(oracle._arena_for(game, 18, oracle.DEFAULT_CONFIG_BUDGET), explored[0][1]) == {
+        *(("a", (k, 0)) for k in range(19)), ("a", (0, 12))
+    }
+
+
+def test_widely_spread_starts_run_the_doubling_loop(monkeypatch):
+    # a(0, 100000) starts at 100006, past twice a(0, 0)'s 9: exploring the
+    # batch at 100006 would let a(0, 0) climb through 100,007 configurations
+    game = _climbing_game()
+    queries = [("a", E(0, 0)), ("a", E(0, 100000))]
+    assert [starting_bound(game, e) for _, e in queries] == [9, 100006]
+    explored = _explorations(monkeypatch)
+    assert stable_decide_many(game, queries) == [
+        oracle.OracleVerdict(Verdict.DEFENDER, 18),
+        oracle.OracleVerdict(Verdict.ATTACKER, 100006),
+    ]
+    assert [(bound, len(index)) for bound, index in explored] == [(9, 10), (18, 19), (100006, 1)]
+
+
+def test_empty_batch_explores_nothing(monkeypatch):
+    explored = _explorations(monkeypatch)
+    assert stable_decide_many(_pay_three_game(), []) == []
+    assert explored == []
+
+
+def test_refused_confirming_bound_raises_as_the_doubling_loop(monkeypatch):
+    # a(0, c) has no defined move, so one exploration at its starting
+    # bound s decides it; but the doubling move at 2s passes int64
+    game = GameGraph.build(
+        2,
+        [("a", Owner.ATTACKER), ("d", Owner.DEFENDER)],
+        [("a", "a", Update.single(Mul(2), Add(0))), ("a", "d", delta(-3, 0))],
+    )
+    e = E(0, 2**61)
+    start = starting_bound(game, e)
+    assert attractor_decide(game, "a", e, start) is Verdict.DEFENDER
+    with pytest.raises(OracleCapacityError, match="int64") as loop:
+        _doubling_reference(game, "a", e)
+    explored = _explorations(monkeypatch)
+    with pytest.raises(OracleCapacityError) as batch:
+        stable_decide_many(game, [("a", e)])
+    assert str(batch.value) == str(loop.value)
+    assert [bound for bound, _ in explored] == [start]
+
+
+def test_refused_first_exploration_runs_the_doubling_loop(monkeypatch):
+    # w(0, 3) wins at its starting bound 36 through x but also climbs
+    # through c, so its closure at the batch's largest start, 60 for
+    # x(40, 3), passes a budget that no bound of the doubling loop does
+    game = GameGraph.build(
+        2,
+        [("w", Owner.ATTACKER), ("c", Owner.ATTACKER), ("x", Owner.ATTACKER),
+         ("y", Owner.DEFENDER), ("d", Owner.DEFENDER)],
+        [("w", "c", delta(0, 0)), ("w", "x", delta(0, 0)), ("x", "d", delta(0, -3)),
+         ("c", "c", delta(1, 0)), ("c", "y", delta(0, 0)), ("y", "d", delta(0, -4))],
+    )
+    queries = [("w", E(0, 3)), ("x", E(40, 3))]
+    assert [starting_bound(game, e) for _, e in queries] == [36, 60]
+    budget = 100
+    explored = _explorations(monkeypatch)
+    with pytest.raises(OracleCapacityError):
+        attractor_decide(game, "w", E(0, 3), 60, config_budget=budget)
+    explored.clear()
+    assert stable_decide_many(game, queries, config_budget=budget) == [
+        oracle.OracleVerdict(Verdict.ATTACKER, 36),
+        oracle.OracleVerdict(Verdict.ATTACKER, 60),
+    ]
+    assert [bound for bound, _ in explored] == [60, 36, 60]
 
 
 def test_game_bound_is_computed_once_per_batch(monkeypatch):
@@ -456,6 +559,78 @@ def test_stable_decide_many_matches_one_query_at_a_time(kind, monkeypatch):
         seen["confirmed"] += any(v.bound > b for v, b in zip(alone, starts))
         seen["several starts"] += len(set(starts)) > 1
     assert len(seen) == 8, seen  # both winners, each dimension 1-4, both kinds of batch
+
+
+@st.composite
+def _batches(draw):
+    """A small random plain, declining or ``mul`` game and a batch on it
+    whose components run past the smallest starting bound, so that some
+    explored regions stay below it and some do not.  Some plain and
+    declining games get an attacker ``up`` whose closure climbs its first
+    component up to the clip bound, one unit a level: its defender ``w``
+    can always move back to it.  (A ``mul`` game's bound grows with the
+    power of its factors, and so would the climb.)"""
+    kind = draw(st.sampled_from(["plain", "declining", "mul"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    game = random_game(
+        rng, max_positions=4, max_dim=3, max_abs=1, declining=kind == "declining",
+        mul=kind == "mul",
+    )
+    if kind != "mul" and draw(st.booleans()):
+        n = game.dimension
+        positions = [(p.id, p.owner) for p in game.positions]
+        positions += [("up", Owner.ATTACKER), ("w", Owner.DEFENDER), ("sink", Owner.DEFENDER)]
+        stay = delta(*[0] * n)
+        edges = [(e.source, e.target, e.update) for e in game.edges]
+        edges += [("up", "up", delta(1, *[0] * (n - 1))), ("up", "w", stay),
+                  ("w", "up", stay), ("w", "sink", stay)]
+        game = GameGraph.build(n, positions, edges)
+    low = sum(oracle._game_bound(game))
+    energy = st.tuples(*[st.integers(0, low + 2)] * game.dimension).map(Energy)
+    query = st.tuples(st.sampled_from(game.position_ids), energy)
+    return game, draw(st.lists(query, min_size=1, max_size=8))
+
+
+SEEDED = settings(
+    max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def test_one_exploration_and_doubling_loop_match_the_doubling_rule(monkeypatch):
+    """On random batches, ``stable_decide_many`` gives each query the
+    doubling rule's verdict and bound and explores no bound twice; both
+    batches that one exploration decides and batches that run the
+    doubling loop occur."""
+    calls = []
+    paths = Counter()
+    decide_rows = oracle._Arena.decide_rows
+
+    def counted(arena, rows):
+        won, peak = decide_rows(arena, rows)
+        calls.append((arena.bound, peak))
+        return won, peak
+
+    @SEEDED
+    @given(_batches())
+    def check(batch):
+        game, queries = batch
+        expected = [_doubling_reference(game, g, e) for g, e in queries]
+        starts = [max(1, starting_bound(game, e)) for _, e in queries]
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(oracle._Arena, "decide_rows", counted)
+            assert stable_decide_many(game, queries) == expected
+        bounds = [bound for bound, _ in calls]
+        assert len(bounds) == len(set(bounds))
+        first_bound, peak = calls[0]
+        if first_bound == max(starts) and peak < min(starts):
+            assert len(calls) == 1
+            paths["one exploration"] += 1
+        elif len(calls) > 1:
+            paths["doubling loop"] += 1
+
+    check()
+    assert paths["one exploration"] and paths["doubling loop"], paths
 
 
 def test_stable_decide_many_is_exported():
