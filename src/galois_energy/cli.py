@@ -61,22 +61,26 @@ def _csv_field(text: str) -> str:
 
 
 def _print_fronts(result: solver.SolverResult, fmt: str, stats: bool, dimension: int) -> None:
-    """Print the fixed point straight from its rows, one write per
-    position; each element reads as ``Energy.render`` renders it."""
+    """Print the fixed point straight from its rows, one ``%`` format and
+    one write per position; each element reads as ``Energy.render``
+    renders it.  A ``%`` in a position id is doubled in the format."""
     out = sys.stdout
+    row = ",".join(["%d"] * dimension)
     if fmt == "csv":
         print("position," + ",".join(f"component_{i}" for i in range(dimension)))
         for g in sorted(result.rows):
-            rows = result.rows[g].tolist()
-            field = _csv_field(g)
-            out.write("".join(f"{field},{','.join(map(str, row))}\n" for row in rows))
+            rows = result.rows[g]
+            line = _csv_field(g).replace("%", "%%") + "," + row + "\n"
+            out.write(line * len(rows) % tuple(rows.ravel().tolist()))
         if stats:
             print(f"# iterations={result.iterations}")
             print(f"# max_front_size={result.max_front_size}")
     else:
         for g in sorted(result.rows):
-            front = "; ".join(",".join(map(str, row)) for row in result.rows[g].tolist())
-            out.write(f"{g}:" + (" " + front if front else "") + "\n")
+            rows = result.rows[g]
+            front = "; ".join([row] * len(rows))
+            line = g.replace("%", "%%") + ":" + (" " + front if front else "") + "\n"
+            out.write(line % tuple(rows.ravel().tolist()))
         if stats:
             print(f"iterations: {result.iterations}")
             print(f"max_front_size: {result.max_front_size}")

@@ -34,11 +34,13 @@ a batch of one.
 
 An arena compiles one ``(game, B)`` and holds no configurations.  Each
 batch explores from scratch the forward closure of its configurations,
-int64 rows ``(position, energy...)`` numbered by the bytes of their row,
-breadth-first, a level at a time: each move of a position runs once, on
-all of the level's configurations at that position, and the successors
-are looked up and numbered in one batch.  The batch's index is dropped
-with its verdicts, so callers with many queries should batch them.
+int64 rows ``(position, energy...)``, breadth-first, a level at a time:
+each move of a position runs once, on all of the level's configurations
+at that position.  One dictionary operation per row, keyed by its bytes,
+numbers it by its place in the stream of rows, a repeated row by its
+first appearance's; after the last level, a cumulative sum over the
+first-appearance masks maps places to consecutive configuration numbers.
+The index is dropped once explored, so batch queries where possible.
 
 Exploration only goes where a verdict needs it (local fixed-point
 checking, Liu & Smolka, ICALP 1998).  A configuration that one of its
@@ -66,7 +68,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count
+from itertools import count
 from typing import Iterable
 
 import numpy as np
@@ -154,47 +156,38 @@ class _Arena:
         """Whether the attacker wins each int64 row ``(position, energy...)``,
         and the largest energy component of a configuration the
         exploration numbered.  The rows seed one exploration together, so
-        their closures share their levels, and the configuration index
-        lives for this call only."""
-        index: dict[bytes, int] = {}
-        numbers, fresh = self._insert(index, rows)
-        # level 0 holds the distinct rows, in the order of their numbers
-        region, peak = self._explore(index, rows[fresh])
+        their closures share their levels, and the configuration index,
+        which numbers rows by place, lives for the exploration only."""
+        region, numbers, peak = self._explore({}, rows)
         return self._propagate(*region)[numbers], peak
 
-    def _insert(self, index: dict[bytes, int], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Number the rows not in ``index`` yet and return the number of
-        every row, with a mask of the first appearances of new rows, which
-        get the next numbers in that order.  The dictionary work runs in C:
-        ``setdefault`` stores a new row under its place in ``rows`` as a
-        provisional number, and the new rows are then renumbered
-        consecutively."""
-        first = len(index)
+    def _insert(self, index: dict[bytes, int], rows: np.ndarray,
+                first: int) -> tuple[np.ndarray, np.ndarray]:
+        """Number each row by its place in the stream of rows ``index`` has
+        seen, ``rows`` taking places from ``first``, or a repeated row by
+        its first appearance's place, with one ``setdefault`` per row, run
+        in C; return the numbers and a mask of the first appearances."""
         found = np.ascontiguousarray(rows).view(self.row_key).ravel().tolist()
         numbers = np.fromiter(map(index.setdefault, found, count(first)), np.int64, len(found))
-        fresh = numbers == np.arange(first, first + len(found))
-        if fresh.any():
-            index.update(zip(compress(found, fresh.tolist()), count(first)))
-            renumber = np.cumsum(fresh) - 1
-            late = numbers >= first
-            numbers[late] = first + renumber[numbers[late] - first]
-        return numbers, fresh
+        return numbers, numbers == np.arange(first, first + len(found))
 
     def _explore(self, index: dict[bytes, int],
-                 level: np.ndarray) -> tuple[tuple[np.ndarray, ...], int]:
-        """Number the forward closure of ``level``, every row of ``index``
-        in the order of their numbers, breadth-first, a level at a time,
-        and return the explored region: the position of each
+                 rows: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray, int]:
+        """Explore the forward closure of ``rows`` breadth-first, a level at
+        a time, with ``index`` numbering rows by place, and return the
+        explored region by configuration number: the position of each
         configuration, the sources and targets of the edges leaving them,
         and the configurations settled on the spot, the defender escapes
         and the attacker wins.  A settled configuration keeps none of its
-        moves.  Also return the largest energy component of a numbered
-        configuration."""
+        moves.  Also return the numbers of ``rows`` and the largest energy
+        component of a numbered configuration."""
         moves, hopeful, budget = self.moves, self.hopeful, self.budget
-        base = 0
+        seeds, fresh = self._insert(index, rows, 0)
+        level, placed = rows[fresh], len(rows)
         empty = np.zeros(0, dtype=np.int64)
         positions, srcs, dsts, escapes, wins = [empty], [empty], [empty], [empty], [empty]
-        peak = 0
+        firsts = [fresh]
+        base = peak = 0
         while len(level):
             # every numbered configuration is in some level, so no growth escapes this check
             if len(index) > budget:
@@ -202,7 +195,7 @@ class _Arena:
                     f"more than {budget} configurations at clip bound {self.bound}"
                 )
             at = level[:, 0]
-            positions.append(at)
+            positions.append(at.copy())  # not a view that keeps the level alive
             peak = max(peak, int(level[:, 1:].max(initial=0)))
             # each move of a position runs once, on all of its configurations in the level
             order = np.argsort(at)
@@ -238,13 +231,19 @@ class _Arena:
             escapes.append(np.flatnonzero(settled & defender) + base)
             wins.append(np.flatnonzero(settled & ~defender) + base)
             keep = defined & ~settled[src]
+            # numbers follow first appearance, so the level's own start at base
             rows, src = rows[keep], src[keep] + base
             base = len(index)
-            numbers, fresh = self._insert(index, rows)
+            places, fresh = self._insert(index, rows, placed)
+            placed += len(rows)
             srcs.append(src)
-            dsts.append(numbers)
+            dsts.append(places)
+            firsts.append(fresh)
             level = rows[fresh]
-        return tuple(map(np.concatenate, (positions, srcs, dsts, escapes, wins))), peak
+        number = np.cumsum(np.concatenate(firsts)) - 1  # place -> configuration number
+        positions, srcs, dsts, escapes, wins = map(
+            np.concatenate, (positions, srcs, dsts, escapes, wins))
+        return (positions, srcs, number[dsts], escapes, wins), number[seeds], peak
 
     def _propagate(self, positions: np.ndarray, src: np.ndarray, dst: np.ndarray,
                    escapes: np.ndarray, wins: np.ndarray) -> np.ndarray:

@@ -102,12 +102,13 @@ values are built on the first access to ``SolverResult.fronts``.  Every
 row that enters a front is logged once with the pass it entered at (a
 row that leaves a front is dominated from then on and never re-enters):
 the loop range-checks and logs each pass's stacked new rows in one step,
-and sorts the log by position once, after the last pass.  So
-``↑W_k[g]`` is the upward closure of the rows stamped at most ``k``.  The
-pass at which an energy became winning is read off these stamps
-(``SolverResult.entry_pass``), and so is membership in the upward closure
-of the fixed point: an energy is winning exactly when some logged row is
-below it.
+and ``SolverResult.entries`` sorts the log by position on its first
+access.  So ``↑W_k[g]`` is the upward closure of the rows stamped at most
+``k``.  The pass at which an energy became winning is read off these
+stamps (``SolverResult.entry_pass``).  Membership in the upward closure of
+the fixed point (``known_initial_credit``) needs no stamps: every logged
+row is above some fixed-point row, so an energy is winning exactly when
+some row of ``SolverResult.rows`` is below it.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -128,6 +129,11 @@ from .updates import Add, MinOf, Update
 FrontMap = dict[str, ParetoFront]
 # Per position, every row that entered its front and the pass it entered at.
 EntryLog = dict[str, tuple[np.ndarray, np.ndarray]]
+# Per pass, its new rows stacked by position, the positions, and where each
+# position's rows start.
+PassLog = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+_T = TypeVar("_T")
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -713,41 +719,57 @@ class SolverResult:
     it into ``ParetoFront`` values on first access.  ``iterations`` counts
     passes of the do-while loop including the final confirming pass;
     ``max_front_size`` is the largest front cardinality observed anywhere
-    during the run.  ``entries`` holds, per position, every row that ever
-    entered its front (an int64 matrix) and the pass it entered at, in
-    pass order; the front after pass ``k`` is the minimal rows stamped at
-    most ``k``.  ``entry_pass`` answers membership and the entry pass of
-    an energy from these rows.
+    during the run.  ``pass_log`` holds the rows each pass added to the
+    fronts; ``entries`` sorts them by position on first access, and only
+    ``entry_pass`` reads it.
     """
 
     rows: dict[str, np.ndarray] = field(repr=False)
     iterations: int
     max_front_size: int
-    entries: EntryLog = field(repr=False)
+    pass_log: PassLog = field(repr=False)
 
     @cached_property
     def fronts(self) -> FrontMap:
         return _to_fronts(self.rows, self.rows.values())
+
+    @cached_property
+    def entries(self) -> EntryLog:
+        """Per position, every row that ever entered its front (an int64
+        matrix) and the pass it entered at, in pass order; the front after
+        pass ``k`` is the minimal rows stamped at most ``k``."""
+        n = next((rows.shape[1] for rows in self.rows.values()), 0)
+        return _entry_log(tuple(self.rows), n, self.pass_log)
 
     def entry_pass(self, g: str, e: Energy) -> int | None:
         """First pass after which ``e`` is winning at ``g``, or ``None``
         when ``e`` is not winning there.
 
         Raises ``KeyError`` for an unknown position and
-        ``DimensionMismatch`` for an energy of the wrong dimension.  Exact
-        at every magnitude: a component of ``e`` at or above the int64
-        maximum (``inf`` included) is at least every row component, so
-        clipping ``e`` there changes no comparison.
+        ``DimensionMismatch`` for an energy of the wrong dimension.
         """
-        try:
-            rows, stamps = self.entries[g]
-        except KeyError:
-            raise KeyError(f"unknown position {g!r}") from None
-        if e.dimension != rows.shape[1]:
-            raise DimensionMismatch(f"energy dim {e.dimension} vs game dim {rows.shape[1]}")
-        top = np.array([min(c, _INT64_MAX) for c in e.components], dtype=np.int64)
-        below = (rows <= top).all(1)
+        rows, stamps = _at(self.entries, g)
+        below = _below(rows, e)
         return int(stamps[below].min()) if below.any() else None
+
+
+def _at(table: Mapping[str, _T], g: str) -> _T:
+    """``table[g]``, or a ``KeyError`` naming the unknown position ``g``."""
+    try:
+        return table[g]
+    except KeyError:
+        raise KeyError(f"unknown position {g!r}") from None
+
+
+def _below(rows: np.ndarray, e: Energy) -> np.ndarray:
+    """Which of ``rows`` are below ``e``.  Exact at every magnitude: a
+    component of ``e`` at or above the int64 maximum (``inf`` included) is
+    at least every row component, so clipping ``e`` there changes no
+    comparison."""
+    if e.dimension != rows.shape[1]:
+        raise DimensionMismatch(f"energy dim {e.dimension} vs game dim {rows.shape[1]}")
+    top = np.array([min(c, _INT64_MAX) for c in e.components], dtype=np.int64)
+    return (rows <= top).all(1)
 
 
 def compute_new_win(game: GameGraph, old_win: Mapping[str, ParetoFront], g: str) -> ParetoFront:
@@ -773,16 +795,11 @@ def iterate_once(game: GameGraph, old_win: Mapping[str, ParetoFront]) -> FrontMa
     return _to_fronts(engine.ids, new)
 
 
-def _entry_log(
-    ids: tuple[str, ...], n: int, log: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-) -> EntryLog:
+def _entry_log(ids: tuple[str, ...], n: int, log: PassLog) -> EntryLog:
     """Per position, every row that entered its front and the pass it
-    entered at, in pass order, from the log of passes 1, 2, ...: per pass
-    its new rows stacked by position, the positions, and where each
-    position's rows start.  Each pass's rows of one position are a block;
-    the blocks go to one matrix by position and then by pass, and each pass
-    leaves ``log`` as soon as its blocks are copied, so that the log and
-    the matrix are never held twice."""
+    entered at, in pass order, from the log of passes 1, 2, ...  Each
+    pass's rows of one position are a block; the blocks go to one matrix
+    by position and then by pass."""
     pos = np.concatenate([np.empty(0, np.intp), *(p for _, p, _ in log)])
     stamp = np.repeat(np.arange(1, len(log) + 1), [p.size for _, p, _ in log])
     size = np.concatenate(
@@ -794,8 +811,7 @@ def _entry_log(
     start[order] = end - size[order]
     entries = np.empty((int(size.sum()), n), dtype=np.int64)
     lo = 0
-    while log:
-        rows, _, firsts = log.pop(0)
+    for rows, _, firsts in log:
         hi = lo + firsts.size
         entries[_ranges(start[lo:hi], start[lo:hi] + size[lo:hi])] = rows
         lo = hi
@@ -808,13 +824,13 @@ def _entry_log(
 
 def _solve_jacobi(
     engine: _Engine, cap: int | None
-) -> tuple[int, dict[str, np.ndarray], int, EntryLog]:
-    """Passes, fixed point, largest front and entry log of one solve."""
+) -> tuple[int, dict[str, np.ndarray], int, PassLog]:
+    """Passes, fixed point, largest front and pass log of one solve."""
     ids = engine.ids
     win = engine.start()
     prev = [rows[:0] for rows in win]
     fresh = engine.every_row(win)
-    log: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    log: PassLog = []
     max_front = 0
     passes = 1
     while fresh.pos.size:
@@ -837,7 +853,7 @@ def _solve_jacobi(
         new, fresh = engine.delta_pass(win, fresh, win)
         passes += 1
         prev, win = win, new
-    return passes, dict(zip(ids, win)), max_front, _entry_log(ids, engine.n, log)
+    return passes, dict(zip(ids, win)), max_front, log
 
 
 def compute_winning_budgets(game: GameGraph, *, iteration_cap: int | None = None) -> SolverResult:
@@ -857,21 +873,21 @@ def compute_winning_budgets(game: GameGraph, *, iteration_cap: int | None = None
         raise ValueError(f"iteration_cap must be None or an integer >= 0, got {iteration_cap!r}")
     game.require_valid()
     engine = _Engine(game)
-    passes, fixed, max_front, entries = _solve_jacobi(engine, iteration_cap)
-    return SolverResult(rows=fixed, iterations=passes, max_front_size=max_front, entries=entries)
+    passes, fixed, max_front, log = _solve_jacobi(engine, iteration_cap)
+    return SolverResult(rows=fixed, iterations=passes, max_front_size=max_front, pass_log=log)
 
 
 def known_initial_credit(result: SolverResult, g: str, e: Energy) -> bool:
-    """Does energy ``e`` suffice to win from ``g``?"""
-    return result.entry_pass(g, e) is not None
+    """Does energy ``e`` suffice to win from ``g``?  The same answer as
+    ``entry_pass(g, e) is not None``, with the same errors, read off the
+    fixed point: the upward closure of every entered row is that of the
+    fixed point's rows."""
+    return bool(_below(_at(result.rows, g), e).any())
 
 
 def unknown_initial_credit(result: SolverResult, g: str) -> bool:
     """Does any energy suffice to win from ``g``?"""
-    try:
-        return result.rows[g].shape[0] > 0
-    except KeyError:
-        raise KeyError(f"unknown position {g!r}") from None
+    return _at(result.rows, g).shape[0] > 0
 
 
 @dataclass(frozen=True)

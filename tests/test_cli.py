@@ -13,7 +13,7 @@ import pytest
 from conftest import espresso_with_target, grid_game, random_game
 import galois_energy
 from galois_energy import fileio, solver
-from galois_energy.cli import main
+from galois_energy.cli import _csv_field, main
 from galois_energy.lattice import Energy
 
 
@@ -113,6 +113,50 @@ def test_solve_output_is_the_rendered_fronts(name, capsys, tmp_path):
             code, out, _ = run(capsys, "solve", str(path), "--format", fmt, *stats)
             assert code == 0
             assert out == render_fronts(result, fmt, bool(stats), game.dimension)
+
+
+def render_rows(result: solver.SolverResult, fmt: str, dimension: int) -> str:
+    """Reference ``solve`` output without stats: one f-string per front
+    row, position ids quoted by ``_csv_field`` in CSV."""
+    out = []
+    if fmt == "csv":
+        out.append("position," + ",".join(f"component_{i}" for i in range(dimension)) + "\n")
+        for g in sorted(result.rows):
+            field = _csv_field(g)
+            out += [f"{field},{','.join(map(str, row))}\n" for row in result.rows[g].tolist()]
+    else:
+        for g in sorted(result.rows):
+            front = "; ".join(",".join(map(str, row)) for row in result.rows[g].tolist())
+            out.append(f"{g}:" + (" " + front if front else "") + "\n")
+    return "".join(out)
+
+
+ODD_IDS = [",", '"', "%", "%d", "100%", "p%s%%", "\n", "", 'a,"b"\r\n%', "plain"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_solve_renders_as_one_f_string_per_row(fmt, tmp_path, capsys):
+    """``solve`` writes what one f-string per row writes, on random games
+    whose position ids hold CSV's special characters, ``%`` and the empty
+    string, with empty fronts among them."""
+    rng = random.Random(f"render-{fmt}")
+    path = tmp_path / "game.json"
+    empty = 0
+    for _ in range(30):
+        game = random_game(rng, max_positions=6, declining=True)
+        names = dict(zip(game.position_ids, rng.sample(ODD_IDS, len(game.position_ids))))
+        doc = fileio.game_to_dict(game)
+        for p in doc["positions"]:
+            p["id"] = names[p["id"]]
+        for e in doc["edges"]:
+            e["from"], e["to"] = names[e["from"]], names[e["to"]]
+        path.write_text(json.dumps(doc))
+        result = solver.compute_winning_budgets(fileio.load_game(path).game)
+        empty += sum(rows.shape[0] == 0 for rows in result.rows.values())
+        code, out, _ = run(capsys, "solve", str(path), "--format", fmt)
+        assert code == 0
+        assert out == render_rows(result, fmt, game.dimension)
+    assert empty
 
 
 @pytest.mark.parametrize(

@@ -639,3 +639,72 @@ def test_stable_decide_many_is_exported():
 
     assert exported is stable_decide_many
     assert "stable_decide_many" in galois_energy.__all__
+
+
+def test_insert_numbers_rows_by_place():
+    """A new row's number is its place in the stream of rows, and a row
+    seen before, in the same batch or an earlier one, gets the number of
+    its first appearance."""
+    arena = oracle._Arena(_pay_three_game(), 10, 100)
+    a, b, c, d = ([0, v] for v in (1, 2, 3, 4))
+    index = {}
+    numbers, fresh = arena._insert(index, np.array([a, b, a]), 0)
+    assert numbers.tolist() == [0, 1, 0]
+    assert fresh.tolist() == [True, True, False]
+    numbers, fresh = arena._insert(index, np.array([c, b, c, d, a]), 3)
+    assert numbers.tolist() == [3, 1, 3, 6, 0]
+    assert fresh.tolist() == [True, False, False, True, False]
+    assert len(index) == 4
+
+
+def test_repeated_rows_match_fresh_reference_arenas(monkeypatch):
+    """Batches with repeated queries, explored through levels that repeat
+    successor rows within a level and across levels, give each query a
+    fresh ``ReferenceArena``'s verdict and number as many configurations
+    as one fresh reference arena that decides the whole batch.  Every
+    configuration number handed on, to ``_propagate`` or for a query, is
+    below the configuration count."""
+    explored = _explorations(monkeypatch)
+    recorded, insert = oracle._Arena._explore, oracle._Arena._insert
+    propagate = oracle._Arena._propagate
+    repeats = Counter()
+
+    def counted_insert(arena, index, rows, first):
+        numbers, fresh = insert(arena, index, rows, first)
+        repeats["within a level"] += bool((~fresh & (numbers >= first)).any())
+        repeats["across levels"] += bool((numbers < first).any())
+        return numbers, fresh
+
+    def checked_explore(arena, index, rows):
+        region, numbers, peak = recorded(arena, index, rows)
+        assert ((0 <= numbers) & (numbers < len(index))).all()
+        return region, numbers, peak
+
+    def checked_propagate(arena, positions, *numbered):
+        assert len(positions) == len(explored[-1][1])
+        for numbers in numbered:
+            assert ((0 <= numbers) & (numbers < len(positions))).all()
+        return propagate(arena, positions, *numbered)
+
+    monkeypatch.setattr(oracle._Arena, "_insert", counted_insert)
+    monkeypatch.setattr(oracle._Arena, "_explore", checked_explore)
+    monkeypatch.setattr(oracle._Arena, "_propagate", checked_propagate)
+    rng = random.Random("places")
+    budget = 5000  # above every region these games and bounds can have
+    for _ in range(40):
+        game = random_game(rng, max_positions=6, max_dim=3)
+        bound = rng.randint(0, 6)
+        queries = [
+            (rng.choice(game.position_ids),
+             Energy(tuple(rng.randint(0, bound) for _ in range(game.dimension))))
+            for _ in range(rng.randint(1, 6))
+        ]
+        queries += rng.choices(queries, k=rng.randint(1, 4))
+        rng.shuffle(queries)
+        got = _decide(oracle._Arena(game, bound, budget), *queries)
+        assert got == [ReferenceArena(game, bound, budget).decide(g, e) for g, e in queries]
+        together = ReferenceArena(game, bound, budget)
+        for g, e in queries:
+            together.decide(g, e)
+        assert len(explored[-1][1]) == len(together.keys)
+    assert repeats["within a level"] and repeats["across levels"], repeats

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from conftest import (
     reference_choose,
     solve_checked,
 )
-from galois_energy import solver
+from galois_energy import cli, fileio, solver
 from galois_energy.errors import (
     DimensionMismatch,
     InvalidGameError,
@@ -609,6 +610,61 @@ def test_entry_stamps_match_history_scan(name, espresso):
                     and known_initial_credit(result, g, e)
                 ):
                     assert strategy.choose(g, e) == reference_choose(game, hist, g, e)
+
+
+def test_entry_log_is_built_on_first_read_only(espresso, monkeypatch, capsys):
+    """``solve``, ``query`` and ``check`` build no entry log; a result
+    builds it once, when ``entries`` or ``entry_pass`` is first read."""
+    calls = []
+    entry_log = solver._entry_log
+
+    def counted(*args):
+        calls.append(args)
+        return entry_log(*args)
+
+    monkeypatch.setattr(solver, "_entry_log", counted)
+    path = str(fileio.bundled_game_path())
+    for argv in (["solve", path], ["query", path, "--position", "Office", "--energy", "0,0,0,10"],
+                 ["check", path, "--samples", "3"]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == []
+    for read in (lambda r: r.entries, lambda r: r.entry_pass("Office", E(0, 0, 0, 10))):
+        result = compute_winning_budgets(espresso)
+        assert known_initial_credit(result, "Office", E(0, 0, 0, 10))
+        assert unknown_initial_credit(result, "Office")
+        assert calls == []
+        read(result)
+        result.entries
+        assert result.entry_pass("Office", E(0, 0, 0, 9)) is None
+        assert len(calls) == 1
+        calls.clear()
+
+
+def test_known_initial_credit_is_entry_pass_membership():
+    """``known_initial_credit`` tests the fixed point's rows and
+    ``entry_pass`` every entered row; they agree on seeded games and
+    energies, components at and past the int64 maximum and ``inf``
+    included."""
+    rng = random.Random("membership")
+    games = [chain(delta(-INT64_MAX)), chain(delta(-(2**62)), delta(-(2**62 - 1)))]
+    games += [random_game(rng, declining=k % 2 == 1, mul=k % 3 == 2) for k in range(30)]
+    huge = (INT64_MAX - 1, INT64_MAX, INT64_MAX + 1, 2**70, INF)
+    agreed = Counter()
+    for game in games:
+        result = compute_winning_budgets(game)
+        for _ in range(30):
+            g = rng.choice(game.position_ids)
+            front = result.rows[g].tolist()
+            near = rng.choice(front) if front else [0] * game.dimension
+            e = Energy(tuple(
+                rng.choice((rng.randint(0, 4), max(c - 1, 0), c, c + 1, rng.choice(huge)))
+                for c in near
+            ))
+            wins = known_initial_credit(result, g, e)
+            assert wins == (result.entry_pass(g, e) is not None)
+            agreed[wins, any(c > INT64_MAX for c in e.components)] += 1
+    assert len(agreed) == 4, agreed
 
 
 def test_max_front_size_counts_largest_front(espresso):
