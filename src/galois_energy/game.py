@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 from .errors import InvalidGameError
@@ -187,7 +187,7 @@ def split_parallel_edges(
     seen: set[tuple[str, str]] = set()
     out_edges: list[tuple[str, str, Update]] = []
     report: list[AuxiliaryInsertion] = []
-    identity: dict[int, Update] = {}
+    identity = cache(Update.identity)
     for source, target, update in edges:
         if (source, target) not in seen:
             seen.add((source, target))
@@ -197,9 +197,7 @@ def split_parallel_edges(
         taken.add(aux)
         out_positions.append((aux, Owner.ATTACKER))
         out_edges.append((source, aux, update))
-        if update.dimension not in identity:
-            identity[update.dimension] = Update.identity(update.dimension)
-        out_edges.append((aux, target, identity[update.dimension]))
+        out_edges.append((aux, target, identity(update.dimension)))
         seen.add((source, aux))
         seen.add((aux, target))
         report.append(AuxiliaryInsertion(auxiliary=aux, source=source, target=target))

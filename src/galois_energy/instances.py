@@ -10,7 +10,7 @@ several target sets in one play.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import cache
 
 from .errors import DimensionMismatch
 from .game import GameGraph, Owner, Position, fresh_id, split_parallel_edges
@@ -104,19 +104,11 @@ class MultiReachabilityGame:
             raise ValueError(f"target positions {sorted(unknown)} do not exist")
 
 
-def _adds() -> Callable[[Iterable[int]], Update]:
-    """A maker of one-step Add updates that returns one shared ``Update``
-    per distinct vector of amounts, so that edges with equal weights share
-    one object and the solver compiles one undo plan for them."""
-    made: dict[tuple[int, ...], Update] = {}
-
-    def add(amounts: Iterable[int]) -> Update:
-        key = tuple(amounts)
-        if key not in made:
-            made[key] = Update.single(*map(Add, key))
-        return made[key]
-
-    return add
+def _add(amounts: tuple[int, ...]) -> Update:
+    """The one-step Add update of ``amounts``.  Each transform wraps it in
+    ``functools.cache``, so that edges with equal weights share one object
+    and the solver compiles one undo plan for them."""
+    return Update.single(*map(Add, amounts))
 
 
 def from_shortest_path(graph: WeightedGraph) -> tuple[GameGraph, str]:
@@ -143,10 +135,10 @@ def from_vass_coverability(vass: Vass) -> tuple[GameGraph, str, Energy]:
     n = vass.dimension
     sink = fresh_id("__sink", set(vass.states))
     positions = [(q, Owner.ATTACKER) for q in vass.states] + [(sink, Owner.DEFENDER)]
-    add = _adds()
-    edges = [(q, q2, add(w)) for q, w, q2 in vass.transitions]
+    add = cache(_add)
+    edges = [(q, q2, add(tuple(w))) for q, w, q2 in vass.transitions]
     target_state, target_energy = vass.target
-    edges.append((target_state, sink, add(-int(c) for c in target_energy.components)))
+    edges.append((target_state, sink, add(tuple(-int(c) for c in target_energy.components))))
     positions, edges, _ = split_parallel_edges(positions, edges)
     game = GameGraph.build(n, positions, edges).require_valid()
     return game, vass.initial[0], vass.initial[1]
@@ -164,9 +156,9 @@ def from_multi_reachability(m: MultiReachabilityGame) -> GameGraph:
     owner = {p.id: p.owner for p in m.positions}
     goal = fresh_id("__goal", set(owner))
     positions = [(p.id, p.owner) for p in m.positions] + [(goal, Owner.DEFENDER)]
-    add = _adds()
+    add = cache(_add)
     edges = [
-        (s, t, add(-c for c in w))
+        (s, t, add(tuple(-c for c in w)))
         for s, t, w in m.edges
         if not (s in m.targets and owner[s] is Owner.DEFENDER)
     ]

@@ -48,9 +48,14 @@ moves already decides is settled on the spot and not expanded: an
 attacker configuration with a defined move into a defender deadlock wins,
 and a defender configuration with an undefined move escapes.  The
 attractor gives them these verdicts whatever their other moves reach, so
-none of those moves is kept.  The attractor is then settled over the
-explored region, in rounds over a predecessor index of its edges, from
-the wins settled on the spot and the defender deadlocks.
+none of those moves is kept.  Nor is a configuration expanded at a
+position with no path to a defender deadlock, which never joins: the
+arena finds the other positions once, over its edge arrays, as the fixed
+point of adding the sources of the edges into the set, starting from the
+defender deadlocks (the tests keep a set search as its reference).  The
+attractor is then settled over the explored region, in rounds over a
+predecessor index of its edges, from the wins settled on the spot and
+the defender deadlocks.
 
 Rows are int64, so an arena first bounds every value a move can compute
 from energies at most ``B``; when that bound leaves the int64 range the
@@ -133,24 +138,14 @@ class _Arena:
         ]
         # positions with no path to any defender deadlock can never be won,
         # whatever the energy; their configurations need no expansion
-        self.hopeful = self._positions_reaching_defender_deadlocks(len(ids))
+        src = np.array([s for s, out in enumerate(self.moves) for _ in out], dtype=np.intp)
+        dst = np.array([t for out in self.moves for t, _ in out], dtype=np.intp)
+        hopeful = self.sink.copy()
+        while not hopeful[into := src[hopeful[dst]]].all():
+            hopeful[into] = True
+        self.hopeful = hopeful
         self.width = 1 + game.dimension
         self.row_key = np.dtype((np.void, 8 * self.width))  # one int64 row as bytes
-
-    def _positions_reaching_defender_deadlocks(self, count: int) -> np.ndarray:
-        rev: list[set[int]] = [set() for _ in range(count)]
-        for src, moves in enumerate(self.moves):
-            for tgt, _ in moves:
-                rev[tgt].add(src)
-        frontier = np.flatnonzero(self.sink).tolist()
-        reach = set(frontier)
-        while frontier:
-            nxt = frontier.pop()
-            for p in rev[nxt]:
-                if p not in reach:
-                    reach.add(p)
-                    frontier.append(p)
-        return np.array([i in reach for i in range(count)], dtype=bool)
 
     def decide_rows(self, rows: np.ndarray) -> tuple[np.ndarray, int]:
         """Whether the attacker wins each int64 row ``(position, energy...)``,

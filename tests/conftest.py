@@ -2,7 +2,8 @@
 implementations for the solver (the pure-Python minimiser, membership test
 and Galois inverse, the plain pass, the per-pass front maps and the
 history-scanning strategy), a per-spec reference for forward application,
-a reference arena for the oracle, a recorder of the minimiser's inputs,
+a reference arena for the oracle and its set search for the positions
+that reach a defender deadlock, a recorder of the minimiser's inputs,
 and the independent check helpers used across the suite."""
 
 from __future__ import annotations
@@ -99,6 +100,23 @@ def reference_apply(u: Update | UpdateAtom, e: Energy) -> Energy | None:
 _NEVER = -1  # defender configuration that can never be satisfied
 
 
+def reference_hopeful(game: GameGraph) -> list[bool]:
+    """Reference for ``oracle._Arena.hopeful``: per position in id order,
+    whether it has a path to a defender deadlock, by a depth-first search
+    over reversed edges from the deadlocks, one position at a time."""
+    ids = game.position_ids
+    rev: dict[str, set[str]] = {g: set() for g in ids}
+    for e in game.edges:
+        rev[e.target].add(e.source)
+    frontier = [g for g in ids if game.owner(g) is Owner.DEFENDER and game.is_deadlock(g)]
+    reach = set(frontier)
+    while frontier:
+        for p in rev[frontier.pop()] - reach:
+            reach.add(p)
+            frontier.append(p)
+    return [g in reach for g in ids]
+
+
 class ReferenceArena:
     """Reference for ``oracle._Arena``: the clipped configuration graph of
     one (game, bound), explored depth first one configuration at a time,
@@ -134,16 +152,8 @@ class ReferenceArena:
         self.pos_index = {g: i for i, g in enumerate(ids)}
         self.is_defender = [game.owner(g) is Owner.DEFENDER for g in ids]
         self.moves = [[(self.pos_index[t], u) for t, u in game.successors(g)] for g in ids]
-        rev = [{s for s, moves in enumerate(self.moves) if any(t == i for t, _ in moves)}
-               for i in range(len(ids))]
-        frontier = [i for i, g in enumerate(ids) if self.is_defender[i] and game.is_deadlock(g)]
-        self.sink = [i in frontier for i in range(len(ids))]
-        reach = set(frontier)
-        while frontier:
-            for p in rev[frontier.pop()] - reach:
-                reach.add(p)
-                frontier.append(p)
-        self.hopeful = [i in reach for i in range(len(ids))]
+        self.sink = [self.is_defender[i] and game.is_deadlock(g) for i, g in enumerate(ids)]
+        self.hopeful = reference_hopeful(game)
         self.poisoned = False
         self.config_index: dict[tuple[int, tuple[int, ...]], int] = {}
         self.keys: list[tuple[int, tuple[int, ...]]] = []

@@ -220,6 +220,23 @@ def test_transforms_share_one_update_per_distinct_weight():
     assert len({id(e.update) for e in game.edges}) == len(vectors)
 
 
+def test_vass_with_list_weights_shares_one_update_per_vector():
+    """Transition weights given as lists share one ``Update`` per distinct
+    vector too, the sink edge included."""
+    transitions = (
+        ("a", [-1, 2], "b"), ("b", [-1, 2], "a"), ("a", [0, -3], "a"), ("b", [0, 0], "c"),
+        ("c", [-1, 2], "c"),
+    )
+    vass = Vass(("a", "b", "c"), transitions, ("a", E(1, 0)), ("c", E(0, 3)))
+    game, _, _ = from_vass_coverability(vass)
+    by_vector = {}
+    for e in game.edges:
+        (atom,) = e.update.steps
+        by_vector.setdefault(tuple(s.z for s in atom.specs), set()).add(id(e.update))
+    assert by_vector.keys() == {(-1, 2), (0, -3), (0, 0)}
+    assert all(len(objects) == 1 for objects in by_vector.values())
+
+
 def test_multi_reachability_all_targets_trivial():
     m = MultiReachabilityGame(
         dimension=1,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import ReferenceArena, random_game
+from conftest import ReferenceArena, random_game, reference_hopeful
 from galois_energy import oracle
 from galois_energy.errors import OracleCapacityError
 from galois_energy.game import GameGraph, Owner, Verdict
@@ -28,6 +28,30 @@ def E(*cs):
 
 def delta(*zs):
     return Update.single(*(Add(z) for z in zs))
+
+
+def test_hopeful_positions_are_those_reaching_a_defender_deadlock():
+    """The arena's mask of positions with a path to a defender deadlock is
+    the set search's, on seeded games with self-loops and with positions
+    that reach no deadlock (a defender and an attacker looping among
+    themselves, entered from the game)."""
+    rng = random.Random(13)
+    seen = Counter()
+    for _ in range(80):
+        base = random_game(rng)
+        ident = Update.identity(base.dimension)
+        positions = [(p.id, p.owner) for p in base.positions]
+        positions += [("loop", Owner.DEFENDER), ("spin", Owner.ATTACKER)]
+        edges = [(e.source, e.target, e.update) for e in base.edges]
+        edges += [("loop", "loop", ident), ("spin", "spin", ident), ("spin", "loop", ident)]
+        edges += [(g, "spin", ident) for g in rng.sample(base.position_ids, 1)]
+        game = GameGraph.build(base.dimension, positions, edges)
+        hopeful = oracle._Arena(game, 4, oracle.DEFAULT_CONFIG_BUDGET).hopeful
+        assert hopeful.dtype == bool
+        assert hopeful.tolist() == reference_hopeful(game)
+        seen.update(hopeful.tolist())
+        seen["self-loop"] += any(e.source == e.target for e in base.edges)
+    assert seen[True] and seen[False] > 160 and seen["self-loop"]
 
 
 def test_espresso_energization_budget(espresso):

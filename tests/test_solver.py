@@ -612,6 +612,50 @@ def test_entry_stamps_match_history_scan(name, espresso):
                     assert strategy.choose(g, e) == reference_choose(game, hist, g, e)
 
 
+def _naive_entry_log(result):
+    """Per position, the rows every logged pass gave it and their stamps,
+    concatenated pass by pass."""
+    ids = list(result.rows)
+    n = next(iter(result.rows.values())).shape[1]
+    rows = {g: [np.empty((0, n), dtype=np.int64)] for g in ids}
+    stamps = {g: [np.empty(0, dtype=np.int64)] for g in ids}
+    for k, (added, positions, firsts) in enumerate(result.pass_log, 1):
+        ends = [*firsts[1:].tolist(), added.shape[0]]
+        for p, a, b in zip(positions.tolist(), firsts.tolist(), ends):
+            rows[ids[p]].append(added[a:b])
+            stamps[ids[p]].append(np.full(b - a, k))
+    return {g: (np.vstack(rows[g]), np.concatenate(stamps[g])) for g in ids}
+
+
+def test_entry_log_is_the_pass_log_concatenated_by_position():
+    """``entries`` gives each position the rows of every pass in pass
+    order, on seeded games with a position that never gains a row (an
+    attacker deadlock) and on a game whose log is empty."""
+    rng = random.Random(29)
+    games = [GameGraph.build(2, [("a", Owner.ATTACKER), ("b", Owner.ATTACKER)],
+                             [("a", "b", delta(-1, 0))])]
+    while len(games) < 31:
+        base = random_game(rng)
+        ident = Update.identity(base.dimension)
+        positions = [(p.id, p.owner) for p in base.positions] + [("stuck", Owner.ATTACKER)]
+        edges = [(e.source, e.target, e.update) for e in base.edges]
+        game = GameGraph.build(base.dimension, positions, [*edges, ("p0", "stuck", ident)])
+        if compute_winning_budgets(game).pass_log:
+            games.append(game)
+    passes = []
+    for game in games:
+        result = compute_winning_budgets(game)
+        passes.append(len(result.pass_log))
+        expected = _naive_entry_log(result)
+        assert result.entries.keys() == expected.keys()
+        assert not len(result.entries["stuck" if "stuck" in expected else "a"][0])
+        for g, (rows, stamps) in result.entries.items():
+            assert rows.dtype == stamps.dtype == np.int64
+            assert np.array_equal(rows, expected[g][0])
+            assert np.array_equal(stamps, expected[g][1])
+    assert passes[0] == 0 and min(passes[1:]) > 0 and max(passes) > 3
+
+
 def test_entry_log_is_built_on_first_read_only(espresso, monkeypatch, capsys):
     """``solve``, ``query`` and ``check`` build no entry log; a result
     builds it once, when ``entries`` or ``entry_pass`` is first read."""
@@ -838,6 +882,37 @@ def test_defender_under_the_grid_cap_meets(monkeypatch):
     compute_winning_budgets(espresso_with_target(16))
     assert paths["meet"] > 1
     assert paths["fold"] == 0
+
+
+def test_fold_order_of_the_other_factors_leaves_the_rows_alone():
+    """Each term of the telescoped fold is a product of upward closures,
+    so folding its non-delta factors in any order gives the same rows as
+    the fold's own smallest-first order."""
+    rng = random.Random(31)
+
+    def antichain(count, dim):
+        rows = np.array([[rng.randint(0, 6) for _ in range(dim)] for _ in range(count)],
+                        dtype=np.int64).reshape(count, dim)
+        return rows[solver._minimize_rows(rows)]
+
+    for _ in range(60):
+        dim, m = rng.randint(1, 4), rng.randint(2, 4)
+        base = antichain(rng.randint(0, 6), dim)
+        after = [antichain(rng.randint(0, 9), dim) for _ in range(m)]
+        new = [np.array([rng.random() < 0.3 for _ in f], dtype=bool) for f in after]
+        deltas = [f[mask] for f, mask in zip(after, new)]
+        before = [f[~mask] for f, mask in zip(after, new)]
+        terms = [base]
+        for i, d in enumerate(deltas):
+            others = [*after[:i], *before[i + 1:]]
+            rng.shuffle(others)
+            for f in others:
+                d = np.maximum(d[:, None, :], f[None, :, :]).reshape(-1, dim)
+                d = d[solver._minimize_rows(d)]
+            terms.append(d)
+        stacked = np.vstack(terms)
+        expected = stacked[solver._minimize_rows(stacked)]
+        assert np.array_equal(solver._telescoped_fold(base, deltas, after, before), expected)
 
 
 def test_fold_splits_the_current_fronts_by_their_new_rows(monkeypatch):
