@@ -98,19 +98,25 @@ with ``MagnitudeOverflow`` when it enters a front above what pulling it
 back over an incoming edge keeps within int64, so no value ever wraps.
 
 The fixed point stays int64 rows (``SolverResult.rows``); ``ParetoFront``
-values are built on the first access to ``SolverResult.fronts``.  Every
-row that enters a front is logged once with the pass it entered at (a
-row that leaves a front is dominated from then on and never re-enters):
-the loop range-checks and logs each pass's stacked new rows in one step,
-and on its first access ``SolverResult.entries`` sorts the logged rows by
-position in one stable sort, which keeps them in pass order, and splits
-them at the position boundaries.  So ``↑W_k[g]`` is the upward closure
-of the rows stamped at most ``k``.  The pass at which an energy became
-winning is read off these stamps (``SolverResult.entry_pass``).
-Membership in the upward closure of the fixed point
-(``known_initial_credit``) needs no stamps: every logged row is above
-some fixed-point row, so an energy is winning exactly when some row of
-``SolverResult.rows`` is below it.  The tests keep a per-pass
+values are built on the first access to ``SolverResult.fronts``.  A solve
+keeps no history: it holds ``W_k``, the map being built and the kernels'
+temporaries, and ``W_{k-1}`` only under an iteration cap, for
+``IterationCapExceeded`` to report.  So ``solve``, ``query`` and
+``check`` keep neither a pass log nor a previous map.  The passes are
+deterministic, so the first read of ``SolverResult.pass_log`` replays
+them, at the cost of one more solve, and logs every row that enters a
+front once with the pass it entered at (a row that leaves a front is
+dominated from then on and never re-enters): the loop range-checks and
+logs each pass's stacked new rows in one step.  The first read of
+``SolverResult.entries`` thus includes one more solve; it sorts the
+logged rows by position in one stable sort, which keeps them in pass
+order, and splits them at the position boundaries.  So ``↑W_k[g]`` is
+the upward closure of the rows stamped at most ``k``.  The pass at which
+an energy became winning is read off these stamps
+(``SolverResult.entry_pass``).  Membership in the upward closure of the
+fixed point (``known_initial_credit``) needs no stamps: every logged row
+is above some fixed-point row, so an energy is winning exactly when some
+row of ``SolverResult.rows`` is below it.  The tests keep a per-pass
 concatenation of the log as the reference for ``entries``.
 """
 
@@ -723,19 +729,31 @@ class SolverResult:
     it into ``ParetoFront`` values on first access.  ``iterations`` counts
     passes of the do-while loop including the final confirming pass;
     ``max_front_size`` is the largest front cardinality observed anywhere
-    during the run.  ``pass_log`` holds the rows each pass added to the
-    fronts; ``entries`` sorts them by position on first access, and only
-    ``entry_pass`` reads it.
+    during the run.  The solve keeps no history: the result holds the
+    game's ``engine``, and ``pass_log``, the rows each pass added to the
+    fronts, replays the deterministic passes on its first read, at the
+    cost of one more solve.  ``entries`` sorts that log by position on
+    first access, and only ``entry_pass`` reads it.
     """
 
     rows: dict[str, np.ndarray] = field(repr=False)
     iterations: int
     max_front_size: int
-    pass_log: PassLog = field(repr=False)
+    engine: _Engine = field(repr=False)
 
     @cached_property
     def fronts(self) -> FrontMap:
         return _to_fronts(self.rows, self.rows.values())
+
+    @cached_property
+    def pass_log(self) -> PassLog:
+        """Per pass, its new rows stacked by position, the positions, and
+        where each position's rows start.  The passes of the solve run once
+        more, without a cap: the solve that made this result ended within
+        any cap it had, so the replay ends at the same pass."""
+        log: PassLog = []
+        _solve_jacobi(self.engine, None, log)
+        return log
 
     @cached_property
     def entries(self) -> EntryLog:
@@ -816,14 +834,16 @@ def _entry_log(ids: tuple[str, ...], n: int, log: PassLog) -> EntryLog:
 
 
 def _solve_jacobi(
-    engine: _Engine, cap: int | None
-) -> tuple[int, dict[str, np.ndarray], int, PassLog]:
-    """Passes, fixed point, largest front and pass log of one solve."""
+    engine: _Engine, cap: int | None, log: PassLog | None = None
+) -> tuple[int, dict[str, np.ndarray], int]:
+    """Passes, fixed point and largest front of one solve.  Each pass's
+    new rows are appended to ``log`` when one is given, and the previous
+    map is kept only for ``IterationCapExceeded`` when ``cap`` is set: a
+    plain solve holds ``W_k`` and the map being built, nothing more."""
     ids = engine.ids
     win = engine.start()
-    prev = [rows[:0] for rows in win]
+    prev = None if cap is None else [rows[:0] for rows in win]
     fresh = engine.every_row(win)
-    log: PassLog = []
     max_front = 0
     passes = 1
     while fresh.pos.size:
@@ -837,7 +857,8 @@ def _solve_jacobi(
             )
         firsts = np.flatnonzero(np.diff(fresh.pos, prepend=-1))
         grown = fresh.pos[firsts].tolist()
-        log.append((fresh.rows, fresh.pos[firsts], firsts))
+        if log is not None:
+            log.append((fresh.rows, fresh.pos[firsts], firsts))
         max_front = max(max_front, *(win[k].shape[0] for k in grown))
         if cap is not None and passes > cap:
             gained = np.diff(firsts, append=fresh.pos.size).tolist()
@@ -845,8 +866,10 @@ def _solve_jacobi(
             raise IterationCapExceeded(cap, _to_fronts(ids, prev), _to_fronts(ids, win), growing)
         new, fresh = engine.delta_pass(win, fresh, win)
         passes += 1
-        prev, win = win, new
-    return passes, dict(zip(ids, win)), max_front, log
+        if cap is not None:
+            prev = win
+        win = new
+    return passes, dict(zip(ids, win)), max_front
 
 
 def compute_winning_budgets(game: GameGraph, *, iteration_cap: int | None = None) -> SolverResult:
@@ -866,8 +889,8 @@ def compute_winning_budgets(game: GameGraph, *, iteration_cap: int | None = None
         raise ValueError(f"iteration_cap must be None or an integer >= 0, got {iteration_cap!r}")
     game.require_valid()
     engine = _Engine(game)
-    passes, fixed, max_front, log = _solve_jacobi(engine, iteration_cap)
-    return SolverResult(rows=fixed, iterations=passes, max_front_size=max_front, pass_log=log)
+    passes, fixed, max_front = _solve_jacobi(engine, iteration_cap)
+    return SolverResult(rows=fixed, iterations=passes, max_front_size=max_front, engine=engine)
 
 
 def known_initial_credit(result: SolverResult, g: str, e: Energy) -> bool:

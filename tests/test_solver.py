@@ -685,6 +685,94 @@ def test_entry_log_is_built_on_first_read_only(espresso, monkeypatch, capsys):
         calls.clear()
 
 
+def _counted_solves(monkeypatch) -> list[tuple]:
+    """Patch ``_solve_jacobi`` to record each call's cap and log."""
+    calls = []
+    solve = solver._solve_jacobi
+
+    def counted(engine, cap, log=None):
+        calls.append((cap, log))
+        return solve(engine, cap, log)
+
+    monkeypatch.setattr(solver, "_solve_jacobi", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["solve", "--stats"],
+        ["query", "--position", "Office", "--energy", "0,0,0,10"],
+        ["query", "--position", "Office", "--energy", "0,0,0,9"],
+        ["check", "--samples", "3"],
+    ],
+)
+def test_cli_commands_solve_once_and_log_nothing(argv, monkeypatch, capsys):
+    """``solve``, ``query`` and ``check`` run the passes once, with no
+    pass log and no cap, so they keep no history."""
+    calls = _counted_solves(monkeypatch)
+    cli.main([argv[0], str(fileio.bundled_game_path()), *argv[1:]])
+    capsys.readouterr()
+    assert calls == [(None, None)]
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda r, game: r.pass_log,
+        lambda r, game: r.entries,
+        lambda r, game: r.entry_pass("Office", E(0, 0, 0, 10)),
+        lambda r, game: extract_strategy(game, r).choose("Office", E(1, 20, 0, 0)),
+    ],
+    ids=["pass_log", "entries", "entry_pass", "choose"],
+)
+def test_pass_log_replays_the_solve_once_per_result(read, espresso, monkeypatch):
+    """The first read of the pass log, the entries, an entry pass or a
+    strategy move replays the passes once, uncapped and logging; later
+    reads of any of them replay nothing, and the replayed log has one
+    entry per pass that gained a row."""
+    calls = _counted_solves(monkeypatch)
+    result = compute_winning_budgets(espresso, iteration_cap=100)
+    assert calls == [(100, None)]
+    read(result, espresso)
+    assert len(calls) == 2 and calls[1][0] is None and calls[1][1] is result.pass_log
+    strategy = extract_strategy(espresso, result)
+    for again in range(2):
+        result.pass_log, result.entries
+        assert result.entry_pass("Office", E(0, 0, 0, 9)) is None
+        strategy.choose("Office", E(1, 20, 0, 0))
+    assert len(calls) == 2
+    assert len(result.pass_log) == result.iterations - 1
+
+
+def test_replayed_entries_match_the_plain_pass_on_random_games():
+    """The replayed pass log gives the entries of the plain per-pass
+    reference, on seeded random games solved plain and under the tightest
+    cap that succeeds (the replay runs uncapped), and on a game whose log
+    is empty."""
+    rng = random.Random("replay")
+    empty = GameGraph.build(
+        2, [("a", Owner.ATTACKER), ("b", Owner.ATTACKER)], [("a", "b", delta(-1, 0))]
+    )
+    result = compute_winning_budgets(empty, iteration_cap=0)
+    assert result.pass_log == []
+    assert_history_matches_plain(empty, result)
+    capped = 0
+    while capped < 20:
+        game = random_game(rng, declining=capped % 2 == 1)
+        plain = compute_winning_budgets(game)
+        assert_history_matches_plain(game, plain)
+        cap = plain.iterations - 1
+        if cap:
+            with pytest.raises(IterationCapExceeded):
+                compute_winning_budgets(game, iteration_cap=cap - 1)
+            capped += 1
+        result = compute_winning_budgets(game, iteration_cap=cap)
+        assert_history_matches_plain(game, result)
+        assert len(result.pass_log) == len(plain.pass_log) == cap
+
+
 def test_known_initial_credit_is_entry_pass_membership():
     """``known_initial_credit`` tests the fixed point's rows and
     ``entry_pass`` every entered row; they agree on seeded games and
@@ -923,7 +1011,9 @@ def test_fold_splits_the_current_fronts_by_their_new_rows(monkeypatch):
     of ``W_{k-1}``: some of its rows have left ``W_k``.  Passing ``N_i``
     for ``O_i`` keeps the answers but starts the products from whole
     fronts, so the fold would no longer telescope.  Under the default cap
-    espresso never folds; a cap of 2^16 cells sends 37 defenders there."""
+    espresso never folds; a cap of 2^16 cells sends 37 defenders there.
+    The folds are those of the solve alone: ``history`` reads ``entries``,
+    whose pass log replays the passes and folds again."""
     monkeypatch.setattr(solver, "_GRID_CELL_CAP", 1 << 16)
     game = espresso_with_target(16)
     calls = []  # per defender pass: pass, defenders, then its folds
@@ -953,8 +1043,9 @@ def test_fold_splits_the_current_fronts_by_their_new_rows(monkeypatch):
     monkeypatch.setattr(solver._Engine, "delta_pass", counted_pass)
     monkeypatch.setattr(solver._Engine, "defender_pass", named_defenders)
     monkeypatch.setattr(solver, "_telescoped_fold", recorded_fold)
-    maps = history(compute_winning_budgets(game))
+    result = compute_winning_budgets(game)
     folds = [(k, names, *f) for k, names, *fs in calls for f in fs]
+    maps = history(result)
     assert len(folds) == 37
     shrunk = 0
     several = 0
