@@ -77,8 +77,9 @@ counting table of every segment's span of values when it has at most
 the indices of the minimal rows of each segment, one antichain being the
 one-segment case: up to ``_CHUNK`` rows by a pairwise dominance sweep,
 ``O(m²·d)``, and above that on one rank grid with a leading segment axis,
-against the threshold map of each row's segment, or by the sweep when
-the grid or its map is too large.  ``W_k[g]`` is stacked first, so the
+against the threshold map of each row's segment, when that map has at
+most ``m·_CHUNK`` cells (the fewest pair tests the sweep makes on ``m``
+rows), and otherwise by the sweep.  ``W_k[g]`` is stacked first, so the
 new rows ``Δ_{k+1}[g]`` are exactly the survivors past it.  The defender
 batch stacks its met and folded fronts by defender, and marks the rows
 that are not rows of ``W_k[g]`` by one binary search of the batch's
@@ -138,9 +139,8 @@ from .updates import Add, MinOf, Update
 FrontMap = dict[str, ParetoFront]
 # Per position, every row that entered its front and the pass it entered at.
 EntryLog = dict[str, tuple[np.ndarray, np.ndarray]]
-# Per pass, its new rows stacked by position, the positions, and where each
-# position's rows start.
-PassLog = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+# Per pass, its new rows stacked by position, and the position of each row.
+PassLog = list[tuple[np.ndarray, np.ndarray]]
 
 _T = TypeVar("_T")
 
@@ -239,20 +239,18 @@ def _segment_keys(
     segment axis, and each column is ranked within its row's segment
     (``_rank_segments``), on an axis as long as the largest segment's.
     Keys are ``np.ravel_multi_index`` of (segment, ranks), so they order
-    rows by segment and then lexicographically.  ``None`` once one
-    segment's grid exceeds ``_GRID_CELL_CAP`` cells or the threshold map
-    (``nseg·∏ sizes[:-1]`` cells) more than ``m·_CHUNK``, the fewest pair
-    tests the sweep makes on ``m`` rows, so no key outgrows int64.  The
-    cap counts neither the map's ``sizes[-1]`` times fewer cells (which
-    made a 9×9 grid game of dimension 6 solve 3.5× slower) nor the segment
-    axis (which sent the attacker batch of a wide game to the sweep)."""
+    rows by segment and then lexicographically.  ``None`` once the
+    threshold map (``nseg·∏ sizes[:-1]`` cells, the only array the grid
+    kernel allocates) has more than ``m·_CHUNK`` cells, the fewest pair
+    tests the sweep makes on ``m`` rows, or the grid (``nseg·∏ sizes``
+    cells) more than 2^62, so that no key outgrows int64."""
     m, n = rows.shape
     keys = segment.astype(np.int64)
     sizes: list[int] = []
     for c in range(n):
         rank, _, starts = _rank_segments(rows[:, c], segment, nseg)
         sizes.append(int((starts[1:] - starts[:-1]).max()))
-        if math.prod(sizes) > _GRID_CELL_CAP or nseg * math.prod(sizes[: n - 1]) > m * _CHUNK:
+        if nseg * math.prod(sizes[: n - 1]) > m * _CHUNK or nseg * math.prod(sizes) > 1 << 62:
             return None
         keys = keys * sizes[-1] + rank
     return keys, [nseg, *sizes]
@@ -747,10 +745,10 @@ class SolverResult:
 
     @cached_property
     def pass_log(self) -> PassLog:
-        """Per pass, its new rows stacked by position, the positions, and
-        where each position's rows start.  The passes of the solve run once
-        more, without a cap: the solve that made this result ended within
-        any cap it had, so the replay ends at the same pass."""
+        """Per pass, its new rows stacked by position, and the position of
+        each row.  The passes of the solve run once more, without a cap:
+        the solve that made this result ended within any cap it had, so
+        the replay ends at the same pass."""
         log: PassLog = []
         _solve_jacobi(self.engine, None, log)
         return log
@@ -822,12 +820,10 @@ def _entry_log(ids: tuple[str, ...], n: int, log: PassLog) -> EntryLog:
     entered at, in pass order, from the log of passes 1, 2, ...: the
     logged rows, their positions and their stamps sorted by position in
     one stable sort, and split at the position boundaries."""
-    rows = np.concatenate([np.empty((0, n), np.int64), *(r for r, _, _ in log)])
-    pos = np.concatenate(
-        [np.empty(0, np.intp), *(np.repeat(p, np.diff(f, append=r.shape[0])) for r, p, f in log)]
-    )
+    rows = np.concatenate([np.empty((0, n), np.int64), *(r for r, _ in log)])
+    pos = np.concatenate([np.empty(0, np.intp), *(p for _, p in log)])
     order = np.argsort(pos, kind="stable")
-    stamps = np.repeat(np.arange(1, len(log) + 1), [r.shape[0] for r, _, _ in log])[order]
+    stamps = np.repeat(np.arange(1, len(log) + 1), [p.size for _, p in log])[order]
     cuts = np.searchsorted(pos[order], np.arange(1, len(ids)))
     # ``take`` gathers narrow rows several times faster than ``rows[order]``
     return dict(zip(ids, zip(np.split(rows.take(order, 0), cuts), np.split(stamps, cuts))))
@@ -858,7 +854,7 @@ def _solve_jacobi(
         firsts = np.flatnonzero(np.diff(fresh.pos, prepend=-1))
         grown = fresh.pos[firsts].tolist()
         if log is not None:
-            log.append((fresh.rows, fresh.pos[firsts], firsts))
+            log.append((fresh.rows, fresh.pos))
         max_front = max(max_front, *(win[k].shape[0] for k in grown))
         if cap is not None and passes > cap:
             gained = np.diff(firsts, append=fresh.pos.size).tolist()

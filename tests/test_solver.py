@@ -619,11 +619,10 @@ def _naive_entry_log(result):
     n = next(iter(result.rows.values())).shape[1]
     rows = {g: [np.empty((0, n), dtype=np.int64)] for g in ids}
     stamps = {g: [np.empty(0, dtype=np.int64)] for g in ids}
-    for k, (added, positions, firsts) in enumerate(result.pass_log, 1):
-        ends = [*firsts[1:].tolist(), added.shape[0]]
-        for p, a, b in zip(positions.tolist(), firsts.tolist(), ends):
-            rows[ids[p]].append(added[a:b])
-            stamps[ids[p]].append(np.full(b - a, k))
+    for k, (added, positions) in enumerate(result.pass_log, 1):
+        for p in np.unique(positions).tolist():
+            rows[ids[p]].append(added[positions == p])
+            stamps[ids[p]].append(np.full(int((positions == p).sum()), k))
     return {g: (np.vstack(rows[g]), np.concatenate(stamps[g])) for g in ids}
 
 
@@ -808,16 +807,14 @@ def test_max_front_size_counts_largest_front(espresso):
 
 
 def _sweep_inputs():
-    """Row sets whose rank grid the cap refuses: over 2^22 cells (5
-    columns of about 30 distinct values) and over 2^62 cells (8 columns
-    of a few hundred distinct values), each with some rows repeated."""
+    """Row sets whose threshold map has more cells than the sweep makes
+    pair tests: 5 columns of about 30 distinct values, and 8 columns of
+    values that barely repeat (a grid of over 2^62 cells), each with some
+    rows repeated."""
     rng = np.random.default_rng(5)
-    capped = rng.integers(0, 30, size=(300, 5))
+    narrow = rng.integers(0, 30, size=(300, 5))
     wide = rng.integers(0, 2**40, size=(300, 8))
-    return {
-        "cap": (np.vstack([capped, capped[:20]]), 1 << 22),
-        "int64": (np.vstack([wide, wide[:20]]), 1 << 62),
-    }
+    return {"narrow": np.vstack([narrow, narrow[:20]]), "wide": np.vstack([wide, wide[:20]])}
 
 
 def _count_sweeps(monkeypatch) -> list[int]:
@@ -838,15 +835,37 @@ def _assert_minimal(rows: np.ndarray, got: np.ndarray) -> None:
     assert got.tolist() == [list(e.components) for e in expected]
 
 
-@pytest.mark.parametrize("name", ["cap", "int64"])
-def test_minimize_rows_sweeps_grids_over_the_cap(name, monkeypatch):
-    rows, cells = _sweep_inputs()[name]
+@pytest.mark.parametrize("name", ["narrow", "wide"])
+def test_minimize_rows_sweeps_maps_over_the_bound(name, monkeypatch):
+    rows = _sweep_inputs()[name]
     sizes = [len(np.unique(rows[:, c])) for c in range(rows.shape[1])]
-    assert math.prod(sizes) > cells
+    assert math.prod(sizes[:-1]) > rows.shape[0] * solver._CHUNK
     calls = _count_sweeps(monkeypatch)
     got = rows[solver._minimize_rows(rows)]
     assert calls == [len({tuple(r) for r in rows.tolist()})]
     _assert_minimal(rows, got)
+
+
+def test_minimize_rows_grids_a_large_grid_whose_map_fits(monkeypatch):
+    """3,000 rows in 3 columns of 40, 40 and about 3,000 distinct values:
+    a rank grid of over 2^22 cells, but a threshold map of 1,600 cells,
+    far fewer than the sweep's pair tests.  The grid answers, with the
+    indices of the forced sweep."""
+    rng = np.random.default_rng(13)
+    rows = np.column_stack(
+        [rng.integers(0, 40, 3000), rng.integers(0, 40, 3000), rng.integers(0, 2**40, 3000)]
+    )
+    sizes = [len(np.unique(c)) for c in rows.T]
+    assert math.prod(sizes) > 1 << 22
+    assert math.prod(sizes[:-1]) <= rows.shape[0] * solver._CHUNK
+    calls = _count_sweeps(monkeypatch)
+    gridded = solver._minimize_rows(rows)
+    assert calls == []
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_segment_keys", lambda *args: None)
+        swept = solver._minimize_rows(rows)
+    assert calls == [rows.shape[0]]
+    assert np.array_equal(gridded, swept)
 
 
 @pytest.mark.parametrize("extra, sweeps", [(0, 1), (1, 0)])
@@ -863,11 +882,11 @@ def test_minimize_rows_route_at_the_chunk_boundary(extra, sweeps, monkeypatch):
 @pytest.mark.parametrize("name", ["espresso", "grid"])
 def test_minimiser_routes_agree_on_recorded_inputs(name, monkeypatch):
     """Every minimiser input of a real solve gives the same indices when
-    all inputs are swept (no grid fits a cap of 0 cells) as when all go
-    to the rank grid.  For the grid every input is over a chunk of 1 row,
-    every grid fits the cap, and each input is stacked on itself until its
-    threshold map has at most as many cells as rows: repeats keep the
-    first occurrences, so the indices do not change."""
+    all inputs are swept (``_segment_keys`` refuses every grid) as when all
+    go to the rank grid.  For the grid every input is over a chunk of 1
+    row, and each input is stacked on itself until its threshold map has
+    at most as many cells as rows: repeats keep the first occurrences, so
+    the indices do not change."""
     game = espresso_with_target(10) if name == "espresso" else grid_game(6, 3)
     inputs = minimiser_inputs(game)
     if name == "espresso":
@@ -876,7 +895,7 @@ def test_minimiser_routes_agree_on_recorded_inputs(name, monkeypatch):
         assert any(1 < rows.shape[0] <= solver._CHUNK for rows in inputs)
     calls = _count_sweeps(monkeypatch)
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "_GRID_CELL_CAP", 0)
+        patch.setattr(solver, "_segment_keys", lambda *args: None)
         swept = [solver._minimize_rows(rows) for rows in inputs]
     assert len(calls) == sum(rows.shape[0] > 1 for rows in inputs)
     calls.clear()
