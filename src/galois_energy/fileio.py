@@ -21,11 +21,20 @@ An update is a list of steps; a step lists one spec per component:
 rerouted through fresh auxiliary positions on load; the load report
 records every insertion.
 
-Game files label many edges with few distinct updates, so each distinct
-update is parsed once: edges whose update JSON is equal share one
-``Update`` object, and the solver and the oracle compile one plan per
-object.  A shared update accepts and rejects exactly what a parse per
-edge would (``_json_key``).
+Files are UTF-8 JSON (UTF-16 and UTF-32 are read too, as RFC 8259
+allows), whatever the locale.
+
+Game files label many edges with few distinct updates, so a load holds
+one object per distinct value.  While a file is parsed, each object's
+``"update"`` value is replaced by the first equal one (``_json_key``), and
+each ``"id"``, ``"from"`` and ``"to"`` string by the first equal string;
+a repeated update is freed as soon as its edge is parsed, so a load never
+holds a second copy of it, and every edge end is its position's id
+object.  ``game_from_dict`` then parses each distinct update once, looking
+a raw update up by identity before its ``_json_key``: edges whose update
+JSON is equal share one ``Update`` object, and the solver and the oracle
+compile one plan per object.  A shared update accepts and rejects exactly
+what a parse per edge would.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .errors import GameFileError, InvalidGameError
 from .game import AuxiliaryInsertion, GameGraph, Owner, Position, split_parallel_edges
@@ -150,14 +159,39 @@ def _update_to_json(update: Update) -> list[list[dict[str, Any]]]:
     return [[_spec_to_json(s) for s in atom.specs] for atom in update.steps]
 
 
-def _load_document(path: str | Path) -> Any:
+def _sharing_hook() -> Callable[[dict[str, Any]], dict[str, Any]]:
+    """A ``json.loads`` object hook that replaces each ``"update"`` value
+    by the first one with its ``_json_key`` and each ``"id"``, ``"from"``
+    and ``"to"`` string by the first equal string."""
+    updates: dict[str | int, Any] = {}
+    strings: dict[str, str] = {}
+
+    def share(obj: dict[str, Any]) -> dict[str, Any]:
+        if "update" in obj:
+            raw = obj["update"]
+            obj["update"] = updates.setdefault(_json_key(raw), raw)
+        for key in ("id", "from", "to"):
+            if key in obj:
+                value = obj[key]
+                if isinstance(value, str):
+                    obj[key] = strings.setdefault(value, value)
+        return obj
+
+    return share
+
+
+def _read_bytes(path: str | Path) -> bytes:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise GameFileError(f"cannot read {path}: {exc}") from None
+
+
+def _load_document(path: str | Path) -> Any:
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        # no name holds the bytes, so they are freed once json.loads decodes them
+        return json.loads(_read_bytes(path), object_hook=_sharing_hook())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise GameFileError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise GameFileError(f"{path} nests too deeply to parse") from None
@@ -179,15 +213,20 @@ def game_from_dict(doc: Any) -> LoadedGame:
         raise GameFileError(f"dimension must be at least 1, got {dimension}")
     positions = [_position(p) for p in _list_field(doc, "positions")]
     edges: list[tuple[str, str, Update]] = []
-    parsed: dict[str | int, Update] = {}
+    by_object: dict[int, Update] = {}  # by id(raw): ``doc`` keeps every raw update alive
+    by_json: dict[str | int, Update] = {}
     for e in _list_field(doc, "edges"):
         if not isinstance(e, dict) or "from" not in e or "to" not in e or "update" not in e:
             raise GameFileError(f"bad edge entry {e!r}")
         source, target = _id(e["from"], "an edge end"), _id(e["to"], "an edge end")
-        key = _json_key(e["update"])
-        if key not in parsed:
-            parsed[key] = _update_from_json(e["update"], dimension)
-        edges.append((source, target, parsed[key]))
+        raw = e["update"]
+        update = by_object.get(id(raw))
+        if update is None:
+            key = _json_key(raw)
+            if key not in by_json:
+                by_json[key] = _update_from_json(raw, dimension)
+            update = by_object[id(raw)] = by_json[key]
+        edges.append((source, target, update))
     positions, edges, insertions = split_parallel_edges(positions, edges)
     game = GameGraph.build(dimension, positions, edges)
     try:

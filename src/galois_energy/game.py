@@ -30,13 +30,13 @@ class Verdict(enum.Enum):
     NOT_OVER = "not-over"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Position:
     id: str
     owner: Owner
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     source: str
     target: str

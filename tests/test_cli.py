@@ -428,6 +428,14 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_undecodable_file_exits_2_naming_it(tmp_path, capsys):
+    src = tmp_path / "latin1.json"
+    src.write_bytes('{"schema": "galois-energy/1", "note": "B\u00fcro"}'.encode("latin-1"))
+    code, out, err = run(capsys, "solve", str(src))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {src} is not valid JSON: 'utf-8' codec can't decode")
+
+
 def test_transform_unwritable_output_exits_2(tmp_path, capsys):
     src = tmp_path / "graph.json"
     src.write_text(

@@ -1,9 +1,17 @@
 import copy
+import gc
 import json
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from conftest import grid_game
 
+import galois_energy
 from galois_energy import fileio
 from galois_energy.errors import GameFileError
 from galois_energy.game import GameGraph, Owner
@@ -223,6 +231,8 @@ def test_shared_updates_reject_what_a_parse_per_edge_rejects(tmp_path, zs, bad):
     message = f"bad component spec {{'op': 'add', 'z': {bad}}}: 'z' must be an integer, got {bad}"
     with pytest.raises(GameFileError, match=f"^{re.escape(message)}$"):
         fileio.load_game(_write(tmp_path, doc))
+    with pytest.raises(GameFileError, match=f"^{re.escape(message)}$"):
+        fileio.game_from_dict(doc)
 
 
 def test_edges_with_equal_update_json_share_one_update(tmp_path):
@@ -234,6 +244,8 @@ def test_edges_with_equal_update_json_share_one_update(tmp_path):
     b, c, d = (game.update_between("a", t) for t in "bcd")
     assert b is d
     assert c is not b
+    built = fileio.game_from_dict(doc).game  # equal update JSON in distinct objects
+    assert built.update_between("a", "b") is built.update_between("a", "d")
     unshared = GameGraph.build(
         1,
         [(p.id, p.owner) for p in game.positions],
@@ -372,3 +384,78 @@ def test_both_position_readers_report_a_bad_owner(tmp_path):
     mr = {**_multi_reachability(), "positions": [{"id": "a", "owner": "boss"}]}
     with pytest.raises(GameFileError, match="bad owner 'boss'"):
         fileio.load_multi_reachability(_write(tmp_path, mr))
+
+
+def _traced_peak(f):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def grid_file(tmp_path_factory):
+    """A saved 16x16 d=3 multi-reachability grid game: 961 edges, few
+    distinct updates."""
+    path = tmp_path_factory.mktemp("grid") / "grid-game.json"
+    fileio.save_game(grid_game(16, 3), path)
+    return path
+
+
+def test_load_peaks_below_the_parsed_document(grid_file):
+    """Repeated updates and ids are shared while the file is parsed, so a
+    load holds less at its peak than the plain document does."""
+    plain = _traced_peak(lambda: json.loads(grid_file.read_text()))
+    assert _traced_peak(lambda: fileio.load_game(grid_file)) < plain
+
+
+def test_edge_ends_are_their_positions_id_objects(grid_file):
+    game = fileio.load_game(grid_file).game
+    ids = {p.id: p.id for p in game.positions}
+    assert all(e.source is ids[e.source] and e.target is ids[e.target] for e in game.edges)
+
+
+def test_annotations_come_back_as_parsed(tmp_path):
+    """Annotations that hold the keys a load shares, with values that are
+    equal in Python but not in JSON, come back as ``json.loads`` gives them."""
+    update = [[{"op": "add", "z": -1}]]
+    annotations = {
+        "update": update,
+        "from": "a",
+        "id": "d",
+        "runs": [{"update": 1, "to": "a"}, {"update": 1.0, "id": 7}, {"update": True},
+                 {"update": update, "from": ["a"]}],
+    }
+    path = _write(tmp_path, _doc(annotations=annotations))
+    loaded = fileio.load_game(path).annotations
+    parsed = json.loads(path.read_text())["annotations"]
+    assert loaded == parsed
+    assert json.dumps(loaded) == json.dumps(parsed)
+
+
+def test_deeply_nested_objects_fail_naming_the_file(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"id": ' * 100_000 + "1" + "}" * 100_000)
+    with pytest.raises(GameFileError, match=f"^{re.escape(str(path))} nests too deeply to parse$"):
+        fileio.load_game(path)
+
+
+def test_files_are_read_as_utf8_under_an_ascii_locale(tmp_path):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(_doc(positions=[{"id": "Büro", "owner": "defender"}], edges=[]),
+                               ensure_ascii=False), encoding="utf-8")
+    package_root = str(Path(galois_energy.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-c",
+         "import sys; from galois_energy import fileio; "
+         "print(ascii(fileio.load_game(sys.argv[1]).game.position_ids))", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "LC_ALL": "C", "PYTHONPATH": package_root},
+    )
+    assert proc.stderr == ""
+    assert proc.stdout == "('B\\xfcro',)\n"
+

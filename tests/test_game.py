@@ -42,6 +42,13 @@ def test_hash_is_the_field_hash_and_survives_pickle(espresso):
     copy = pickle.loads(pickle.dumps(espresso))
     assert copy == espresso
     assert hash(copy) == hash(espresso)
+    # positions and edges are slotted: no instance dict, hashed by their fields
+    for p, q in zip(espresso.positions, copy.positions):
+        assert not hasattr(p, "__dict__")
+        assert q == p and hash(q) == hash(p) == hash((p.id, p.owner))
+    for e, f in zip(espresso.edges, copy.edges):
+        assert not hasattr(e, "__dict__")
+        assert f == e and hash(f) == hash(e) == hash((e.source, e.target, e.update))
 
 
 def test_validate_reports_missing_endpoint():
